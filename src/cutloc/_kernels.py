@@ -1,45 +1,49 @@
-"""Hot kernels: nearest-site scans, multiplicity gaps, winding numbers.
+"""Hot kernels: nearest-site scans, the singular-set flag, the inside test.
 
-Two interchangeable backends.  The numba path JIT-compiles parallel scans;
-the numpy path runs the same scans as chunked broadcasts.  Selection:
+All kernels are numpy only.  Distance ties break toward the lowest site
+index, so results are bit-identical run to run.
 
-* env CUTLOC_NUMBA=0 forces the numpy path (default: numba when importable);
-* env CUTLOC_THREADS caps the numba thread pool;
-* set_backend() switches at runtime (used by the benchmark).
-
-Both backends break distance ties toward the lowest site index, so results
-are bit-identical run to run.
+``nearest_site_gap`` is exact but not brute force: the cyclic site table is
+cut into contiguous blocks of ``_BLOCK`` sites, each with a bounding disc,
+and a block is scanned only when its disc can hold a site within
+``best + threshold`` of the query (bounding-volume branch and bound for
+nearest neighbours, Fukunaga & Narendra 1975).  Sites in a pruned block
+are neither the nearest site nor a competitor that could set the flag, so
+pruning changes no output bit.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import config as _numba_config
-    from numba import njit, prange, set_num_threads
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via CUTLOC_NUMBA=0 instead
-    HAS_NUMBA = False
-
 __all__ = [
-    "HAS_NUMBA",
     "backend",
-    "set_backend",
     "nearest_site",
     "nearest_site_gap",
-    "winding_number",
+    "inside_polygon",
 ]
 
-_JIT_KW = dict(nogil=True, cache=True, parallel=True, fastmath=False)
+_BLOCK = 32
 
-_BIG = 1e300
+# Distances per temporary in nearest_site_gap (8 bytes each), the same
+# budget as the brute scan it replaced.
+_CHUNK_ELEMS = 4_000_000
 
 
-# ---------------------------------------------------------------- numpy path
+def backend():
+    """Name of the kernel backend; numpy is the only one."""
+    return "numpy"
 
-def _nearest_np(qx, qy, sx, sy):
+
+def _as_xy(arr):
+    a = np.ascontiguousarray(arr, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise ValueError("expected an (n, 2) array")
+    return np.ascontiguousarray(a[:, 0]), np.ascontiguousarray(a[:, 1])
+
+
+def nearest_site(queries, sites):
+    """Index of and distance to the nearest site for each query point."""
+    qx, qy = _as_xy(queries)
+    sx, sy = _as_xy(sites)
     n, m = qx.size, sx.size
     idx = np.empty(n, np.int64)
     dist = np.empty(n, np.float64)
@@ -55,222 +59,17 @@ def _nearest_np(qx, qy, sx, sy):
     return idx, dist
 
 
-def _nearest_gap_np(qx, qy, sx, sy, ss, length, min_sep, cs):
-    n, m = qx.size, sx.size
-    idx = np.empty(n, np.int64)
-    dist = np.empty(n, np.float64)
-    gap = np.empty(n, np.float64)
-    chunk = max(1, 4_000_000 // max(m, 1))
-    for a in range(0, n, chunk):
-        b = min(n, a + chunk)
-        dx = qx[a:b, None] - sx[None, :]
-        dy = qy[a:b, None] - sy[None, :]
-        d = np.sqrt(dx * dx + dy * dy)
-        ii = np.argmin(d, axis=1)
-        best = d[np.arange(b - a), ii]
-        locmin = (d <= np.roll(d, 1, axis=1)) & (d <= np.roll(d, -1, axis=1))
-        ds = np.abs(ss[None, :] - ss[ii][:, None])
-        ds = np.minimum(ds, length - ds)
-        ok = ds >= min_sep
-        if cs.size:
-            # competitors whose shorter boundary path to the argmin crosses a
-            # corner are genuinely distinct projections even at small
-            # separation (feet straddling a convex corner)
-            lo = np.minimum(ss[None, :], ss[ii][:, None])
-            hi = np.maximum(ss[None, :], ss[ii][:, None])
-            direct = (hi - lo) <= 0.5 * length
-            for c in cs:
-                inside_int = (lo <= c) & (c <= hi)
-                ok |= np.where(direct, inside_int, ~inside_int)
-        cand = locmin & ok
-        second = np.min(np.where(cand, d, _BIG), axis=1)
-        # a nearly flat distance profile (disk-like center) never produces a
-        # second local minimum; total oscillation catches that degeneracy
-        second = np.minimum(second, np.max(d, axis=1))
-        idx[a:b] = ii
-        dist[a:b] = best
-        gap[a:b] = second - best
-    return idx, dist, gap
+def nearest_site_gap(queries, sites, site_s, length, min_sep, threshold,
+                     corner_s=None):
+    """Nearest site plus the thresholded multiplicity gap.
 
-
-def _winding_np(qx, qy, px, py):
-    n, m = qx.size, px.size
-    w = np.zeros(n, np.int64)
-    x1 = np.roll(px, -1)
-    y1 = np.roll(py, -1)
-    chunk = max(1, 4_000_000 // max(m, 1))
-    for a in range(0, n, chunk):
-        b = min(n, a + chunk)
-        x = qx[a:b, None]
-        y = qy[a:b, None]
-        cross = (x1 - px)[None, :] * (y - py[None, :]) - (x - px[None, :]) * (y1 - py)[None, :]
-        up = (py[None, :] <= y) & (y < y1[None, :]) & (cross > 0)
-        dn = (y1[None, :] <= y) & (y < py[None, :]) & (cross < 0)
-        w[a:b] = up.sum(axis=1) - dn.sum(axis=1)
-    return w
-
-
-# ---------------------------------------------------------------- numba path
-
-if HAS_NUMBA:
-
-    @njit(**_JIT_KW)
-    def _nearest_nb(qx, qy, sx, sy):
-        n = qx.shape[0]
-        m = sx.shape[0]
-        idx = np.empty(n, np.int64)
-        dist = np.empty(n, np.float64)
-        for k in prange(n):
-            best = _BIG
-            bi = 0
-            for j in range(m):
-                dx = sx[j] - qx[k]
-                dy = sy[j] - qy[k]
-                d2 = dx * dx + dy * dy
-                if d2 < best:
-                    best = d2
-                    bi = j
-            idx[k] = bi
-            dist[k] = np.sqrt(best)
-        return idx, dist
-
-    @njit(**_JIT_KW)
-    def _nearest_gap_nb(qx, qy, sx, sy, ss, length, min_sep, cs):
-        n = qx.shape[0]
-        m = sx.shape[0]
-        nc = cs.shape[0]
-        idx = np.empty(n, np.int64)
-        dist = np.empty(n, np.float64)
-        gap = np.empty(n, np.float64)
-        for k in prange(n):
-            d = np.empty(m, np.float64)
-            best = _BIG
-            bi = 0
-            for j in range(m):
-                dx = sx[j] - qx[k]
-                dy = sy[j] - qy[k]
-                v = np.sqrt(dx * dx + dy * dy)
-                d[j] = v
-                if v < best:
-                    best = v
-                    bi = j
-            s0 = ss[bi]
-            second = _BIG
-            dmax = 0.0
-            for j in range(m):
-                if d[j] > dmax:
-                    dmax = d[j]
-                jm = j - 1 if j > 0 else m - 1
-                jp = j + 1 if j < m - 1 else 0
-                if d[j] <= d[jm] and d[j] <= d[jp] and d[j] < second:
-                    dsj = abs(ss[j] - s0)
-                    if dsj > length - dsj:
-                        dsj = length - dsj
-                    ok = dsj >= min_sep
-                    if not ok and nc > 0:
-                        # a competitor across a corner is a distinct
-                        # projection even at small arclength separation
-                        lo = min(s0, ss[j])
-                        hi = max(s0, ss[j])
-                        direct = (hi - lo) <= 0.5 * length
-                        for c in range(nc):
-                            between = lo <= cs[c] <= hi
-                            if between == direct:
-                                ok = True
-                                break
-                    if ok:
-                        second = d[j]
-            if dmax < second:
-                second = dmax
-            idx[k] = bi
-            dist[k] = best
-            gap[k] = second - best
-        return idx, dist, gap
-
-    @njit(**_JIT_KW)
-    def _winding_nb(qx, qy, px, py):
-        n = qx.shape[0]
-        m = px.shape[0]
-        w = np.empty(n, np.int64)
-        for k in prange(n):
-            wk = 0
-            x = qx[k]
-            y = qy[k]
-            for j in range(m):
-                jn = j + 1 if j < m - 1 else 0
-                y0 = py[j]
-                y1 = py[jn]
-                cross = (px[jn] - px[j]) * (y - y0) - (x - px[j]) * (y1 - y0)
-                if y0 <= y < y1:
-                    if cross > 0.0:
-                        wk += 1
-                elif y1 <= y < y0:
-                    if cross < 0.0:
-                        wk -= 1
-            w[k] = wk
-        return w
-
-
-# ------------------------------------------------------------------ dispatch
-
-def _env_wants_numba():
-    flag = os.environ.get("CUTLOC_NUMBA", "").strip().lower()
-    if flag in ("0", "false", "no", "off"):
-        return False
-    return HAS_NUMBA
-
-
-_backend = "numba" if _env_wants_numba() else "numpy"
-
-if HAS_NUMBA:
-    _threads = os.environ.get("CUTLOC_THREADS", "").strip()
-    if _threads:
-        try:
-            set_num_threads(max(1, min(int(_threads), _numba_config.NUMBA_NUM_THREADS)))
-        except ValueError:
-            pass
-
-
-def backend():
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    return _backend
-
-
-def set_backend(name):
-    """Switch kernel backend at runtime; raises if numba is requested but absent."""
-    global _backend
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _backend = name
-
-
-def _as_xy(arr):
-    a = np.ascontiguousarray(arr, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != 2:
-        raise ValueError("expected an (n, 2) array")
-    return np.ascontiguousarray(a[:, 0]), np.ascontiguousarray(a[:, 1])
-
-
-def nearest_site(queries, sites):
-    """Index of and distance to the nearest site for each query point."""
-    qx, qy = _as_xy(queries)
-    sx, sy = _as_xy(sites)
-    if _backend == "numba":
-        return _nearest_nb(qx, qy, sx, sy)
-    return _nearest_np(qx, qy, sx, sy)
-
-
-def nearest_site_gap(queries, sites, site_s, length, min_sep, corner_s=None):
-    """Nearest site plus the multiplicity gap.
-
-    The gap is (second-best - best) where second-best runs over sites that
-    are local minima of the per-query distance sequence (cyclic in the site
-    ordering) and either min_sep away from the argmin in cyclic arclength
-    site_s or across one of the corner_s arclengths, capped by the total
-    oscillation max(d) - min(d) so that flat profiles (centers of disk-like
-    regions) register as ambiguous.
+    Returns (idx, dist, flag).  ``flag`` is ``gap <= threshold``, where the
+    gap is (second-best - best) and second-best runs over sites that are
+    local minima of the per-query distance sequence (cyclic in the site
+    ordering) and either ``min_sep`` away from the argmin in cyclic
+    arclength ``site_s`` or across one of the ``corner_s`` arclengths,
+    capped by the largest site distance so that flat profiles (centres of
+    disk-like regions) register as ambiguous.
     """
     qx, qy = _as_xy(queries)
     sx, sy = _as_xy(sites)
@@ -279,17 +78,133 @@ def nearest_site_gap(queries, sites, site_s, length, min_sep, corner_s=None):
         cs = np.empty(0, dtype=np.float64)
     else:
         cs = np.ascontiguousarray(corner_s, dtype=np.float64)
-    if _backend == "numba":
-        return _nearest_gap_nb(qx, qy, sx, sy, ss, float(length),
-                               float(min_sep), cs)
-    return _nearest_gap_np(qx, qy, sx, sy, ss, float(length),
-                           float(min_sep), cs)
+    length = float(length)
+    min_sep = float(min_sep)
+    threshold = float(threshold)
+
+    n, m = qx.size, sx.size
+    nb = -(-m // _BLOCK)
+    # Block b scans columns b*_BLOCK - 1 .. b*_BLOCK + _BLOCK (cyclic): the
+    # sites it owns plus one neighbour either side for the local-minimum
+    # test.  Columns past site m - 1 wrap to sites owned by block 0 and
+    # serve only as neighbours.
+    cols = (np.arange(nb)[:, None] * _BLOCK - 1 + np.arange(_BLOCK + 2)) % m
+    own = (np.arange(nb)[:, None] * _BLOCK + np.arange(_BLOCK)) < m
+    bx, by = sx[cols[:, 1:-1]], sy[cols[:, 1:-1]]
+    cx = 0.5 * (np.min(bx, axis=1, where=own, initial=np.inf)
+                + np.max(bx, axis=1, where=own, initial=-np.inf))
+    cy = 0.5 * (np.min(by, axis=1, where=own, initial=np.inf)
+                + np.max(by, axis=1, where=own, initial=-np.inf))
+    radius = np.max(np.hypot(bx - cx[:, None], by - cy[:, None]), axis=1,
+                    where=own, initial=0.0)
+    # Covers the rounding of every distance and bound below.
+    scale = max(np.max(np.abs(sx)), np.max(np.abs(sy)),
+                np.max(np.abs(qx), initial=0.0), np.max(np.abs(qy), initial=0.0))
+    slack = 1e-9 * (1.0 + scale)
+    radius = radius + slack
+
+    idx = np.empty(n, np.int64)
+    dist = np.empty(n, np.float64)
+    flag = np.empty(n, bool)
+    chunk = max(1, _CHUNK_ELEMS // (nb * (_BLOCK + 2)))
+    for a in range(0, n, chunk):
+        b = min(n, a + chunk)
+        idx[a:b], dist[a:b], flag[a:b] = _gap_chunk(
+            qx[a:b], qy[a:b], sx, sy, ss, cols, own, cx, cy, radius,
+            length, min_sep, threshold, cs, slack)
+    return idx, dist, flag
 
 
-def winding_number(queries, polygon):
-    """Winding number of the closed polyline around each query point."""
+def _gap_chunk(qx, qy, sx, sy, ss, cols, own, cx, cy, radius, length,
+               min_sep, threshold, cs, slack):
+    nb = cx.size
+    ex = qx[:, None] - cx[None, :]
+    ey = qy[:, None] - cy[None, :]
+    dc = np.sqrt(ex * ex + ey * ey)
+    upper = np.min(dc + radius, axis=1)
+    keep = dc - radius <= (upper + threshold + slack)[:, None]
+    # (query, block) pairs in row-major order: grouped by query, blocks
+    # ascending, so scanning them in order visits sites by ascending index.
+    row, blk = np.nonzero(keep)
+    counts = np.count_nonzero(keep, axis=1)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+
+    c = cols[blk]
+    dx = qx[row][:, None] - sx[c]
+    dy = qy[row][:, None] - sy[c]
+    d = np.sqrt(dx * dx + dy * dy)
+    core = d[:, 1:-1]
+    locmin = (core <= d[:, :-2]) & (core <= d[:, 2:])
+    mine = own[blk]
+    core_own = np.where(mine, core, np.inf)
+
+    # argmin per query, ties to the lowest site index
+    j_pair = np.argmin(core_own, axis=1)
+    pair_best = core_own[np.arange(row.size), j_pair]
+    best = np.minimum.reduceat(pair_best, starts)
+    first = np.where(pair_best == best[row], np.arange(row.size), row.size)
+    win = np.minimum.reduceat(first, starts)
+    ii = c[win, 1 + j_pair[win]]
+
+    # Competitors: local minima within threshold of the best.  Only these
+    # few need the arclength test.
+    near = (core_own - best[row][:, None]) <= threshold
+    r, j = np.nonzero(locmin & near)
+    s0 = ss[ii][row[r]]
+    sj = ss[c[r, 1 + j]]
+    ds = np.abs(sj - s0)
+    ds = np.minimum(ds, length - ds)
+    ok = ds >= min_sep
+    if cs.size:
+        # competitors whose shorter boundary path to the argmin crosses a
+        # corner are genuinely distinct projections even at small
+        # separation (feet straddling a convex corner)
+        lo = np.minimum(sj, s0)
+        hi = np.maximum(sj, s0)
+        direct = (hi - lo) <= 0.5 * length
+        for corner in cs:
+            inside_int = (lo <= corner) & (corner <= hi)
+            ok |= np.where(direct, inside_int, ~inside_int)
+    flag = np.zeros(qx.size, bool)
+    flag[row[r[ok]]] = True
+
+    # A nearly flat distance profile (disk-like centre) never produces a
+    # second local minimum; the largest site distance catches that
+    # degeneracy.  A pruned block holds a site farther than best +
+    # threshold, so the cap can only fire where every block was kept.
+    flat = counts == nb
+    if np.any(flat):
+        pair_max = np.max(core, axis=1, where=mine, initial=-np.inf)
+        dmax = np.maximum.reduceat(pair_max, starts)
+        flag |= flat & (dmax - best <= threshold)
+    return ii, best, flag
+
+
+def inside_polygon(queries, polygon):
+    """Even-odd inside test of each query against a closed simple polyline.
+
+    Queries are grouped by height; per height, only the edges whose
+    half-open span [y0, y1) holds it are tested, and a query is inside when
+    an odd number of them cross to its right.
+    """
     qx, qy = _as_xy(queries)
     px, py = _as_xy(polygon)
-    if _backend == "numba":
-        return _winding_nb(qx, qy, px, py)
-    return _winding_np(qx, qy, px, py)
+    x1 = np.roll(px, -1)
+    y1 = np.roll(py, -1)
+    heights, row = np.unique(qy, return_inverse=True)
+    order = np.argsort(row, kind="stable")
+    bounds = np.searchsorted(row[order], np.arange(heights.size + 1))
+    inside = np.zeros(qx.size, bool)
+    for r, y in enumerate(heights):
+        up = np.flatnonzero((py <= y) & (y < y1))
+        dn = np.flatnonzero((y1 <= y) & (y < py))
+        k = order[bounds[r]:bounds[r + 1]]
+        x = qx[k][:, None]
+        crossings = (np.count_nonzero(_cross(x, y, px, py, x1, y1, up) > 0, axis=1)
+                     + np.count_nonzero(_cross(x, y, px, py, x1, y1, dn) < 0, axis=1))
+        inside[k] = crossings % 2 == 1
+    return inside
+
+
+def _cross(x, y, px, py, x1, y1, e):
+    return (x1[e] - px[e]) * (y - py[e]) - (x - px[e]) * (y1[e] - py[e])

@@ -399,8 +399,7 @@ def _parser():
     p = argparse.ArgumentParser(
         prog="cutloc",
         description="Cut values, criterion function, integral identities, "
-                    "and ball-characterization verdicts for planar domains. "
-                    "CUTLOC_THREADS caps internal parallelism.")
+                    "and ball-characterization verdicts for planar domains.")
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("shapes", help="list built-in shapes and schemas")

@@ -5,6 +5,9 @@ flagged through the multiplicity gap: second-best site distance, taken over
 local minima of the per-cell distance sequence at least min_sep away in
 arclength, minus the best.  Cells with gap <= sigma_threshold (default 2h)
 are flagged; the flagged area should shrink like h for curve-like Sigma.
+Nearest site and flag come from one block-pruned scan of the site table
+(``_kernels.nearest_site_gap``); insideness from an even-odd scanline test
+per grid row (``_kernels.inside_polygon``).
 """
 
 import csv
@@ -115,7 +118,6 @@ class DistanceField:
     d: np.ndarray                 # (ny, nx) distance to the curve
     inside: np.ndarray            # (ny, nx) bool
     sigma_mask: np.ndarray        # (ny, nx) bool, inside cells near Sigma
-    multiplicity_gap: np.ndarray  # (ny, nx)
     focal_mask: np.ndarray        # (ny, nx) bool, d within pad of 1/kappa
     nearest_arc: np.ndarray       # (ny, nx) int
     nearest_param: np.ndarray     # (ny, nx)
@@ -132,9 +134,10 @@ def build_distance_field(curve, grid=None, nx=256, m=4096, margin=None,
                          sigma_threshold=None, min_sep=None):
     """Distance field on a grid around the curve.
 
-    For each cell center: brute nearest over ~m dense boundary sites
-    (with the multiplicity gap), then golden-section refinement on the
-    owning arc to parameter tolerance 1e-10.
+    For each cell center: nearest of ~m dense boundary sites, with the
+    thresholded multiplicity gap, from a block-pruned scan that returns
+    the brute scan's result bit for bit; then golden-section refinement
+    on the owning arc to parameter tolerance 1e-10.
     """
     if grid is None:
         grid = GridSpec.from_curve(curve, nx=nx, margin=margin)
@@ -150,13 +153,14 @@ def build_distance_field(curve, grid=None, nx=256, m=4096, margin=None,
         min_sep = 10.0 * h
     proj = CurveProjector(curve, m=m)
     centers = grid.centers()
-    p = proj.project(centers, want_gap=True, min_sep=min_sep)
+    idx, _, ambiguous = _kernels.nearest_site_gap(
+        centers, proj.sites.points, proj.sites.s, proj.length, min_sep,
+        sigma_threshold, curve.corner_arclengths())
+    p = proj.project_from_sites(centers, idx)
     poly = curve.winding_polygon(max(2048, m // 2))
-    wind = _kernels.winding_number(centers, poly)
     shape = (grid.ny, grid.nx)
-    inside = (wind != 0).reshape(shape)
+    inside = _kernels.inside_polygon(centers, poly).reshape(shape)
     d = p.dist.reshape(shape)
-    gap = p.gap.reshape(shape)
     # The multiplicity gap is blind at focal points (unique projection but
     # exploding level-set curvature); flag cells whose depth comes within a
     # pad of the foot's focal depth 1/kappa.  Pad ~ sqrt(h) keeps the
@@ -166,15 +170,15 @@ def build_distance_field(curve, grid=None, nx=256, m=4096, margin=None,
         focal_depth = np.where(p.kappa > 0, 1.0 / np.maximum(p.kappa, 1e-300),
                                np.inf)
     focal = inside & (focal_depth.reshape(shape) - d <= focal_pad)
-    sigma = inside & ((gap <= sigma_threshold) | focal)
+    sigma = inside & (ambiguous.reshape(shape) | focal)
     field = DistanceField(
         grid=grid, curve=curve, d=d, inside=inside, sigma_mask=sigma,
-        multiplicity_gap=gap, focal_mask=focal,
+        focal_mask=focal,
         nearest_arc=p.arc_index.reshape(shape),
         nearest_param=p.param.reshape(shape), sigma_threshold=sigma_threshold,
         min_sep=min_sep, projector=proj)
     for arr in (field.d, field.inside, field.sigma_mask, field.focal_mask,
-                field.multiplicity_gap, field.nearest_arc, field.nearest_param):
+                field.nearest_arc, field.nearest_param):
         arr.setflags(write=False)
     return field
 
@@ -258,7 +262,7 @@ class FieldProjector:
         self.length = field.curve.length
         self.spacing = field.grid.h
 
-    def project(self, points, want_gap=False, min_sep=None):
+    def project(self, points):
         field = self.field
         grid = field.grid
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -274,10 +278,9 @@ class FieldProjector:
                                dparam, half_width=half)
         g = self.curve.geometry(arc_index, param)
         dist = np.linalg.norm(points - g.position, axis=1)
-        gap = field.multiplicity_gap[iy, ix] if want_gap else None
         return Projection(point=g.position, dist=dist, s=g.s,
                           arc_index=arc_index, param=param,
-                          kappa=g.curvature, gap=gap)
+                          kappa=g.curvature)
 
 
 def singular_measure(field):

@@ -6,8 +6,7 @@ Two projectors share one interface:
   golden-section refinement on the owning arc (parameter tolerance 1e-10).
 * FieldProjector (in distfield): seeds from a precomputed grid instead.
 
-project() returns a Projection struct; `gap` is the multiplicity gap used
-to flag points near the singular set (ambiguous projection).
+project() returns a Projection struct.
 """
 
 from dataclasses import dataclass
@@ -28,7 +27,6 @@ class Projection:
     arc_index: np.ndarray  # (n,) int
     param: np.ndarray      # (n,)
     kappa: np.ndarray      # (n,) boundary curvature at the nearest point
-    gap: np.ndarray        # (n,) multiplicity gap, or None
 
 
 def cyclic_dist(s1, s2, length):
@@ -52,17 +50,13 @@ class CurveProjector:
             self._dparam[int(a)] = float(p[1] - p[0]) if p.size > 1 else \
                 float(curve.arcs[a].t1 - curve.arcs[a].t0)
 
-    def project(self, points, want_gap=False, min_sep=None):
+    def project(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if want_gap:
-            if min_sep is None:
-                min_sep = 10.0 * self.spacing
-            idx, _, gap = _kernels.nearest_site_gap(
-                points, self.sites.points, self.sites.s, self.length, min_sep,
-                self.curve.corner_arclengths())
-        else:
-            idx, _ = _kernels.nearest_site(points, self.sites.points)
-            gap = None
+        idx, _ = _kernels.nearest_site(points, self.sites.points)
+        return self.project_from_sites(points, idx)
+
+    def project_from_sites(self, points, idx):
+        """Projection of (n, 2) points seeded by their nearest-site indices."""
         arc_index = self.sites.arc_index[idx]
         seed = self.sites.params[idx]
         param = refine_on_arcs(self.curve, points, arc_index, seed, self._dparam)
@@ -70,7 +64,7 @@ class CurveProjector:
         dist = np.linalg.norm(points - g.position, axis=1)
         return Projection(point=g.position, dist=dist, s=g.s,
                           arc_index=arc_index, param=param,
-                          kappa=g.curvature, gap=gap)
+                          kappa=g.curvature)
 
 
 def refine_on_arcs(curve, points, arc_index, seed_param, dparam, half_width=None):

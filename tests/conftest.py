@@ -47,7 +47,7 @@ def get_field(name, h):
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    # touch the jit paths once so timed assertions never pay compilation
+    # fill the circle's lazy tables once so timed assertions never pay them
     curve = get_curve("circle")
     cut_table(curve, n=64)
     build_distance_field(curve, grid=GridSpec.from_curve(curve, nx=24), m=512)

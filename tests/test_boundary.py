@@ -1,12 +1,12 @@
 import numpy as np
 
 from cutloc import from_spec
-from cutloc._kernels import winding_number
+from cutloc._kernels import inside_polygon
 
 
 def _contains(curve, points):
     poly = curve.winding_polygon(4096)
-    return winding_number(np.asarray(points, dtype=float), poly) != 0
+    return inside_polygon(np.asarray(points, dtype=float), poly)
 
 
 def test_circle_geometry(curves):
