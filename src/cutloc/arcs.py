@@ -39,6 +39,22 @@ class Arc:
     def acceleration(self, t):
         raise NotImplementedError
 
+    @classmethod
+    def batch_point(cls, arcs, which):
+        """Callable t -> (n, 2) with row i on arcs[which[i]], all of class cls.
+
+        Evaluates each arc's point on its own rows; subclasses with a
+        closed form override it with stacked per-row coefficients.
+        """
+        rows = [(arc, which == k) for k, arc in enumerate(arcs)]
+
+        def point(t):
+            out = np.empty((t.size, 2))
+            for arc, m in rows:
+                out[m] = arc.point(t[m])
+            return out
+        return point
+
     def check_param(self, t):
         t = _col(t)
         pad = 1e-12 * (abs(self.t1 - self.t0) + 1.0)
@@ -71,6 +87,13 @@ class CircleArc(Arc):
         t = _col(t)
         return self.center + self.radius * np.stack([np.cos(t), np.sin(t)], axis=-1)
 
+    @classmethod
+    def batch_point(cls, arcs, which):
+        center = np.array([arc.center for arc in arcs])[which]
+        radius = np.array([arc.radius for arc in arcs])[which, None]
+        return lambda t: center + radius * np.stack([np.cos(t), np.sin(t)],
+                                                    axis=-1)
+
     def velocity(self, t):
         t = _col(t)
         return self.radius * np.stack([-np.sin(t), np.cos(t)], axis=-1)
@@ -94,6 +117,12 @@ class SegmentArc(Arc):
     def point(self, t):
         t = _col(t)
         return self.p0 + t[:, None] * (self.p1 - self.p0)
+
+    @classmethod
+    def batch_point(cls, arcs, which):
+        p0 = np.array([arc.p0 for arc in arcs])[which]
+        step = np.array([arc.p1 - arc.p0 for arc in arcs])[which]
+        return lambda t: p0 + t[:, None] * step
 
     def velocity(self, t):
         t = _col(t)

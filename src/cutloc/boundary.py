@@ -24,6 +24,10 @@ DEFAULT_ANGLE_TOL = 1e-7   # radians; junctions turning less are treated as C1
 _TABLE_NODES = 65536       # fixed arclength-table resolution; a single
                            # size keeps every query independent of what
                            # was computed on the curve before
+# point or segment pairs per chunk of an all-pairs pass (shrinking-ball cut
+# values, curve validation, diameter): each float temporary stays about
+# 1 MB, small enough to stay in cache
+_PAIR_CHUNK = 131_072
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,6 +94,7 @@ class BoundaryCurve:
         self.arcs = list(arcs)
         self._tables = None
         self._corners_cache = {}
+        self._sites_cache = {}
 
         poll = self._poll_points(64)
         lo = poll.min(axis=0)
@@ -266,7 +271,14 @@ class BoundaryCurve:
         return [g.point(i) for i in range(g.n)]
 
     def dense_sites(self, m):
-        """Midpoint-offset per-arc sampling (~m sites) for projection kernels."""
+        """Midpoint-offset per-arc sampling (~m sites) for projection kernels.
+
+        Memoized per m: every projector of the curve shares one table, so
+        its arrays must not be written to.
+        """
+        key = int(m)
+        if key in self._sites_cache:
+            return self._sites_cache[key]
         self._ensure_tables()
         cum = self._tables["cum"]
         L = cum[-1]
@@ -282,8 +294,10 @@ class BoundaryCurve:
         params = np.concatenate(prm)
         arc_index = np.concatenate(aix)
         s = self.param_to_s(arc_index, params)
-        return DenseSites(points=points, params=params, arc_index=arc_index,
-                          s=s, spacing=L / s.size)
+        sites = DenseSites(points=points, params=params, arc_index=arc_index,
+                           s=s, spacing=L / s.size)
+        self._sites_cache[key] = sites
+        return sites
 
     def winding_polygon(self, m):
         """Per-arc sampling that keeps arc start points (corners included)."""
@@ -356,24 +370,44 @@ def _cyclic_dist_to_set(nodes, targets, L):
 
 
 def _polyline_self_intersects(poly):
-    """Proper-crossing scan over all non-adjacent segment pairs of a closed polyline."""
+    """Proper crossing between non-adjacent segments of a closed polyline.
+
+    Sort-and-sweep on x (Shamos & Hoey, "Geometric intersection problems",
+    1976): segments whose closed x-ranges are disjoint cannot cross, so
+    only the pairs that overlap in x go to the orientation test, in chunks
+    of at most _PAIR_CHUNK pairs.
+    """
     n = poly.shape[0]
     a = poly
     b = np.roll(poly, -1, axis=0)
-    i, j = np.triu_indices(n, k=2)
-    # the closing segment (n-1, 0) is adjacent to segment 0
-    keep = ~((i == 0) & (j == n - 1))
-    i, j = i[keep], j[keep]
+    left = np.minimum(a[:, 0], b[:, 0])
+    right = np.maximum(a[:, 0], b[:, 0])
+    order = np.argsort(left, kind="stable")
+    # segment order[k] overlaps segments order[k+1:stop[k]] in x
+    stop = np.searchsorted(left[order], right[order], side="right")
+    count = stop - np.arange(n) - 1
+    end = np.cumsum(count)
+    total = int(end[-1])
 
     def orient(p, q, r):
         return ((q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1])
                 - (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0]))
 
-    p1, p2 = a[i], b[i]
-    p3, p4 = a[j], b[j]
-    o1 = orient(p1, p2, p3)
-    o2 = orient(p1, p2, p4)
-    o3 = orient(p3, p4, p1)
-    o4 = orient(p3, p4, p2)
-    crossing = (o1 * o2 < 0) & (o3 * o4 < 0)
-    return bool(np.any(crossing))
+    for first in range(0, total, _PAIR_CHUNK):
+        pair = np.arange(first, min(first + _PAIR_CHUNK, total))
+        k = np.searchsorted(end, pair, side="right")
+        u = order[k]
+        v = order[k + 1 + pair - (end[k] - count[k])]
+        i, j = np.minimum(u, v), np.maximum(u, v)
+        # the closing segment (n-1, 0) is adjacent to segment 0
+        keep = (j - i != 1) & (j - i != n - 1)
+        i, j = i[keep], j[keep]
+        p1, p2 = a[i], b[i]
+        p3, p4 = a[j], b[j]
+        o1 = orient(p1, p2, p3)
+        o2 = orient(p1, p2, p4)
+        o3 = orient(p3, p4, p1)
+        o4 = orient(p3, p4, p2)
+        if np.any((o1 * o2 < 0) & (o3 * o4 < 0)):
+            return True
+    return False

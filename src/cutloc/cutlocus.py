@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryPoint
+from .boundary import _PAIR_CHUNK, BoundaryPoint
 from .errors import DegenerateRayError, InapplicableError
 from .projector import CurveProjector, cyclic_dist, refine_on_arcs
 from .quadrature import adaptive_simpson
@@ -44,9 +44,6 @@ __all__ = [
 ]
 
 _MAX_BISECT = 64
-# point pairs per chunk of the shrinking-ball pass: each float temporary
-# stays about 1 MB, small enough to stay in cache
-_PAIR_CHUNK = 131_072
 # shrinking steps after the site pass; one leaves up to 4e-7 next to the
 # square's corners, two reach rounding level
 _SHRINK_STEPS = 2
@@ -148,18 +145,38 @@ def _ball_cut(sites, pos, nrm, s, accept, length):
     One chunked pass over the sites.
     """
     sx, sy = sites.points[:, 0], sites.points[:, 1]
+    m = sites.s.size
     best = np.empty(s.size)
     arg = np.empty(s.size, dtype=int)
-    chunk = max(1, _PAIR_CHUNK // max(sites.s.size, 1))
+    chunk = max(1, min(s.size, _PAIR_CHUNK // max(m, 1)))
+    # one set of work arrays for all chunks: fresh ~1 MB temporaries per
+    # chunk go back to the system (malloc's mmap and trim thresholds) and
+    # are faulted in again on every chunk
+    work = np.empty((6, chunk, m))
+    flags = np.empty((2, chunk, m), dtype=bool)
     for a in range(0, s.size, chunk):
         b = min(s.size, a + chunk)
-        dx = pos[a:b, 0, None] - sx
-        dy = pos[a:b, 1, None] - sy
-        dot = dx * nrm[a:b, 0, None] + dy * nrm[a:b, 1, None]
-        compete = (dot > 0) & (cyclic_dist(s[a:b, None], sites.s, length)
-                               > accept)
-        depth = np.full(dot.shape, np.inf)
-        np.divide(dx * dx + dy * dy, 2.0 * dot, out=depth, where=compete)
+        dx, dy, dot, tmp, sep, depth = work[:, :b - a]
+        compete, ahead = flags[:, :b - a]
+        np.subtract(pos[a:b, 0, None], sx, out=dx)
+        np.subtract(pos[a:b, 1, None], sy, out=dy)
+        np.multiply(dx, nrm[a:b, 0, None], out=dot)
+        np.multiply(dy, nrm[a:b, 1, None], out=tmp)
+        np.add(dot, tmp, out=dot)
+        # cyclic arclength separation, as in cyclic_dist
+        np.subtract(s[a:b, None], sites.s, out=sep)
+        np.abs(sep, out=sep)
+        np.subtract(length, sep, out=tmp)
+        np.minimum(sep, tmp, out=sep)
+        np.greater(sep, accept, out=compete)
+        np.greater(dot, 0, out=ahead)
+        compete &= ahead
+        np.multiply(dx, dx, out=tmp)
+        np.multiply(dy, dy, out=sep)
+        np.add(tmp, sep, out=tmp)
+        np.multiply(2.0, dot, out=sep)
+        depth.fill(np.inf)
+        np.divide(tmp, sep, out=depth, where=compete)
         arg[a:b] = np.argmin(depth, axis=1)
         best[a:b] = depth[np.arange(b - a), arg[a:b]]
     return best, arg

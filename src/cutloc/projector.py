@@ -4,6 +4,8 @@ Two projectors share one interface:
 
 * CurveProjector: global scan over a dense midpoint site table, then a
   golden-section refinement on the owning arc (parameter tolerance 1e-10).
+  Rows are refined per arc class, not per arc: one vectorized search runs
+  over every row whose arc has the same class (segments, circular arcs, ...).
 * FieldProjector (in distfield): seeds from a precomputed grid instead.
 
 project() returns a Projection struct.
@@ -44,11 +46,9 @@ class CurveProjector:
         self.length = curve.length
         self.spacing = self.sites.spacing
         # per-arc parameter step of the site table: the refinement bracket
-        self._dparam = {}
-        for a in np.unique(self.sites.arc_index):
-            p = self.sites.params[self.sites.arc_index == a]
-            self._dparam[int(a)] = float(p[1] - p[0]) if p.size > 1 else \
-                float(curve.arcs[a].t1 - curve.arcs[a].t0)
+        # (every arc holds at least 8 consecutive sites)
+        first = np.searchsorted(self.sites.arc_index, np.arange(len(curve.arcs)))
+        self._dparam = self.sites.params[first + 1] - self.sites.params[first]
 
     def project(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -70,23 +70,32 @@ class CurveProjector:
 def refine_on_arcs(curve, points, arc_index, seed_param, dparam, half_width=None):
     """Golden-section refine |Y_a(p) - x|^2 around per-point seeds.
 
+    dparam: (number of arcs,) parameter step of the site table per arc.
     half_width: optional per-point bracket half-width (parameter units).
     Defaults to the site-table parameter step of the owning arc; callers
     whose seeds are coarser than the site table (grid-seeded projection)
-    must widen accordingly.
+    must widen accordingly.  One search runs per arc class, through the
+    class's Arc.batch_point.
     """
-    param = np.empty(seed_param.size)
+    arcs = curve.arcs
+    t0 = np.array([arc.t0 for arc in arcs])
+    t1 = np.array([arc.t1 for arc in arcs])
+    half = dparam[arc_index] if half_width is None else half_width
+    lo = np.maximum(seed_param - half, t0[arc_index])
+    hi = np.minimum(seed_param + half, t1[arc_index])
+    members = {}
     for a in np.unique(arc_index):
-        m = arc_index == a
-        arc = curve.arcs[a]
-        half = dparam[int(a)] if half_width is None else half_width[m]
-        lo = np.maximum(seed_param[m] - half, arc.t0)
-        hi = np.minimum(seed_param[m] + half, arc.t1)
+        members.setdefault(type(arcs[a]), []).append(a)
+    param = np.empty(seed_param.size)
+    for cls, used in members.items():
+        m = np.isin(arc_index, used)
+        which = np.searchsorted(used, arc_index[m])
+        point = cls.batch_point([arcs[a] for a in used], which)
         pts = points[m]
 
-        def dist2(p, arc=arc, pts=pts):
-            delta = arc.point(p) - pts
+        def dist2(p, point=point, pts=pts):
+            delta = point(p) - pts
             return np.einsum("ij,ij->i", delta, delta)
 
-        param[m], _ = golden_min_vec(dist2, lo, hi)
+        param[m], _ = golden_min_vec(dist2, lo[m], hi[m])
     return param

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .boundary import BoundaryPoint
+from .boundary import _PAIR_CHUNK, BoundaryPoint
 from .cutlocus import cut_table, cut_value, phi as phi_closed
 from .errors import ConfigurationError, HypothesisViolationError
 from .integrals import area, perimeter
@@ -120,10 +120,20 @@ class SymmetryReport:
 
 
 def diameter(curve, n=1024):
-    """Max pairwise distance over a boundary polygon sampling."""
+    """Max pairwise distance over a boundary polygon sampling.
+
+    Exact over all pairs: rows of the upper triangle in chunks of about
+    _PAIR_CHUNK pairs, so memory stays bounded on many-arc curves.
+    """
     pts = curve.winding_polygon(n)
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    return float(np.sqrt(np.max(d2)))
+    x, y = pts[:, 0], pts[:, 1]
+    rows = max(1, _PAIR_CHUNK // x.size)
+    best = 0.0
+    for a in range(0, x.size, rows):
+        dx = x[a:a + rows, None] - x[a:]
+        dy = y[a:a + rows, None] - y[a:]
+        best = max(best, float(np.max(dx * dx + dy * dy)))
+    return float(np.sqrt(best))
 
 
 def refine_max_curvature(curve, table):

@@ -1,7 +1,17 @@
 import numpy as np
+import pytest
 
 from cutloc import from_spec
 from cutloc._kernels import inside_polygon
+from cutloc.arcs import SegmentArc
+from cutloc.boundary import BoundaryCurve, _polyline_self_intersects
+from cutloc.errors import ConstructionError
+from cutloc.projector import CurveProjector
+
+POLYGON = {"type": "rounded_polygon", "sides": 96, "side_length": 0.2,
+           "corner_radius": 0.05}
+SHAPES = ("circle", "circle_small", "circle_big", "ellipse", "superellipse",
+          "square", "rounded", "stadium", "union", "fourier")
 
 
 def _contains(curve, points):
@@ -121,3 +131,92 @@ def test_winding_polygon_is_ccw(curves):
     area2 = np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
     assert area2 > 0
     assert np.isclose(0.5 * area2, 2.0 * np.pi, rtol=1e-3)
+
+
+def test_dense_sites_memoized_per_m(curves):
+    curve = curves("stadium")
+    sites = curve.dense_sites(512)
+    assert curve.dense_sites(512) is sites
+    assert curve.dense_sites(1024) is not sites
+    assert CurveProjector(curve, m=512).sites is sites
+
+
+def _all_pairs_self_intersects(poly):
+    """Reference: proper-crossing scan over all non-adjacent segment pairs."""
+    n = poly.shape[0]
+    a = poly
+    b = np.roll(poly, -1, axis=0)
+    i, j = np.triu_indices(n, k=2)
+    keep = ~((i == 0) & (j == n - 1))
+    i, j = i[keep], j[keep]
+
+    def orient(p, q, r):
+        return ((q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1])
+                - (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0]))
+
+    p1, p2 = a[i], b[i]
+    p3, p4 = a[j], b[j]
+    o1 = orient(p1, p2, p3)
+    o2 = orient(p1, p2, p4)
+    o3 = orient(p3, p4, p1)
+    o4 = orient(p3, p4, p2)
+    return bool(np.any((o1 * o2 < 0) & (o3 * o4 < 0)))
+
+
+def _rotated(poly, angle, shift=(0.0, 0.0)):
+    c, s = np.cos(angle), np.sin(angle)
+    return poly @ np.array([[c, s], [-s, c]]) + np.asarray(shift)
+
+
+def test_self_intersection_sweep_matches_all_pairs_on_shapes(curves):
+    polys = [curves(name).winding_polygon(512) for name in SHAPES]
+    polys.append(from_spec(POLYGON).winding_polygon(512))
+    for poly in polys:
+        for angle, shift in ((0.0, (0.0, 0.0)), (0.0, (3.0, -2.0)),
+                             (0.3, (0.0, 0.0)), (np.pi / 2, (0.5, 0.25)),
+                             (2.5, (-7.0, 11.0))):
+            moved = _rotated(poly, angle, shift)
+            assert _polyline_self_intersects(moved) == \
+                _all_pairs_self_intersects(moved)
+
+
+def test_self_intersection_sweep_finds_single_crossings(curves):
+    # swapping two neighbouring vertices of a convex polygon makes exactly
+    # one proper crossing; try it all around, so it comes early and late
+    # in the sweep order
+    poly = curves("circle").winding_polygon(256)
+    for k in range(0, poly.shape[0] - 1, 5):
+        twisted = poly.copy()
+        twisted[[k, k + 1]] = twisted[[k + 1, k]]
+        assert _all_pairs_self_intersects(twisted)
+        assert _polyline_self_intersects(twisted)
+
+
+def test_self_intersection_sweep_matches_all_pairs_on_random_polylines():
+    rng = np.random.default_rng(20240607)
+    verdicts = []
+    for k in range(330):
+        n = int(rng.integers(4, 48))
+        if k % 2:
+            # star-shaped about the origin: simple before rounding
+            ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+            r = rng.uniform(0.3, 1.0, n)
+            poly = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
+        else:
+            poly = rng.uniform(-1.0, 1.0, (n, 2))
+        if k % 3 == 0:
+            # collinear, touching and repeated points
+            poly = np.round(poly, 1)
+        got = _polyline_self_intersects(poly)
+        assert got == _all_pairs_self_intersects(poly)
+        verdicts.append(got)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_self_crossing_curve_is_rejected():
+    # bow-tie whose two long edges cross at (2.4, 1.2), away from every
+    # vertex; its signed area is positive, so only the crossing test fails
+    v = [(0.0, 0.0), (4.0, 2.0), (4.0, 0.0), (0.0, 3.0)]
+    arcs = [SegmentArc(v[i], v[(i + 1) % 4]) for i in range(4)]
+    with pytest.raises(ConstructionError, match="self-intersects"):
+        BoundaryCurve(arcs)

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -140,6 +143,39 @@ def test_stdout_bytes_deterministic(capsys):
     _, first, _ = _run(capsys, argv)
     _, second, _ = _run(capsys, argv)
     assert first == second
+
+
+def test_report_many_arcs_bounded_memory(tmp_path):
+    # 2000 arcs: validation and diameter once held all-pairs temporaries
+    # of the polygon sampling (several GB); the child must finish in bounded
+    # memory with a clean exit
+    shape = ('{"type": "rounded_polygon", "sides": 1000, "side_length": 0.2,'
+             ' "corner_radius": 0.05}')
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out_path, err_path = tmp_path / "out", tmp_path / "err"
+    with open(out_path, "wb") as out, open(err_path, "wb") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "cutloc", "report", "--shape", shape,
+             "--samples", "384"], stdout=out, stderr=err, env=env)
+    # os.wait4 reaps the child itself, so its peak RSS is not mixed with
+    # any other child's
+    deadline = time.monotonic() + 300.0
+    while True:
+        pid, status, usage = os.wait4(child.pid, os.WNOHANG)
+        if pid:
+            break
+        if time.monotonic() > deadline:
+            child.kill()
+            child.wait()
+            pytest.fail("report on 2000 arcs did not finish in 300 s")
+        time.sleep(0.05)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    stderr = err_path.read_text()
+    assert child.returncode == 0, stderr
+    assert "Traceback" not in stderr
+    assert json.loads(out_path.read_text())["verdict"] == "hypotheses-not-met"
+    assert usage.ru_maxrss < 400 * 1024  # KiB on Linux
 
 
 def test_render_json_float_format():

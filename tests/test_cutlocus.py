@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from cutloc import cut_table, cut_value, focal_check, max_lambda_kappa, phi
-from cutloc.cutlocus import lambda_lipschitz
+from cutloc.cutlocus import _ball_cut, lambda_lipschitz
 from cutloc.distfield import FieldProjector
+from cutloc.projector import CurveProjector, cyclic_dist
 
 
 def test_phi_closed_form():
@@ -40,6 +41,40 @@ def test_cut_value_matches_table_row(curves, tables):
         for i in np.flatnonzero(table.smooth())[::256]:
             lam = cut_value(curve, table.sample(i).point)
             assert lam == pytest.approx(table.lam[i], rel=0, abs=1e-12)
+
+
+def _ball_cut_fresh_arrays(sites, pos, nrm, s, accept, length):
+    """Reference: the shrinking-ball pass with fresh temporaries per chunk."""
+    sx, sy = sites.points[:, 0], sites.points[:, 1]
+    best = np.empty(s.size)
+    arg = np.empty(s.size, dtype=int)
+    chunk = max(1, 131_072 // sites.s.size)
+    for a in range(0, s.size, chunk):
+        b = min(s.size, a + chunk)
+        dx = pos[a:b, 0, None] - sx
+        dy = pos[a:b, 1, None] - sy
+        dot = dx * nrm[a:b, 0, None] + dy * nrm[a:b, 1, None]
+        compete = (dot > 0) & (cyclic_dist(s[a:b, None], sites.s, length)
+                               > accept)
+        depth = np.full(dot.shape, np.inf)
+        np.divide(dx * dx + dy * dy, 2.0 * dot, out=depth, where=compete)
+        arg[a:b] = np.argmin(depth, axis=1)
+        best[a:b] = depth[np.arange(b - a), arg[a:b]]
+    return best, arg
+
+
+@pytest.mark.parametrize("name", ["ellipse", "square", "union"])
+def test_ball_cut_reuses_work_arrays_exactly(curves, name):
+    curve = curves(name)
+    sites = CurveProjector(curve).sites
+    # 1, a partial chunk and several chunks with a short last one
+    for n in (1, 20, 1000):
+        g = curve.resample_struct(n)
+        args = (sites, g.position, g.normal, g.s, 3.0 * sites.spacing,
+                curve.length)
+        got, want = _ball_cut(*args), _ball_cut_fresh_arrays(*args)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
 
 def test_ellipse_phi_range(tables):

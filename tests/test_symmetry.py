@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cutloc import (ConfigurationError, criterion_report, cut_value,
-                    f_max_bruteforce, f_value)
+                    f_max_bruteforce, f_value, from_spec)
 from cutloc.distfield import FieldProjector
 from cutloc.symmetry import diameter, inequality_chain_check
 
@@ -91,9 +91,26 @@ def test_too_few_samples_rejected(curves):
         criterion_report(curves("circle"), samples=32)
 
 
+def _diameter_all_pairs(curve, n=1024):
+    """Reference: the dense n x n x 2 all-pairs maximum."""
+    pts = curve.winding_polygon(n)
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    return float(np.sqrt(np.max(d2)))
+
+
 def test_diameter(curves):
     assert diameter(curves("circle")) == pytest.approx(2.0, rel=1e-4)
     assert diameter(curves("ellipse")) == pytest.approx(4.0, rel=1e-4)
+    polygon = from_spec({"type": "rounded_polygon", "sides": 96,
+                         "side_length": 0.2, "corner_radius": 0.05})
+    shapes = [curves(name) for name in
+              ("circle", "circle_small", "circle_big", "ellipse",
+               "superellipse", "square", "rounded", "stadium", "union",
+               "fourier")] + [polygon]
+    # n=1024 spans several row chunks on every shape, n=256 one chunk
+    for curve in shapes:
+        assert diameter(curve) == _diameter_all_pairs(curve)
+        assert diameter(curve, n=256) == _diameter_all_pairs(curve, n=256)
 
 
 def test_chain_on_circle(curves, tables):
