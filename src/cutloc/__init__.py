@@ -11,11 +11,11 @@ from .cutlocus import (CutTable, cut_table, cut_value, focal_check,
                        max_lambda_kappa, phi)
 from .distfield import (DistanceField, GridSpec, build_distance_field,
                         eikonal_max_deviation)
+from .domain import Domain
 from .errors import (ConfigurationError, ConstructionError, CutlocError,
                      DegenerateRayError, FormulaOutOfScopeError,
                      HypothesisViolationError, InapplicableError,
-                     InvalidRayError, OperatorRangeError, ParamRangeError,
-                     ShapeParseError)
+                     InvalidRayError, OperatorRangeError, ShapeParseError)
 from .fields import ScalarField, abs2, constant, coordinate, parse_field
 from .integrals import (IntegralReport, area, corner_sum, cov_integral,
                         cov_residual, divergence_area_residual,
@@ -46,6 +46,7 @@ __all__ = [
     "DegenerateRayError",
     "DistanceField",
     "DivergenceOperator",
+    "Domain",
     "FormulaOutOfScopeError",
     "GridSpec",
     "HypothesisViolationError",
@@ -54,7 +55,6 @@ __all__ = [
     "InvalidRayError",
     "MKSolution",
     "OperatorRangeError",
-    "ParamRangeError",
     "PartialWebReport",
     "Projection",
     "ScalarField",

@@ -6,8 +6,6 @@ Arcs are immutable; a curve chains them end to start, counterclockwise.
 
 import numpy as np
 
-from .errors import ParamRangeError
-
 __all__ = [
     "Arc",
     "CircleArc",
@@ -54,14 +52,6 @@ class Arc:
                 out[m] = arc.point(t[m])
             return out
         return point
-
-    def check_param(self, t):
-        t = _col(t)
-        pad = 1e-12 * (abs(self.t1 - self.t0) + 1.0)
-        if np.any(t < self.t0 - pad) or np.any(t > self.t1 + pad):
-            raise ParamRangeError(
-                f"parameter outside [{self.t0}, {self.t1}] for {type(self).__name__}")
-        return t
 
     @property
     def start(self):

@@ -176,6 +176,12 @@ class BoundaryCurve:
         return float(self._tables["cum"][-1])
 
     @property
+    def arc_lengths(self):
+        """(number of arcs,) arclength of each arc."""
+        self._ensure_tables()
+        return np.diff(self._tables["cum"])
+
+    @property
     def bbox(self):
         return self._bbox
 
@@ -236,18 +242,9 @@ class BoundaryCurve:
         aidx, t = self.s_to_param(s)
         return self.geometry(aidx, t)
 
-    def eval(self, param):
-        """BoundaryPoint at param = (arc_index, t)."""
-        arc_index, t = param
-        self.arcs[arc_index].check_param(t)
-        return self.geometry([arc_index], [t]).point(0)
-
-    def eval_at_s(self, s):
-        return self.geometry_at_s([s]).point(0)
-
     # ------------------------------------------------------------- sampling
 
-    def resample_struct(self, n, shift_policy=True):
+    def resample_struct(self, n):
         """Uniform-arclength node struct; shifts the grid off detected corners."""
         if n < 1:
             raise ValueError("need n >= 1")
@@ -255,7 +252,7 @@ class BoundaryCurve:
         L = self.length
         nodes = np.arange(n) * (L / n)
         corner_s = self.corner_arclengths()
-        if shift_policy and corner_s.size:
+        if corner_s.size:
             tol_hit = 1e-9 * L
             if _min_cyclic_dist(nodes, corner_s, L) < tol_hit:
                 nodes = nodes + L / (2 * n)
@@ -264,11 +261,6 @@ class BoundaryCurve:
             if np.any(bad):
                 nodes[bad] += 16 * tol_hit
         return self.geometry_at_s(nodes)
-
-    def resample_arclength(self, n):
-        """n boundary points uniform in arclength, avoiding corner points."""
-        g = self.resample_struct(n)
-        return [g.point(i) for i in range(g.n)]
 
     def dense_sites(self, m):
         """Midpoint-offset per-arc sampling (~m sites) for projection kernels.

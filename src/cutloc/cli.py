@@ -21,13 +21,13 @@ import numpy as np
 from .cutlocus import (cut_table, export_cut_csv, focal_check,
                        max_lambda_kappa)
 from .distfield import GridSpec, build_distance_field, eikonal_max_deviation
+from .domain import Domain
 from .errors import (ConfigurationError, ConstructionError, CutlocError,
                      FormulaOutOfScopeError, HypothesisViolationError,
                      InapplicableError, ShapeParseError)
 from .fields import constant
 from .integrals import (corner_sum, cov_residual, mean_value_residual,
-                        minkowski_residual, minkowski_residual_corners,
-                        perimeter, area)
+                        minkowski_residual, minkowski_residual_corners)
 from .mk import (complementarity_max, export_mk_csv, mk_verdict,
                  residual_summary, vf_field, weak_form_check)
 from .shapes import SHAPE_SCHEMAS, from_spec, load_shape
@@ -126,6 +126,16 @@ def _load_curve(spec_arg):
         f"shape {spec_arg!r} is neither a file nor inline JSON")
 
 
+def _domain(cfg):
+    """Load the shape and wrap its uniform cut table in a Domain.
+
+    --tol is relative to the curve's extent; the library's tolerances are
+    absolute, and this is the one place the two meet.
+    """
+    curve = _load_curve(cfg.shape)
+    return Domain(cut_table(curve, n=cfg.samples, tol=cfg.tol * curve.extent))
+
+
 def _config_from(args):
     cfg = RunConfig(shape=args.shape, samples=args.samples,
                     grid_nx=args.grid_nx, grid_ny=args.grid_ny, tol=args.tol,
@@ -186,10 +196,9 @@ def cmd_shapes(args):
 
 def cmd_report(args):
     cfg = _config_from(args)
-    curve = _load_curve(cfg.shape)
-    table = cut_table(curve, n=cfg.samples, tol=cfg.tol * curve.extent)
-    rep = criterion_report(curve, samples=cfg.samples, tol=cfg.tol,
-                           table=table)
+    dom = _domain(cfg)
+    table = dom.table
+    rep = criterion_report(dom)
     kd = max_lambda_kappa(table)
     assertions = {
         "kappa_lambda_max": kd,
@@ -220,10 +229,9 @@ def _ireport_fields(r):
 
 def cmd_verify(args):
     cfg = _config_from(args)
-    curve = _load_curve(cfg.shape)
-    table = cut_table(curve, n=cfg.samples, tol=cfg.tol * curve.extent)
-    corners = curve.detect_corners()
-    concave = any(not c.convex for c in corners)
+    dom = _domain(cfg)
+    curve, corners = dom.curve, dom.corners
+    concave = dom.corner_status == "concave-present"
     records = []
 
     if corners:
@@ -254,19 +262,19 @@ def cmd_verify(args):
         field = build_distance_field(
             curve, grid=GridSpec.from_curve(curve, nx=cfg.grid_nx,
                                             ny=cfg.grid_ny))
-        r = cov_residual(curve, constant(1.0), field)
-        tol_chv = 3.0 * field.grid.h * perimeter(curve) / area(curve)
+        r = cov_residual(dom, constant(1.0), field)
+        tol_chv = 3.0 * field.grid.h * dom.perimeter / dom.area
         records.append(_record("chv-grid",
                                "pass" if r.rel_residual <= tol_chv else "fail",
                                tolerance=tol_chv, grid_h=field.grid.h,
                                **_ireport_fields(r)))
-        r = mean_value_residual(curve, n=max(cfg.samples, 1024))
+        r = mean_value_residual(dom)
         tol_mv = 1e-5 if not corners else 1e-3
         records.append(_record("mean-value",
                                "pass" if r.rel_residual <= tol_mv else "fail",
                                tolerance=tol_mv, **_ireport_fields(r)))
 
-    kd = max_lambda_kappa(table)
+    kd = max_lambda_kappa(dom.table)
     records.append(_record("kappa-lambda-bound",
                            "pass" if kd <= 1.0 + 1e-6 else "fail",
                            tolerance=1e-6, lhs=kd, rhs=1.0))
@@ -275,7 +283,7 @@ def cmd_verify(args):
         records.append(_record("focal", "skipped",
                                reason="curvature argmax may sit at a corner"))
     else:
-        fc = focal_check(curve, table=table)
+        fc = focal_check(dom.table)
         records.append(_record("focal",
                                "pass" if fc <= 1e-3 else "fail",
                                tolerance=1e-3, residual=fc))
@@ -296,17 +304,14 @@ def cmd_mk(args):
     cfg = _config_from(args)
     if args.gamma <= 0.0:
         raise ConfigurationError("gamma must be positive")
-    curve = _load_curve(cfg.shape)
-    table = cut_table(curve, n=cfg.samples, tol=cfg.tol * curve.extent)
-    grid = GridSpec.from_curve(curve, nx=cfg.grid_nx, ny=cfg.grid_ny)
+    dom = _domain(cfg)
+    grid = GridSpec.from_curve(dom.curve, nx=cfg.grid_nx, ny=cfg.grid_ny)
     f = constant(args.gamma)
-    sol = vf_field(curve, f=f, field=build_distance_field(curve, grid=grid),
-                   table=table)
+    sol = vf_field(dom, build_distance_field(dom.curve, grid=grid), f=f)
     med, mx, l1 = residual_summary(sol)
-    rep, trace_err = mk_verdict(curve, gamma=args.gamma, samples=cfg.samples,
-                                tol=cfg.tol, table=table)
-    smooth = table.smooth()
-    trace = args.gamma * table.phi[smooth]
+    rep, trace_err = mk_verdict(dom, gamma=args.gamma)
+    table = dom.table
+    trace = args.gamma * table.phi[table.smooth()]
     eik = eikonal_max_deviation(sol.field)
     comp = complementarity_max(sol)
     v_min = float(np.min(sol.v))
@@ -336,7 +341,6 @@ def cmd_mk(args):
 
 def cmd_web(args):
     cfg = _config_from(args)
-    curve = _load_curve(cfg.shape)
     op = parse_operator(args.operator)
     gamma_arc = None
     if args.gamma_arc:
@@ -344,13 +348,12 @@ def cmd_web(args):
         if len(parts) != 2:
             raise ConfigurationError("--gamma-arc needs start,end arclengths")
         gamma_arc = (float(parts[0]), float(parts[1]))
-    table = cut_table(curve, n=cfg.samples, tol=cfg.tol * curve.extent)
-    rep = partial_web_report(curve, gamma_arc=gamma_arc, op=op, table=table)
+    dom = _domain(cfg)
+    rep = partial_web_report(dom, gamma_arc=gamma_arc, op=op)
     identity = None
     identity_status = "pass"
     try:
-        identity = flux_identity_residual(curve, gamma_arc=gamma_arc, op=op,
-                                          table=table)
+        identity = flux_identity_residual(dom, gamma_arc=gamma_arc, op=op)
         if identity > 1e-4:
             identity_status = "fail"
     except HypothesisViolationError as e:

@@ -24,22 +24,17 @@ import numpy as np
 from .boundary import _PAIR_CHUNK, BoundaryPoint
 from .errors import DegenerateRayError, InapplicableError
 from .projector import CurveProjector, cyclic_dist, refine_on_arcs
-from .quadrature import adaptive_simpson
 
 __all__ = [
     "CutSample",
     "CutTable",
-    "NormalRayChart",
     "cut_predicate",
     "cut_table",
     "cut_value",
     "phi",
-    "phi_general",
     "max_lambda_kappa",
     "focal_check",
     "lambda_lipschitz",
-    "build_ray_chart",
-    "chart_report",
     "export_cut_csv",
 ]
 
@@ -78,6 +73,7 @@ class CutTable:
     focal_capped: np.ndarray  # (n,) bool, lambda = cap: nothing beats y sooner
     tol: float
     accept: float
+    projector: object        # the projector the cut values came from
 
     def __len__(self):
         return self.s.size
@@ -104,21 +100,6 @@ def phi(lam, kappa):
     lam = np.asarray(lam, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
     return lam - 0.5 * lam * lam * kappa
-
-
-def phi_general(lam, kappas, tol=1e-10):
-    """phi for a supplied principal-curvature vector (dimension >= 3).
-
-    Adaptive quadrature of prod_j (1 - t kappa_j) over [0, lam].
-    """
-    kappas = np.asarray(kappas, dtype=float)
-    if kappas.ndim != 1 or kappas.size < 1:
-        raise ValueError("kappas must be a 1-d curvature vector")
-
-    def integrand(t):
-        return float(np.prod(1.0 - t * kappas))
-
-    return adaptive_simpson(integrand, 0.0, float(lam), tol=tol)
 
 
 def cut_predicate(projector, position, normal, s, t, accept, length):
@@ -240,6 +221,16 @@ def _bisect_cut(projector, pos, nrm, s, cap, tol, accept, length):
     return depth
 
 
+def _corner_zone(curve, s, tol):
+    """Mask of arclengths within 10*tol of a corner (lambda -> 0 there)."""
+    corner_s = curve.corner_arclengths()
+    if not corner_s.size:
+        return np.zeros(np.size(s), dtype=bool)
+    dmin = np.min(cyclic_dist(np.reshape(s, (-1, 1)), corner_s[None, :],
+                              curve.length), axis=1)
+    return dmin <= 10.0 * tol
+
+
 def _cut_values(curve, geom, projector, tol, accept, active=None):
     """Cut values of a sampled geometry struct: (lam, focal_capped).
 
@@ -293,15 +284,7 @@ def cut_table(curve, n=2048, projector=None, tol=None, samples=None):
         tol = 1e-6 * curve.extent
     accept = max(5.0 * tol, 3.0 * projector.spacing)
     geom = samples if samples is not None else curve.resample_struct(n)
-
-    corner_s = curve.corner_arclengths()
-    if corner_s.size:
-        dmin = np.min(cyclic_dist(geom.s[:, None], corner_s[None, :],
-                                  curve.length), axis=1)
-        corner_zone = dmin <= 10.0 * tol
-    else:
-        corner_zone = np.zeros(geom.s.size, dtype=bool)
-
+    corner_zone = _corner_zone(curve, geom.s, tol)
     lam, focal = _cut_values(curve, geom, projector, tol, accept,
                               active=~corner_zone)
     phival = np.where(corner_zone, 0.0, phi(lam, geom.curvature))
@@ -311,7 +294,8 @@ def cut_table(curve, n=2048, projector=None, tol=None, samples=None):
         normal=geom.normal.copy(), kappa=geom.curvature.copy(),
         arc_index=geom.arc_index.copy(), param=geom.param.copy(),
         lam=lam, phi=phival, lambda_kappa=lam * geom.curvature,
-        corner_zone=corner_zone, focal_capped=focal, tol=tol, accept=accept)
+        corner_zone=corner_zone, focal_capped=focal, tol=tol, accept=accept,
+        projector=projector)
 
 
 def cut_value(curve, y, projector=None, tol=None):
@@ -335,17 +319,15 @@ def max_lambda_kappa(table):
     return float(np.max(vals)) if vals.size else 0.0
 
 
-def focal_check(curve, table=None, n=4096, projector=None, tol=None):
-    """|kappa*lambda - 1| at the maximal-curvature sample.
+def focal_check(table):
+    """|kappa*lambda - 1| at the table's maximal-curvature sample.
 
     At the curvature maximum the cut value equals the focal depth 1/kappa,
     so the product is 1 there.  Cornered curves have no smooth maximum to
     test against.
     """
-    if curve.detect_corners():
+    if table.curve.detect_corners():
         raise InapplicableError("focal identity needs a smooth curve")
-    if table is None:
-        table = cut_table(curve, n=n, projector=projector, tol=tol)
     i = int(np.argmax(table.kappa))
     if table.kappa[i] <= 0:
         raise InapplicableError("focal identity needs positive curvature")
@@ -366,127 +348,6 @@ def lambda_lipschitz(table):
         gap_jump = ds > 2.5 * table.curve.length / max(len(table), 1)
         keep &= ~gap_jump
     return float(np.max(dlam[keep] / ds[keep])) if np.any(keep) else 0.0
-
-
-# ------------------------------------------------------------- ray charts
-
-@dataclass(eq=False)
-class NormalRayChart:
-    """Inward-normal ray bundle over an arclength window of the boundary.
-
-    X(sigma, t) = Y(sigma) - t N(sigma) with Jacobian J(sigma, t) =
-    1 - t K(sigma); rays are truncated at the cut value Lambda(sigma).
-    """
-
-    curve: object
-    sigma: np.ndarray    # (n,) arclength parameters
-    Y: np.ndarray        # (n, 2) base points
-    N: np.ndarray        # (n, 2) outward unit normals
-    K: np.ndarray        # (n,) curvatures
-    Lam: np.ndarray      # (n,) cut values
-    tol: float
-
-    @property
-    def sigma_range(self):
-        return float(self.sigma[0]), float(self.sigma[-1])
-
-    def jacobian(self, t):
-        """J(sigma, t) = 1 - t K(sigma); t scalar or (n,) or (n, m)."""
-        t = np.asarray(t, dtype=float)
-        if t.ndim <= 1:
-            return 1.0 - t * self.K
-        return 1.0 - t * self.K[:, None]
-
-    def points(self, t_fracs):
-        """Chart points X(sigma, f*Lambda(sigma)) for fractions f in [0, 1]."""
-        f = np.asarray(t_fracs, dtype=float)
-        t = f[None, :] * self.Lam[:, None]
-        return self.Y[:, None, :] - t[:, :, None] * self.N[:, None, :]
-
-
-def build_ray_chart(curve, s_range, n=128, projector=None, tol=None):
-    """Tabulate the normal-ray chart over the arclength window s_range.
-
-    The window must not contain a corner (the normal jumps there); windows
-    may wrap around s = 0.
-    """
-    s_lo, s_hi = float(s_range[0]), float(s_range[1])
-    L = curve.length
-    span = (s_hi - s_lo) % L
-    closed = span == 0.0 and s_hi != s_lo
-    if span == 0.0 and not closed:
-        raise InapplicableError("empty arclength window")
-    corner_s = curve.corner_arclengths()
-    if corner_s.size:
-        if closed:
-            raise InapplicableError("arclength window contains a corner")
-        rel = (corner_s - s_lo) % L
-        if np.any((rel > 1e-12 * L) & (rel < span - 1e-12 * L)):
-            raise InapplicableError("arclength window contains a corner")
-    if projector is None:
-        projector = CurveProjector(curve)
-    if tol is None:
-        tol = 1e-6 * curve.extent
-    accept = max(5.0 * tol, 3.0 * projector.spacing)
-    if closed:
-        sigma = (s_lo + np.arange(n) * (L / n)) % L
-    else:
-        sigma = (s_lo + np.linspace(0.0, span, n)) % L
-    geom = curve.geometry_at_s(sigma)
-    lam, _ = _cut_values(curve, geom, projector, tol, accept)
-    return NormalRayChart(curve=curve, sigma=sigma, Y=geom.position.copy(),
-                          N=geom.normal.copy(), K=geom.curvature.copy(),
-                          Lam=lam, tol=tol)
-
-
-def _segments_cross(p1, p2, q1, q2):
-    """Proper pairwise crossing test between segment batches."""
-    def orient(a, b, c):
-        return ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
-
-    d1 = orient(p1, p2, q1)
-    d2 = orient(p1, p2, q2)
-    d3 = orient(q1, q2, p1)
-    d4 = orient(q1, q2, p2)
-    return (d1 * d2 < 0) & (d3 * d4 < 0)
-
-
-def chart_report(chart, n_t=9):
-    """Jacobian and injectivity diagnostics for a ray chart.
-
-    Injectivity of X on {t < Lambda} is checked as: no two truncated ray
-    segments cross properly, and no two sampled chart points from distinct
-    rays coincide.  A fixed separation floor is meaningless where rays
-    focus (a disk's rays all meet at the center), so the minimum observed
-    separation is reported as a diagnostic rather than asserted against.
-    """
-    n = chart.sigma.size
-    jac_end = chart.jacobian(chart.Lam)
-    delta = max(chart.tol, 1e-9 * chart.curve.extent)
-    a = chart.Y - delta * chart.N
-    b = chart.Y - (chart.Lam - delta)[:, None] * chart.N
-    iu, ju = np.triu_indices(n, k=1)
-    crossings = int(np.sum(_segments_cross(a[iu], b[iu], a[ju], b[ju])))
-
-    fr = np.linspace(0.0, 1.0, n_t + 1)[:-1]
-    pts = chart.points(fr).reshape(-1, 2)
-    ray_of = np.repeat(np.arange(n), fr.size)
-    pu, qu = np.triu_indices(pts.shape[0], k=1)
-    off_ray = ray_of[pu] != ray_of[qu]
-    sep = np.linalg.norm(pts[pu[off_ray]] - pts[qu[off_ray]], axis=1)
-    min_sep = float(sep.min()) if sep.size else np.inf
-    coincident = int(np.sum(sep < 1e-9 * chart.curve.extent))
-
-    return {
-        "jacobian_at_zero_max_err": float(np.max(np.abs(chart.jacobian(0.0) - 1.0))),
-        "jacobian_end_min": float(jac_end.min()),
-        "jacobian_ok": bool(jac_end.min() >= -1e-6),
-        "ray_crossings": crossings,
-        "coincident_points": coincident,
-        "injective": bool(crossings == 0 and coincident == 0),
-        "min_point_separation": min_sep,
-    }
 
 
 def export_cut_csv(table, path):

@@ -10,7 +10,6 @@ Nearest site and flag come from one block-pruned scan of the site table
 per grid row (``_kernels.inside_polygon``).
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
     "project",
     "singular_measure",
     "eikonal_max_deviation",
-    "export_field_csv",
 ]
 
 
@@ -318,17 +316,3 @@ def eikonal_max_deviation(field):
         return 0.0
     return float(np.max(np.abs(mag[elig] - 1.0)))
 
-
-def export_field_csv(field, path):
-    """CSV rows x,y,d,inside,sigma over cells, row-major with x fastest."""
-    grid = field.grid
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "d", "inside", "sigma"])
-        xs, ys = grid.xs, grid.ys
-        for iy in range(grid.ny):
-            for ix in range(grid.nx):
-                w.writerow([f"{xs[ix]:.17g}", f"{ys[iy]:.17g}",
-                            f"{field.d[iy, ix]:.17g}",
-                            int(field.inside[iy, ix]),
-                            int(field.sigma_mask[iy, ix])])

@@ -1,0 +1,129 @@
+"""One analysis context per domain.
+
+The criterion and its two PDE applications read the same few quantities
+of one domain: the cut values over the boundary, the curvature maximum y0
+with its cut value, the corners and |Omega| / |boundary|.  A Domain wraps
+the uniform cut table that a run builds first and computes each of the
+other quantities at most once, when it is first read.  Every cut value it
+computes uses the table's projector and its absolute tolerance.
+"""
+
+from functools import cached_property
+
+import numpy as np
+
+from .cutlocus import cut_table, cut_value
+from .integrals import area, perimeter
+from .symmetry import diameter, refine_max_curvature
+
+__all__ = ["Domain"]
+
+# fewest samples of the midpoint table behind the ray integrals
+_MIDPOINT_MIN = 2048
+
+
+class Domain:
+    """Lazily cached analysis quantities of the curve of a uniform CutTable."""
+
+    def __init__(self, table):
+        self.table = table
+
+    @property
+    def curve(self):
+        return self.table.curve
+
+    @property
+    def tol(self):
+        """Absolute cut-value tolerance."""
+        return self.table.tol
+
+    @property
+    def projector(self):
+        return self.table.projector
+
+    @property
+    def midpoint_table(self):
+        """Cut table at composite-midpoint nodes on each arc.
+
+        max(len(table), 2048) nodes in total, split across the arcs in
+        proportion to arc length, at least one per arc.  A rule across a
+        junction would straddle the jump of phi where the curvature jumps.
+        """
+        return self._midpoint[0]
+
+    @property
+    def midpoint_weight(self):
+        """Arclength weight of each midpoint-table node: its arc's length
+        over its arc's node count."""
+        return self._midpoint[1]
+
+    @cached_property
+    def _midpoint(self):
+        curve = self.curve
+        n = max(len(self.table), _MIDPOINT_MIN)
+        lengths = curve.arc_lengths
+        share = n * lengths / np.sum(lengths)
+        k = np.maximum(1, np.floor(share).astype(int))
+        short = n - int(np.sum(k))
+        if short > 0:
+            k[np.argsort(k - share, kind="stable")[:short]] += 1
+        arc = np.repeat(np.arange(k.size), k)
+        j = np.arange(arc.size) - np.repeat(np.cumsum(k) - k, k)
+        start = np.cumsum(lengths) - lengths
+        weight = (lengths / k)[arc]
+        s = start[arc] + (j + 0.5) * weight
+        table = cut_table(curve, projector=self.projector, tol=self.tol,
+                          samples=curve.geometry_at_s(s))
+        return table, weight
+
+    @property
+    def corners(self):
+        return self.curve.detect_corners()
+
+    @cached_property
+    def corner_status(self):
+        """none | convex-only | concave-present."""
+        if not self.corners:
+            return "none"
+        if all(c.convex for c in self.corners):
+            return "convex-only"
+        return "concave-present"
+
+    @cached_property
+    def starshaped(self):
+        return self.curve.check_starshaped()[0]
+
+    @cached_property
+    def _max_curvature(self):
+        return refine_max_curvature(self.table)
+
+    @property
+    def y0(self):
+        """Boundary point of maximal curvature (a BoundaryPoint)."""
+        return self._max_curvature[0]
+
+    @property
+    def H_max(self):
+        return self._max_curvature[1]
+
+    @cached_property
+    def lambda_y0(self):
+        return cut_value(self.curve, self.y0, projector=self.projector,
+                         tol=self.tol)
+
+    @cached_property
+    def area(self):
+        return area(self.curve)
+
+    @cached_property
+    def perimeter(self):
+        return perimeter(self.curve)
+
+    @property
+    def ratio(self):
+        """|Omega| / |boundary|."""
+        return self.area / self.perimeter
+
+    @cached_property
+    def diameter(self):
+        return diameter(self.curve)

@@ -5,10 +5,6 @@ class CutlocError(Exception):
     """Base class for all toolkit errors."""
 
 
-class ParamRangeError(CutlocError, ValueError):
-    """Parameter outside an arc's declared interval."""
-
-
 class ConstructionError(CutlocError, ValueError):
     """Curve construction failed validation (closure, regularity, orientation, simplicity)."""
 

@@ -49,12 +49,6 @@ class ScalarField:
             raise ConstructionError("field is not constant")
         return float(sum(c for i, j, c in self.terms))
 
-    def min_on(self, points) -> float:
-        """Sampled minimum, used to warn about negative source terms."""
-        vals = np.asarray(self(points), dtype=float)
-        return float(np.min(vals)) if vals.size else 0.0
-
-
 def constant(gamma) -> ScalarField:
     return ScalarField(kind="constant", terms=((0, 0, float(gamma)),))
 

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutlocus import cut_table
 from .errors import FormulaOutOfScopeError, InapplicableError
-from .quadrature import simpson_doubling_vec
+from .quadrature import ray_quadrature, simpson_doubling_vec
 
 __all__ = [
     "IntegralReport", "ROT_CCW", "perimeter", "area", "minkowski_residual",
@@ -163,75 +162,57 @@ def minkowski_residual_corners(curve, tol=None):
 
 # --------------------------------------------------- normal-ray bulk integral
 
-def _midpoint_table(curve, n, projector=None, tol=None):
-    """Cut table over the composite-midpoint arclength sampling."""
-    L = curve.length
-    s = (np.arange(n) + 0.5) * (L / n)
-    geom = curve.geometry_at_s(s)
-    return cut_table(curve, projector=projector, tol=tol, samples=geom)
-
-
-def _require_no_concave(curve):
-    if any(not c.convex for c in curve.detect_corners()):
+def _require_no_concave(dom):
+    if dom.corner_status == "concave-present":
         raise FormulaOutOfScopeError(
             "concave corner present; the ray change of variables is not "
             "available")
 
 
-def cov_integral_detail(curve, h, n=2048, table=None, projector=None,
-                        tol=1e-10):
+def cov_integral_detail(dom, h):
     """(value, coverage_deficit, samples) for int_Omega h over normal rays.
 
-    Outer composite midpoint in arclength, inner doubling Simpson in t with
-    the 1 - t kappa Jacobian weight.  Rays in corner zones are skipped; the
-    deficit reports their arclength fraction.
+    Outer composite midpoint in arclength on each arc (the domain's
+    midpoint table), inner Gauss-Legendre in t with the 1 - t kappa
+    Jacobian weight, exact for a polynomial h.  Rays in corner zones are
+    skipped; the deficit reports their arclength fraction.
     """
-    _require_no_concave(curve)
-    n = max(int(n), 1024)
-    if table is None:
-        table = _midpoint_table(curve, n, projector=projector)
-    else:
-        n = len(table)
-    pos = table.position
-    nu = table.normal
-    kap = table.kappa
-    lam = table.lam
-
-    def f(tmat):
-        x = pos[:, None, :] - tmat[..., None] * nu[:, None, :]
-        return np.asarray(h(x)) * (1.0 - tmat * kap[:, None])
-
-    inner = simpson_doubling_vec(f, np.zeros(n), lam, tol=tol)
-    ds = curve.length / n
-    value = float(np.sum(inner * ds))
-    deficit = float(np.count_nonzero(table.corner_zone)) / n
+    _require_no_concave(dom)
+    table, weight = dom.midpoint_table, dom.midpoint_weight
+    n = len(table)
+    inner = ray_quadrature(h, table.position, table.normal, np.zeros(n),
+                           table.kappa, table.lam)
+    value = float(np.sum(inner * weight))
+    deficit = float(np.sum(weight[table.corner_zone]) / np.sum(weight))
     return value, deficit, n
 
 
-def cov_integral(curve, h, n=2048, table=None, projector=None, tol=1e-10):
+def cov_integral(dom, h):
     """int_Omega h via the normal-ray change of variables (value only)."""
-    value, _, _ = cov_integral_detail(curve, h, n=n, table=table,
-                                      projector=projector, tol=tol)
+    value, _, _ = cov_integral_detail(dom, h)
     return value
 
 
-def cov_residual(curve, h, field, n=2048, table=None):
+def cov_residual(dom, h, field):
     """Ray-side integral of h against its grid quadrature over inside cells."""
-    lhs, _, _ = cov_integral_detail(curve, h, n=n, table=table)
+    lhs, _, _ = cov_integral_detail(dom, h)
     centers = field.grid.centers()
     vals = np.asarray(h(centers)).reshape(field.inside.shape)
     rhs = float(np.sum(vals[field.inside]) * field.grid.h ** 2)
     return IntegralReport.from_pair(lhs, rhs, int(np.sum(field.inside)))
 
 
-def mean_value_residual(curve, n=2048, table=None, projector=None):
-    """Arclength average of phi against |Omega| / |boundary|."""
-    _require_no_concave(curve)
-    if table is None:
-        table = _midpoint_table(curve, max(int(n), 1024), projector=projector)
-    lhs = float(np.mean(table.phi))
-    rhs = area(curve) / perimeter(curve)
-    return IntegralReport.from_pair(lhs, rhs, len(table))
+def mean_value_residual(dom):
+    """Arclength average of phi against |Omega| / |boundary|.
+
+    The average is the weighted mean over the domain's midpoint table:
+    phi jumps where the curvature jumps at C1 junctions, and a rule per
+    arc never straddles a jump.
+    """
+    _require_no_concave(dom)
+    table = dom.midpoint_table
+    lhs = float(np.average(table.phi, weights=dom.midpoint_weight))
+    return IntegralReport.from_pair(lhs, dom.ratio, len(table))
 
 
 def divergence_area_residual(curve, field):

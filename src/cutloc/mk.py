@@ -17,12 +17,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .boundary import BoundaryPoint
-from .cutlocus import cut_table, cut_value, phi as phi_closed
-from .distfield import DistanceField, build_distance_field
+from .cutlocus import _corner_zone, cut_value
+from .distfield import DistanceField
 from .errors import DegenerateRayError, HypothesisViolationError
-from .fields import ScalarField, constant
-from .projector import CurveProjector
-from .quadrature import adaptive_simpson, simpson_doubling_vec
+from .fields import constant
+from .quadrature import ray_quadrature
 from .symmetry import criterion_report
 
 __all__ = [
@@ -66,56 +65,28 @@ def _lambda_interp(table, s):
     return np.interp(sq, xp, fp)
 
 
-def _ray_quadrature(f, pos, nu, dist, kappa, tau):
-    """Vectorized int_0^tau f(pos - t nu) (1-(d+t)k)/(1-dk) dt per row."""
-    denom = 1.0 - dist * kappa
-    if isinstance(f, ScalarField):
-        m = max(2, (f.degree + 3) // 2 + 1)
-        u, w = np.polynomial.legendre.leggauss(m)
-        t = 0.5 * tau[:, None] * (u[None, :] + 1.0)
-        x = pos[:, None, :] - t[..., None] * nu[:, None, :]
-        vals = np.asarray(f(x)) * (1.0 - (dist[:, None] + t) * kappa[:, None])
-        return (vals @ w) * (0.5 * tau) / denom
-
-    def rows(t):
-        x = pos[:, None, :] - t[..., None] * nu[:, None, :]
-        return np.asarray(f(x)) * (1.0 - (dist[:, None] + t) * kappa[:, None])
-
-    out = simpson_doubling_vec(rows, np.zeros(tau.size), tau, tol=1e-10)
-    return out / denom
-
-
-def vf_at(curve, x, f=None, projector=None, tol=None):
+def vf_at(dom, x, f=None):
     """v_f at a single interior point; (0, True) on the singular set."""
     if f is None:
         f = constant(1.0)
-    if projector is None:
-        projector = CurveProjector(curve)
-    if tol is None:
-        tol = 1e-6 * curve.extent
+    curve, tol = dom.curve, dom.tol
     x = np.asarray(x, dtype=float)
-    p = projector.project(x[None, :])
+    p = dom.projector.project(x[None, :])
     d = float(p.dist[0])
     kap = float(p.kappa[0])
-    lam = cut_value(curve, float(p.s[0]), projector=projector, tol=tol)
+    lam = cut_value(curve, float(p.s[0]), projector=dom.projector, tol=tol)
     tau = lam - d
     if tau <= 5.0 * tol:
         return VfValue(0.0, True)
     if 1.0 - d * kap <= _DEGEN:
         raise DegenerateRayError("normal chart degenerate at the query depth")
     g = curve.geometry(p.arc_index, p.param)
-    nu = g.normal[0]
-    denom = 1.0 - d * kap
-
-    def w(t):
-        pt = x - t * nu
-        return float(f(pt)) * (1.0 - (d + t) * kap) / denom
-
-    val = adaptive_simpson(w, 0.0, tau, tol=1e-12)
-    return VfValue(float(val), False)
+    val = ray_quadrature(f, x[None, :], g.normal, p.dist, p.kappa,
+                         np.array([tau]))
+    return VfValue(float(val[0]), False)
 
 
-def vf_boundary(curve, y, f=None, lam=None, projector=None, tol=None):
+def vf_boundary(dom, y, f=None, lam=None):
     """Boundary restriction of v_f; for constant gamma equals gamma phi(y).
 
     y is a BoundaryPoint or an arclength.  At corner points the returned
@@ -123,29 +94,19 @@ def vf_boundary(curve, y, f=None, lam=None, projector=None, tol=None):
     """
     if f is None:
         f = constant(1.0)
-    if tol is None:
-        tol = 1e-6 * curve.extent
+    curve = dom.curve
     if isinstance(y, BoundaryPoint):
         geom = curve.geometry([y.arc_index], [y.param])
     else:
         geom = curve.geometry_at_s([float(y)])
-    corner_s = curve.corner_arclengths()
-    if corner_s.size:
-        dd = np.abs(geom.s[0] - corner_s)
-        dd = np.minimum(dd, curve.length - dd)
-        if np.min(dd) <= 10.0 * tol:
-            return VfValue(0.0, True)
+    if _corner_zone(curve, geom.s, dom.tol)[0]:
+        return VfValue(0.0, True)
     if lam is None:
-        lam = cut_value(curve, float(geom.s[0]), projector=projector, tol=tol)
-    pos = geom.position[0]
-    nu = geom.normal[0]
-    kap = float(geom.curvature[0])
-
-    def w(t):
-        return float(f(pos - t * nu)) * (1.0 - t * kap)
-
-    val = adaptive_simpson(w, 0.0, float(lam), tol=1e-12)
-    return VfValue(float(val), False)
+        lam = cut_value(curve, float(geom.s[0]), projector=dom.projector,
+                        tol=dom.tol)
+    val = ray_quadrature(f, geom.position, geom.normal, np.zeros(1),
+                         geom.curvature, np.array([float(lam)]))
+    return VfValue(float(val[0]), False)
 
 
 def _erode4(mask):
@@ -180,20 +141,16 @@ def _signed_gradient(field):
     return gx, gy
 
 
-def vf_field(curve, grid=None, f=None, nx=256, field=None, table=None,
-             samples=4096, projector=None):
-    """Assemble the grid solution: u, v, tau, and the flux residual.
+def vf_field(dom, field, f=None):
+    """Assemble the grid solution on a distance field of the domain's curve.
 
-    Cut values are interpolated cyclically in arclength from a dense cut
-    table; v is zero on flagged singular cells and outside.
+    Cut values are interpolated cyclically in arclength from the domain's
+    cut table; v is zero on flagged singular cells and outside.
     """
     if f is None:
         f = constant(1.0)
-    if field is None:
-        field = build_distance_field(curve, grid=grid, nx=nx)
+    curve, table = dom.curve, dom.table
     grid = field.grid
-    if table is None:
-        table = cut_table(curve, n=samples, projector=projector)
 
     inside = field.inside
     d = np.where(inside, field.d, 0.0)
@@ -216,7 +173,7 @@ def vf_field(curve, grid=None, f=None, nx=256, field=None, table=None,
         aidx = field.nearest_arc.ravel()[idx]
         prm = field.nearest_param.ravel()[idx]
         g = curve.geometry(aidx, prm)
-        vals = _ray_quadrature(f, centers, g.normal, field.d.ravel()[idx],
+        vals = ray_quadrature(f, centers, g.normal, field.d.ravel()[idx],
                                g.curvature, tau.ravel()[idx])
         v.ravel()[idx] = vals
 
@@ -281,7 +238,7 @@ def weak_form_check(sol, f=None, eps_list=(0.2, 0.1, 0.05)):
     return out
 
 
-def mk_verdict(curve, gamma=1.0, samples=2048, tol=1e-6, table=None):
+def mk_verdict(dom, gamma=1.0):
     """Ball verdict from the boundary trace of v_f with constant source.
 
     The trace is gamma phi, so the decision delegates to the criterion
@@ -290,15 +247,14 @@ def mk_verdict(curve, gamma=1.0, samples=2048, tol=1e-6, table=None):
     """
     if gamma <= 0.0:
         raise HypothesisViolationError("source constant gamma must be > 0")
-    if table is None:
-        table = cut_table(curve, n=samples, tol=tol * curve.extent)
-    report = criterion_report(curve, samples=samples, tol=tol, table=table)
+    table = dom.table
+    report = criterion_report(dom)
     f = constant(gamma)
     smooth = np.flatnonzero(table.smooth())
     picks = smooth[:: max(1, smooth.size // 16)][:16]
     err = 0.0
     for i in picks:
-        val, flagged = vf_boundary(curve, table.sample(int(i)).point, f,
+        val, flagged = vf_boundary(dom, table.sample(int(i)).point, f,
                                    lam=float(table.lam[i]))
         if not flagged:
             err = max(err, abs(val - gamma * float(table.phi[i])))

@@ -7,47 +7,28 @@ counts or explicit tolerances, no randomness.
 import numpy as np
 
 __all__ = [
-    "adaptive_simpson",
+    "ray_quadrature",
     "simpson_doubling_vec",
     "golden_min_vec",
-    "bisect_increasing",
 ]
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
 
-def _simpson(fa, fm, fb, a, b):
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+def ray_quadrature(f, pos, nu, dist, kappa, tau):
+    """int_0^tau f(pos - t nu) (1 - (d+t) kappa) / (1 - d kappa) dt per row.
 
-
-def _adsimp(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(fa, flm, fm, a, m)
-    right = _simpson(fm, frm, fb, m, b)
-    delta = left + right - whole
-    # 15 = Richardson factor for Simpson's rule; the relative floor and the
-    # inverted comparison (False for NaN) guarantee termination even when
-    # the integrand overflows or poisons the estimates
-    accept = 15.0 * max(tol, 4.0 * np.finfo(float).eps * abs(whole))
-    if depth <= 0 or not (abs(delta) > accept):
-        return left + right + delta / 15.0
-    return (_adsimp(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-            + _adsimp(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1))
-
-
-def adaptive_simpson(f, a, b, tol=1e-10, max_depth=48):
-    """Adaptive Simpson integral of scalar f on [a, b] to absolute tolerance tol."""
-    a = float(a)
-    b = float(b)
-    if a == b:
-        return 0.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = _simpson(fa, fm, fb, a, b)
-    return _adsimp(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    f is a polynomial ScalarField, so the integrand is a polynomial in t
+    and fixed-order Gauss-Legendre is exact.  Rows are rays from depth
+    dist (0 for rays from the boundary) to dist + tau; pos, nu are (n, 2),
+    the rest (n,).
+    """
+    m = max(2, (f.degree + 3) // 2 + 1)
+    u, w = np.polynomial.legendre.leggauss(m)
+    t = 0.5 * tau[:, None] * (u[None, :] + 1.0)
+    x = pos[:, None, :] - t[..., None] * nu[:, None, :]
+    vals = np.asarray(f(x)) * (1.0 - (dist[:, None] + t) * kappa[:, None])
+    return (vals @ w) * (0.5 * tau) / (1.0 - dist * kappa)
 
 
 def simpson_doubling_vec(f, a, b, tol=1e-10, max_nodes=4097):
@@ -120,17 +101,3 @@ def golden_min_vec(f, lo, hi, iters=48):
     xm = 0.5 * (lo + hi)
     return xm, f(xm)
 
-
-def bisect_increasing(g, target, lo, hi, tol=1e-12, max_iter=200):
-    """Solve g(r) = target for increasing g, vectorized, bisection to |hi-lo| <= tol."""
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    target = np.asarray(target, dtype=float)
-    for _ in range(max_iter):
-        if np.all(hi - lo <= tol):
-            break
-        mid = 0.5 * (lo + hi)
-        below = g(mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)

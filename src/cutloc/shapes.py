@@ -6,6 +6,7 @@ origin before translation, so a centered shape spins in place.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -160,6 +161,29 @@ _BUILDERS = {
 }
 
 
+def _number(kind, key, value, integer=False):
+    """value itself when it is a finite number (an integral one if integer);
+    booleans and strings are not numbers."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        ok = ok and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ShapeParseError(
+            f"shape {kind!r}: {key} must be a finite number, not {value!r}")
+    if integer and value != int(value):
+        raise ShapeParseError(
+            f"shape {kind!r}: {key} must be an integer, not {value!r}")
+    return value
+
+
+def _numbers(kind, key, value):
+    if not isinstance(value, (list, tuple)):
+        raise ShapeParseError(f"shape {kind!r}: {key} must be a list")
+    return [_number(kind, key, v) for v in value]
+
+
 def from_spec(spec):
     """Build a curve from a shape description dict (parsed JSON)."""
     if not isinstance(spec, dict):
@@ -173,18 +197,18 @@ def from_spec(spec):
     for key in required:
         if key not in spec:
             raise ShapeParseError(f"shape {kind!r} is missing key {key!r}")
-        kwargs[key] = spec[key]
+        kwargs[key] = _number(kind, key, spec[key], integer=key == "sides")
     for key in optional:
         if key in spec:
-            kwargs[key] = spec[key]
+            kwargs[key] = _number(kind, key, spec[key])
     if kind == "fourier":
-        kwargs["cos_coeffs"] = spec.get("cos", ())
-        kwargs["sin_coeffs"] = spec.get("sin", ())
+        kwargs["cos_coeffs"] = _numbers(kind, "cos", spec.get("cos", ()))
+        kwargs["sin_coeffs"] = _numbers(kind, "sin", spec.get("sin", ()))
     if "center" in spec:
         c = spec["center"]
         if not (isinstance(c, (list, tuple)) and len(c) == 2):
             raise ShapeParseError("center must be [x, y]")
-        kwargs["center"] = c
+        kwargs["center"] = _numbers(kind, "center", c)
     try:
         return fn(**kwargs)
     except (TypeError, ValueError) as e:

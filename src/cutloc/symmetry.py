@@ -14,10 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .boundary import _PAIR_CHUNK, BoundaryPoint
-from .cutlocus import cut_table, cut_value, phi as phi_closed
+from .cutlocus import _corner_zone, phi as phi_closed
 from .errors import ConfigurationError, HypothesisViolationError
-from .integrals import area, perimeter
-from .projector import CurveProjector
 from .quadrature import golden_min_vec
 
 __all__ = [
@@ -136,60 +134,65 @@ def diameter(curve, n=1024):
     return float(np.sqrt(best))
 
 
-def refine_max_curvature(curve, table):
+def refine_max_curvature(table):
     """Golden-section refinement of the sampled curvature argmax.
 
-    Searches one sample spacing either side of the best smooth sample,
-    within the owning arc.  Returns (BoundaryPoint, kappa_max).
+    Seeds from the best smooth point over the table samples and the
+    projector's site table (at least 8 sites per arc, so curved arcs
+    shorter than the sample spacing are not missed) and searches two
+    spacings of the seed's set either side, within the owning arc.
+    Returns (BoundaryPoint, kappa_max).
     """
+    curve = table.curve
     smooth = table.smooth()
     if not np.any(smooth):
         raise ConfigurationError("no smooth samples to maximize over")
     idx = np.flatnonzero(smooth)
     i = idx[int(np.argmax(table.kappa[idx]))]
-    a = int(table.arc_index[i])
+    a, t = int(table.arc_index[i]), float(table.param[i])
     arc = curve.arcs[a]
-    speed = max(float(np.linalg.norm(
-        arc.velocity(np.array([table.param[i]]))[0])), 1e-30)
+    speed = max(float(np.linalg.norm(arc.velocity(np.array([t]))[0])), 1e-30)
     dp = (curve.length / len(table)) / speed
-    lo = np.array([max(arc.t0, table.param[i] - 2.0 * dp)])
-    hi = np.array([min(arc.t1, table.param[i] + 2.0 * dp)])
+    sites = getattr(table.projector, "sites", None)
+    if sites is not None:
+        kappa = curve.geometry(sites.arc_index, sites.params).curvature
+        kappa[_corner_zone(curve, sites.s, table.tol)] = -np.inf
+        j = int(np.argmax(kappa))
+        if kappa[j] > table.kappa[i]:
+            a, t = int(sites.arc_index[j]), float(sites.params[j])
+            arc = curve.arcs[a]
+            dp = table.projector._dparam[a]
+    lo = np.array([max(arc.t0, t - 2.0 * dp)])
+    hi = np.array([min(arc.t1, t + 2.0 * dp)])
 
-    def neg_kappa(t):
-        return -curve.geometry(np.full(t.shape, a), t).curvature
+    def neg_kappa(p):
+        return -curve.geometry(np.full(p.shape, a), p).curvature
 
     t_best, neg = golden_min_vec(neg_kappa, lo, hi)
     y0 = curve.geometry([a], [float(t_best[0])]).point(0)
     return y0, float(-neg[0])
 
 
-def criterion_report(curve, samples=2048, tol=1e-6, table=None,
-                     projector=None, phi_slack=None, constancy_tol=1e-3):
-    """Assemble the ball-characterization report.
+def criterion_report(dom, phi_slack=None, constancy_tol=1e-3):
+    """Assemble the ball-characterization report of a Domain.
 
-    tol is the relative cut-value tolerance (scaled by curve extent).
     phi_slack defaults to 1e-4 * diameter; constancy_tol is the relative
-    phi-spread threshold for the constant-phi route.  projector (default: a
-    CurveProjector) serves the table when it is built here and the cut
-    value at y0.
+    phi-spread threshold for the constant-phi route.  lambda(y0) comes
+    from the domain's projector and tolerance.
     """
-    if projector is None:
-        projector = CurveProjector(curve)
-    if table is None:
-        table = cut_table(curve, n=samples, projector=projector,
-                          tol=tol * curve.extent)
+    table = dom.table
     smooth = table.smooth()
     n_smooth = int(np.count_nonzero(smooth))
     if n_smooth < 64:
         raise ConfigurationError(
             f"only {n_smooth} smooth samples; need at least 64")
 
-    diam = diameter(curve)
+    diam = dom.diameter
     if phi_slack is None:
         phi_slack = 1e-4 * diam
-    ratio = area(curve) / perimeter(curve)
-    y0, H_max = refine_max_curvature(curve, table)
-    lam0 = cut_value(curve, y0, projector=projector, tol=tol * curve.extent)
+    ratio = dom.ratio
+    y0, H_max = dom.y0, dom.H_max
+    lam0 = dom.lambda_y0
     phi0 = float(phi_closed(lam0, H_max))
 
     hyp_H = H_max > 0.0
@@ -198,15 +201,8 @@ def criterion_report(curve, samples=2048, tol=1e-6, table=None,
     mean_phi = float(np.mean(ph))
     constancy = float((np.max(ph) - np.min(ph)) / max(abs(mean_phi), 1e-300))
     basic = float(np.max(ph * table.kappa[smooth]))
-
-    corners = curve.detect_corners()
-    if not corners:
-        corner_status = "none"
-    elif all(c.convex for c in corners):
-        corner_status = "convex-only"
-    else:
-        corner_status = "concave-present"
-    starshaped, _ = curve.check_starshaped()
+    corner_status = dom.corner_status
+    starshaped = dom.starshaped
 
     notes = []
     if corner_status == "concave-present":
@@ -260,13 +256,14 @@ class ChainCheck:
     tol: float
 
 
-def inequality_chain_check(curve, samples=2048, table=None, report=None,
-                           tol=1e-9):
-    """Pointwise chain ratio H(y) <= ratio H(y0) <= phi(y0) H(y0) <= 1/2."""
+def inequality_chain_check(dom, report=None, tol=1e-9):
+    """Pointwise chain ratio H(y) <= ratio H(y0) <= phi(y0) H(y0) <= 1/2.
+
+    tol is the chain's relative slack.
+    """
     if report is None:
-        report = criterion_report(curve, samples=samples, table=table)
-    if table is None:
-        table = cut_table(curve, n=samples)
+        report = criterion_report(dom)
+    table = dom.table
     smooth = table.smooth()
     slack = tol * max(1.0, abs(report.H_max)) * max(1.0, report.ratio)
     t1 = report.ratio * table.kappa[smooth]

@@ -20,11 +20,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .cutlocus import cut_table, cut_value, phi as phi_closed
+from .cutlocus import cut_value, phi as phi_closed
 from .errors import (ConstructionError, HypothesisViolationError,
                      InapplicableError, InvalidRayError, OperatorRangeError)
-from .integrals import area, perimeter
-from .symmetry import diameter, refine_max_curvature
 
 __all__ = [
     "DivergenceOperator", "WebProfile", "PartialWebReport", "laplace",
@@ -196,25 +194,23 @@ def _gamma_mask(table, gamma_arc):
     return ds <= span
 
 
-def flux_identity_residual(curve, gamma_arc=None, op=None, table=None,
-                           samples=4096, tol=None):
-    """|A(|h'(0)|) h'(0) + phi(y0)| at the curvature argmax y0.
+def flux_identity_residual(dom, gamma_arc=None, op=None):
+    """|A(|h'(0)|) h'(0) + phi(y0)| at the domain's curvature argmax y0.
 
     Raises when the argmax falls outside the arclength window gamma_arc.
     """
     if op is None:
         op = laplace()
-    if curve.detect_corners():
+    curve = dom.curve
+    if dom.corners:
         raise InapplicableError("identity requires a smooth boundary")
-    if table is None:
-        table = cut_table(curve, n=samples, tol=tol)
-    y0, kmax = refine_max_curvature(curve, table)
+    y0, kmax = dom.y0, dom.H_max
     if gamma_arc is not None and not _in_cyclic(
             y0.s, float(gamma_arc[0]), float(gamma_arc[1]), curve.length,
             tol=1e-9 * curve.length):
         raise HypothesisViolationError(
             f"curvature argmax at s = {y0.s:.6g} lies outside gamma_arc")
-    lam0 = cut_value(curve, y0)
+    lam0 = dom.lambda_y0
     phi0 = float(phi_closed(lam0, kmax))
     prof = web_profile(op, kmax, lam0, origin_s=y0.s)
     h0 = prof.hprime0
@@ -240,8 +236,8 @@ class PartialWebReport:
     samples_used: int
 
 
-def partial_web_report(curve, gamma_arc=None, op=None,
-                       eps_list=(0.2, 0.1, 0.05), samples=2048, table=None):
+def partial_web_report(dom, gamma_arc=None, op=None,
+                       eps_list=(0.2, 0.1, 0.05)):
     """Hypothesis record for the partially overdetermined web criterion.
 
     Solves a profile per smooth boundary sample, compares curvature and
@@ -251,8 +247,7 @@ def partial_web_report(curve, gamma_arc=None, op=None,
     """
     if op is None:
         op = laplace()
-    if table is None:
-        table = cut_table(curve, n=samples)
+    curve, table = dom.curve, dom.table
     smooth = table.smooth()
     mask_g = _gamma_mask(table, gamma_arc) & smooth
     notes = []
@@ -262,10 +257,9 @@ def partial_web_report(curve, gamma_arc=None, op=None,
                np.zeros(int(np.count_nonzero(smooth))))
     hp0 = -op.m_inverse(np.abs(g0))
     c_all = -np.asarray(op.A(np.abs(hp0))) * hp0
-    s_smooth = table.s[smooth]
     in_g = mask_g[smooth]
 
-    y0g, k_global = refine_max_curvature(curve, table)
+    y0g, k_global = dom.y0, dom.H_max
     c_max_global = float(np.max(c_all))
     if not np.any(in_g):
         raise HypothesisViolationError("gamma_arc contains no smooth samples")
@@ -289,15 +283,15 @@ def partial_web_report(curve, gamma_arc=None, op=None,
     if gamma_arc is None or _in_cyclic(y0g.s, float(gamma_arc[0]),
                                        float(gamma_arc[1]), curve.length,
                                        tol=1e-9 * curve.length):
-        y0, k0 = y0g, k_global
+        y0, k0, lam0 = y0g, k_global, dom.lambda_y0
     else:
         sm_idx = np.flatnonzero(smooth)
         i_tab = sm_idx[i_best]
         y0 = table.sample(int(i_tab)).point
         k0 = float(table.kappa[i_tab])
+        lam0 = cut_value(curve, y0, projector=dom.projector, tol=dom.tol)
         notes.append("curvature argmax lies outside gamma; anchoring at the "
                      "gamma-restricted maximum")
-    lam0 = cut_value(curve, y0)
     phi0 = float(phi_closed(lam0, k0))
     hp_y0 = -op.m_inverse(abs(float(_g_of(k0, lam0, np.zeros(1))[0])))
     c_gamma = -float(op.A(np.abs(hp_y0))) * hp_y0
@@ -313,17 +307,15 @@ def partial_web_report(curve, gamma_arc=None, op=None,
         defect = float(np.max(gg) - c_gamma)
         collar.append((float(eps), defect))
 
-    corners = curve.detect_corners()
-    starshaped, _ = curve.check_starshaped()
-    ratio = area(curve) / perimeter(curve)
-    slack = 1e-4 * diameter(curve)
-    if any(not c.convex for c in corners):
+    ratio = dom.ratio
+    slack = 1e-4 * dom.diameter
+    if dom.corner_status == "concave-present":
         verdict = "inapplicable"
         notes.append("concave corners present")
-    elif corners:
+    elif dom.corners:
         verdict = "inapplicable"
         notes.append("corners present; the web criterion needs a C2 boundary")
-    elif not starshaped:
+    elif not dom.starshaped:
         verdict = "inapplicable"
         notes.append("not starshaped with respect to the origin")
     elif flag_i and phi0 >= ratio - slack:

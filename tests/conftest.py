@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cutloc import build_distance_field, cut_table, from_spec
+from cutloc import Domain, build_distance_field, cut_table, from_spec
 from cutloc.distfield import GridSpec
 
 SPECS = {
@@ -20,6 +20,7 @@ SPECS = {
 
 _curves = {}
 _tables = {}
+_domains = {}
 _fields = {}
 
 
@@ -34,6 +35,13 @@ def get_table(name, n=2048):
     if key not in _tables:
         _tables[key] = cut_table(get_curve(name), n=n)
     return _tables[key]
+
+
+def get_domain(name, n=2048):
+    key = (name, n)
+    if key not in _domains:
+        _domains[key] = Domain(get_table(name, n))
+    return _domains[key]
 
 
 def get_field(name, h):
@@ -61,6 +69,11 @@ def curves():
 @pytest.fixture(scope="session")
 def tables():
     return get_table
+
+
+@pytest.fixture(scope="session")
+def domains():
+    return get_domain
 
 
 @pytest.fixture(scope="session")

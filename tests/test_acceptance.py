@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from cutloc import (area, complementarity_max, constant, criterion_report,
+from cutloc import (Domain, area, complementarity_max, constant,
+                    criterion_report,
                     cut_table, f_max_bruteforce, flux_identity_residual,
                     laplace, max_lambda_kappa, mean_value_residual,
                     minkowski_residual, minkowski_residual_corners, mk_verdict,
@@ -41,7 +42,7 @@ def test_criterion_01_ball_forward(curves):
         curve = curves(name)
         t0 = time.perf_counter()
         table = cut_table(curve, n=2048)
-        rep = criterion_report(curve, table=table)
+        rep = criterion_report(Domain(table))
         dt = time.perf_counter() - t0
         phi_err = float(np.max(np.abs(table.phi - radius / 2)))
         ratio_err = abs(rep.ratio - radius / 2)
@@ -55,9 +56,9 @@ def test_criterion_01_ball_forward(curves):
           f"verdict ball, worst runtime {worst_time:.2f}s (<=1s)")
 
 
-def test_criterion_02_ellipse_rejection(curves, tables):
+def test_criterion_02_ellipse_rejection(domains, tables):
     table = tables("ellipse")
-    rep = criterion_report(curves("ellipse"), table=table)
+    rep = criterion_report(domains("ellipse"))
     phi_min, phi_max = float(np.min(table.phi)), float(np.max(table.phi))
     ok = (abs(rep.phi_at_y0 - 0.25) <= 1e-3
           and abs(rep.ratio - 0.6485) <= 1e-3
@@ -126,15 +127,13 @@ def test_criterion_05_minkowski(curves):
           f"C1 corner terms {c1_worst:.1e} (<=1e-10)")
 
 
-def test_criterion_06_change_of_variables(curves, tables, fields):
+def test_criterion_06_change_of_variables(domains, fields):
     ok = True
     parts = []
     for name in ("circle", "ellipse"):
         for fname, f in (("1", constant(1.0)), ("|x|^2", abs2())):
-            r64 = cov_residual(curves(name), f, fields(name, 1 / 64),
-                               table=tables(name))
-            r128 = cov_residual(curves(name), f, fields(name, 1 / 128),
-                                table=tables(name))
+            r64 = cov_residual(domains(name), f, fields(name, 1 / 64))
+            r128 = cov_residual(domains(name), f, fields(name, 1 / 128))
             ratio = r128.abs_residual / max(r64.abs_residual, 1e-300)
             # superconvergence on symmetry-aligned grids beats the nominal
             # first-order model; require at least the promised improvement
@@ -143,7 +142,7 @@ def test_criterion_06_change_of_variables(curves, tables, fields):
                          f"ratio {ratio:.2f}")
     worst_mv = 0.0
     for name in SMOOTH:
-        r = mean_value_residual(curves(name), table=tables(name))
+        r = mean_value_residual(domains(name))
         worst_mv = max(worst_mv, r.rel_residual)
     ok &= worst_mv <= 1e-5
     _line(6, ok, "; ".join(parts)
@@ -171,14 +170,12 @@ def test_criterion_07_lemmas(curves, tables):
           f"{worst_focal:.1e} (<=1e-3) on smooth shapes")
 
 
-def test_criterion_08_monge_kantorovich(curves, tables, fields):
-    curve = curves("circle")
-    table = tables("circle")
+def test_criterion_08_monge_kantorovich(curves, domains, tables, fields):
     ok = True
     l1s = []
     v_err_detail = ""
     for h in (1 / 32, 1 / 64, 1 / 128):
-        sol = vf_field(curve, field=fields("circle", h), table=table)
+        sol = vf_field(domains("circle"), fields("circle", h))
         grid = sol.grid
         xs, ys = np.meshgrid(grid.xs, grid.ys)
         rr = np.hypot(xs, ys)
@@ -197,11 +194,11 @@ def test_criterion_08_monge_kantorovich(curves, tables, fields):
                             f"(<=0.05), complementarity {comp:.1e} "
                             f"(<= {comp_cap:.1e})")
     ok &= l1s[0] > l1s[1] > l1s[2]
-    trace = vf_boundary(curve, 0.0)
+    trace = vf_boundary(domains("circle"), 0.0)
     ok &= abs(trace.value - 0.5) <= 1e-6
-    rep_d, _ = mk_verdict(curve, table=table)
-    rep_e, _ = mk_verdict(curves("ellipse"), table=tables("ellipse"))
-    rep_u, _ = mk_verdict(curves("union"), table=tables("union"))
+    rep_d, _ = mk_verdict(domains("circle"))
+    rep_e, _ = mk_verdict(domains("ellipse"))
+    rep_u, _ = mk_verdict(domains("union"))
     ok &= (rep_d.verdict == "ball"
            and rep_e.verdict == "hypotheses-not-met"
            and rep_u.verdict == "inapplicable" and "constant" in rep_u.note)
@@ -220,16 +217,14 @@ def test_criterion_08_monge_kantorovich(curves, tables, fields):
           f"(lam, kappa, phi) = (2, 1/2, 1) +- 1e-3 on the smooth part")
 
 
-def test_criterion_09_web_identity(curves, tables):
-    disk = curves("circle")
-    table = tables("circle")
-    res_lap = flux_identity_residual(disk, table=table)
+def test_criterion_09_web_identity(domains):
+    disk = domains("circle")
+    res_lap = flux_identity_residual(disk)
     prof_lap = web_profile(laplace(), kappa=1.0, lam=1.0)
-    res_p4 = flux_identity_residual(disk, op=plap(4.0), table=table)
+    res_p4 = flux_identity_residual(disk, op=plap(4.0))
     prof_p4 = web_profile(plap(4.0), kappa=1.0, lam=1.0)
-    res_ell = flux_identity_residual(curves("ellipse"),
-                                     gamma_arc=(-0.5, 0.5),
-                                     table=tables("ellipse"))
+    res_ell = flux_identity_residual(domains("ellipse"),
+                                     gamma_arc=(-0.5, 0.5))
     ok = (res_lap <= 1e-10
           and abs(prof_lap.hprime0 + 0.5) <= 1e-10
           and res_p4 <= 1e-10
@@ -276,12 +271,13 @@ def test_criterion_11_property_suite(curves, capsys):
         denom = np.maximum(np.abs(b), 1e-300)
         rel = max(rel, float(np.max(np.abs(a - b) / denom)))
     ok = rel <= 1e-8
-    rep0 = criterion_report(base, table=t0, samples=512)
-    rep1 = criterion_report(big, table=t1, samples=512)
-    rep2 = criterion_report(base.transformed(rotation=0.7), samples=512)
+    rep0 = criterion_report(Domain(t0))
+    rep1 = criterion_report(Domain(t1))
+    rep2 = criterion_report(
+        Domain(cut_table(base.transformed(rotation=0.7), n=512)))
     ok &= rep0.verdict == rep1.verdict == rep2.verdict
-    rep3 = criterion_report(curves("circle").transformed(rotation=1.1),
-                            samples=512)
+    rep3 = criterion_report(
+        Domain(cut_table(curves("circle").transformed(rotation=1.1), n=512)))
     ok &= rep3.verdict == "ball"
     argv = ["report", "--shape", '{"type": "ellipse", "a": 2.0, "b": 1.0}',
             "--samples", "256"]

@@ -174,8 +174,58 @@ def test_report_many_arcs_bounded_memory(tmp_path):
     stderr = err_path.read_text()
     assert child.returncode == 0, stderr
     assert "Traceback" not in stderr
-    assert json.loads(out_path.read_text())["verdict"] == "hypotheses-not-met"
+    doc = json.loads(out_path.read_text())
+    assert doc["verdict"] == "hypotheses-not-met"
+    # every corner arc has curvature 1 / 0.05; the arcs are shorter than
+    # the sample spacing, so only the site table can seed y0 on one
+    assert doc["H_max"] == pytest.approx(20.0, rel=0, abs=1e-9)
     assert usage.ru_maxrss < 400 * 1024  # KiB on Linux
+
+
+def test_web_lambda_at_y0_uses_tol(capsys):
+    argv = ["--shape", UNION, "--samples", "384", "--tol", "5e-3"]
+    _, report, _ = _run(capsys, ["report"] + argv)
+    _, web, _ = _run(capsys, ["web"] + argv)
+    assert (json.loads(web)["y0"]["lambda"]
+            == json.loads(report)["lambda_at_y0"])
+
+
+_POLYGON = '"side_length": 1.0, "corner_radius": 0.1'
+BAD_SHAPES = {
+    "nan": '{"type": "circle", "radius": NaN}',
+    "inf": '{"type": "circle", "radius": Infinity}',
+    "minus-inf": '{"type": "circle", "radius": -Infinity}',
+    "overflowing-float": '{"type": "circle", "radius": 1e400}',
+    "overflowing-int": '{"type": "circle", "radius": 1' + "0" * 400 + '}',
+    "string-number": '{"type": "circle", "radius": "1.0"}',
+    "string-axis": '{"type": "ellipse", "a": "2", "b": 1.0}',
+    "bool-radius": '{"type": "circle", "radius": true}',
+    "bool-side": '{"type": "square", "side": true}',
+    "null": '{"type": "circle", "radius": null}',
+    "list-number": '{"type": "circle", "radius": [1.0]}',
+    "inf-center": '{"type": "circle", "radius": 1.0, "center": [Infinity, 0]}',
+    "string-center": '{"type": "circle", "radius": 1.0, "center": ["0", 0]}',
+    "nan-mode": '{"type": "fourier", "a0": 1.0, "cos": [NaN]}',
+    "string-modes": '{"type": "fourier", "a0": 1.0, "sin": "0.1"}',
+    "huge-axes": '{"type": "ellipse", "a": 1e300, "b": 1e300}',
+    "tiny-axes": '{"type": "ellipse", "a": 1e-300, "b": 1e-300}',
+    "fractional-sides": '{"type": "rounded_polygon", "sides": 3.5, '
+                        + _POLYGON + '}',
+    "string-sides": '{"type": "rounded_polygon", "sides": "4", '
+                    + _POLYGON + '}',
+    "array-shape": '[{"type": "circle", "radius": 1.0}]',
+    "string-shape": '"circle"',
+}
+
+
+@pytest.mark.parametrize("shape", list(BAD_SHAPES.values()),
+                         ids=list(BAD_SHAPES))
+def test_malformed_or_extreme_shape_exits_2(capsys, shape):
+    code, _, err = _run(capsys, ["report", "--shape", shape,
+                                 "--samples", "256"])
+    assert code == 2
+    assert any(line.startswith("error:") for line in err.splitlines())
+    assert "Traceback" not in err
 
 
 def test_render_json_float_format():

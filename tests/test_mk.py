@@ -9,35 +9,33 @@ from cutloc.distfield import GridSpec
 from cutloc.mk import export_mk_csv
 
 
-def test_vf_at_disk_closed_form(curves):
-    curve = curves("circle")
+def test_vf_at_disk_closed_form(domains):
+    dom = domains("circle")
     # v = |x| / 2 away from the center
     for x, expect in (((0.5, 0.0), 0.25), ((0.0, -0.8), 0.4),
                       ((0.3, 0.4), 0.25)):
-        got = vf_at(curve, np.array(x))
+        got = vf_at(dom, np.array(x))
         assert not got.singular
         assert got.value == pytest.approx(expect, abs=1e-9)
 
 
-def test_vf_at_center_is_singular(curves):
-    got = vf_at(curves("circle"), np.zeros(2))
+def test_vf_at_center_is_singular(domains):
+    got = vf_at(domains("circle"), np.zeros(2))
     assert got.singular
     assert got.value == 0.0
 
 
-def test_vf_boundary_is_gamma_phi(curves, tables):
-    curve = curves("circle")
-    assert vf_boundary(curve, 0.0).value == pytest.approx(0.5, abs=1e-9)
-    assert vf_boundary(curve, 0.0, f=constant(3.0)).value == pytest.approx(
+def test_vf_boundary_is_gamma_phi(domains):
+    dom = domains("circle")
+    assert vf_boundary(dom, 0.0).value == pytest.approx(0.5, abs=1e-9)
+    assert vf_boundary(dom, 0.0, f=constant(3.0)).value == pytest.approx(
         1.5, abs=1e-9)
-    ell = curves("ellipse")
+    ell = domains("ellipse")
     assert vf_boundary(ell, 0.0).value == pytest.approx(0.25, abs=1e-6)
 
 
-def test_vf_field_disk_oracle(curves, tables, fields):
-    curve = curves("circle")
-    sol = vf_field(curve, field=fields("circle", 1 / 64),
-                   table=tables("circle"))
+def test_vf_field_disk_oracle(domains, fields):
+    sol = vf_field(domains("circle"), fields("circle", 1 / 64))
     grid = sol.grid
     xs, ys = np.meshgrid(grid.xs, grid.ys)
     rr = np.hypot(xs, ys)
@@ -47,48 +45,44 @@ def test_vf_field_disk_oracle(curves, tables, fields):
     assert np.min(sol.v) >= 0.0
 
 
-def test_vf_field_square_tau(curves, tables, fields):
+def test_vf_field_square_tau(domains, fields):
     # on the square v_f with gamma = 1 integrates 1 along straight rays: v = tau
-    sol = vf_field(curves("square"), field=fields("square", 1 / 64),
-                   table=tables("square"))
+    sol = vf_field(domains("square"), fields("square", 1 / 64))
     mask = sol.inside & ~sol.singular
     assert np.max(np.abs(sol.v - sol.tau)[mask]) <= 1e-6
 
 
-def test_residual_and_complementarity(curves, tables, fields):
-    sol = vf_field(curves("circle"), field=fields("circle", 1 / 64),
-                   table=tables("circle"))
+def test_residual_and_complementarity(domains, fields):
+    sol = vf_field(domains("circle"), fields("circle", 1 / 64))
     med, mx, l1 = residual_summary(sol)
     assert med <= 0.05
     assert complementarity_max(sol) <= 5 * sol.h * float(np.max(sol.v))
 
 
-def test_weak_form(curves, tables, fields):
-    sol = vf_field(curves("circle"), field=fields("circle", 1 / 64),
-                   table=tables("circle"))
+def test_weak_form(domains, fields):
+    sol = vf_field(domains("circle"), fields("circle", 1 / 64))
     recs = weak_form_check(sol)
     for rec in recs:
         assert rec["abs_err"] <= 0.05 * max(1.0, abs(rec["rhs"]))
 
 
-def test_mk_verdicts(curves, tables):
-    rep, trace_err = mk_verdict(curves("circle"), table=tables("circle"))
+def test_mk_verdicts(domains):
+    rep, trace_err = mk_verdict(domains("circle"))
     assert rep.verdict == "ball"
     assert trace_err <= 1e-6
-    rep, _ = mk_verdict(curves("ellipse"), table=tables("ellipse"))
+    rep, _ = mk_verdict(domains("ellipse"))
     assert rep.verdict == "hypotheses-not-met"
-    rep, _ = mk_verdict(curves("union"), table=tables("union"))
+    rep, _ = mk_verdict(domains("union"))
     assert rep.verdict == "inapplicable"
 
 
-def test_mk_gamma_must_be_positive(curves):
+def test_mk_gamma_must_be_positive(domains):
     with pytest.raises(HypothesisViolationError):
-        mk_verdict(curves("circle"), gamma=0.0)
+        mk_verdict(domains("circle"), gamma=0.0)
 
 
-def test_export_csv(tmp_path, curves, tables, fields):
-    sol = vf_field(curves("circle"), field=fields("circle", 1 / 64),
-                   table=tables("circle"))
+def test_export_csv(tmp_path, domains, fields):
+    sol = vf_field(domains("circle"), fields("circle", 1 / 64))
     path = tmp_path / "mk.csv"
     export_mk_csv(sol, str(path))
     lines = path.read_text().splitlines()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cutloc import (ConfigurationError, criterion_report, cut_value,
-                    f_max_bruteforce, f_value, from_spec)
+from cutloc import (ConfigurationError, Domain, criterion_report, cut_table,
+                    cut_value, f_max_bruteforce, f_value, from_spec)
 from cutloc.distfield import FieldProjector
 from cutloc.symmetry import diameter, inequality_chain_check
 
@@ -32,8 +32,8 @@ def test_f_max_rejects_bad_inputs():
         f_max_bruteforce(3, resolution=50)
 
 
-def test_circle_verdict(curves, tables):
-    rep = criterion_report(curves("circle"), table=tables("circle"))
+def test_circle_verdict(domains):
+    rep = criterion_report(domains("circle"))
     assert rep.verdict == "ball"
     assert rep.H_max == pytest.approx(1.0, abs=1e-9)
     assert rep.phi_at_y0 == pytest.approx(0.5, abs=1e-6)
@@ -43,8 +43,8 @@ def test_circle_verdict(curves, tables):
     assert rep.starshaped
 
 
-def test_ellipse_verdict(curves, tables):
-    rep = criterion_report(curves("ellipse"), table=tables("ellipse"))
+def test_ellipse_verdict(domains):
+    rep = criterion_report(domains("ellipse"))
     assert rep.verdict == "hypotheses-not-met"
     assert np.allclose(rep.y0.position, [2.0, 0.0], atol=1e-3)
     assert rep.phi_at_y0 == pytest.approx(0.25, abs=1e-3)
@@ -54,25 +54,25 @@ def test_ellipse_verdict(curves, tables):
     assert "phi" in rep.note
 
 
-def test_square_verdict(curves, tables):
-    rep = criterion_report(curves("square"), table=tables("square"))
+def test_square_verdict(domains):
+    rep = criterion_report(domains("square"))
     assert rep.corner_status == "convex-only"
     assert rep.verdict == "hypotheses-not-met"
 
 
-def test_union_verdict_counterexample(curves, tables):
-    rep = criterion_report(curves("union"), table=tables("union"))
+def test_union_verdict_counterexample(domains):
+    rep = criterion_report(domains("union"))
     assert rep.verdict == "inapplicable"
     assert rep.corner_status == "concave-present"
     assert rep.phi_constancy <= 1e-3
     assert "constant" in rep.note
 
 
-def test_report_cut_value_uses_passed_projector(curves, tables, fields):
+def test_report_cut_value_uses_passed_projector(curves, fields):
     # the square's y0 sits on a side, where lambda is not the focal cap
     curve = curves("square")
     proj = FieldProjector(fields("square", 1 / 32))
-    rep = criterion_report(curve, table=tables("square"), projector=proj)
+    rep = criterion_report(Domain(cut_table(curve, n=256, projector=proj)))
     assert rep.lambda_at_y0 == cut_value(curve, rep.y0, projector=proj,
                                          tol=1e-6 * curve.extent)
 
@@ -80,7 +80,7 @@ def test_report_cut_value_uses_passed_projector(curves, tables, fields):
 def test_displaced_circle_not_starshaped():
     from cutloc import from_spec
     curve = from_spec({"type": "circle", "radius": 1.0, "center": [2.0, 0.0]})
-    rep = criterion_report(curve, samples=512)
+    rep = criterion_report(Domain(cut_table(curve, n=512)))
     assert not rep.starshaped
     assert rep.verdict == "inapplicable"
     assert "starshaped" in rep.note
@@ -88,7 +88,7 @@ def test_displaced_circle_not_starshaped():
 
 def test_too_few_samples_rejected(curves):
     with pytest.raises(ConfigurationError):
-        criterion_report(curves("circle"), samples=32)
+        criterion_report(Domain(cut_table(curves("circle"), n=32)))
 
 
 def _diameter_all_pairs(curve, n=1024):
@@ -113,8 +113,8 @@ def test_diameter(curves):
         assert diameter(curve, n=256) == _diameter_all_pairs(curve, n=256)
 
 
-def test_chain_on_circle(curves, tables):
-    chk = inequality_chain_check(curves("circle"), table=tables("circle"))
+def test_chain_on_circle(domains):
+    chk = inequality_chain_check(domains("circle"))
     assert chk.first_failure is None
     assert chk.link1_ok and chk.link2_ok and chk.link3_ok
     assert chk.phi_H_y0 <= chk.bound + 1e-9
@@ -122,7 +122,7 @@ def test_chain_on_circle(curves, tables):
     assert np.allclose(chk.term_ratio_H, chk.phi_H_y0, atol=1e-6)
 
 
-def test_chain_on_ellipse(curves, tables):
-    chk = inequality_chain_check(curves("ellipse"), table=tables("ellipse"))
+def test_chain_on_ellipse(domains):
+    chk = inequality_chain_check(domains("ellipse"))
     # the phi(y0) >= ratio link is what breaks for the ellipse
     assert chk.first_failure == "phi(y0) below ratio"

@@ -84,32 +84,28 @@ def test_invalid_rays_rejected():
         web_profile(laplace(), kappa=1.0, lam=1.0, t=np.array([1.5]))
 
 
-def test_identity_residual_disk(curves, tables):
-    assert flux_identity_residual(curves("circle"),
-                                  table=tables("circle")) <= 1e-10
-    assert flux_identity_residual(curves("circle"), op=plap(4.0),
-                                  table=tables("circle")) <= 1e-10
+def test_identity_residual_disk(domains):
+    assert flux_identity_residual(domains("circle")) <= 1e-10
+    assert flux_identity_residual(domains("circle"), op=plap(4.0)) <= 1e-10
 
 
-def test_identity_residual_ellipse_window(curves, tables):
-    res = flux_identity_residual(curves("ellipse"), gamma_arc=(-0.5, 0.5),
-                                 table=tables("ellipse"))
+def test_identity_residual_ellipse_window(domains):
+    res = flux_identity_residual(domains("ellipse"), gamma_arc=(-0.5, 0.5))
     assert res <= 1e-4
 
 
-def test_identity_requires_argmax_inside_window(curves, tables):
+def test_identity_requires_argmax_inside_window(domains):
     with pytest.raises(HypothesisViolationError):
-        flux_identity_residual(curves("ellipse"), gamma_arc=(1.9, 2.9),
-                               table=tables("ellipse"))
+        flux_identity_residual(domains("ellipse"), gamma_arc=(1.9, 2.9))
 
 
-def test_identity_needs_smooth_boundary(curves, tables):
+def test_identity_needs_smooth_boundary(domains):
     with pytest.raises(InapplicableError):
-        flux_identity_residual(curves("square"), table=tables("square"))
+        flux_identity_residual(domains("square"))
 
 
-def test_partial_report_disk(curves, tables):
-    rep = partial_web_report(curves("circle"), table=tables("circle"))
+def test_partial_report_disk(domains):
+    rep = partial_web_report(domains("circle"))
     assert rep.verdict == "ball"
     assert rep.flag_i and rep.flag_ii_prime
     assert rep.c_gamma == pytest.approx(0.5, abs=1e-6)
@@ -117,9 +113,8 @@ def test_partial_report_disk(curves, tables):
         assert abs(defect) <= 1e-6
 
 
-def test_partial_report_ellipse_major_window(curves, tables):
-    rep = partial_web_report(curves("ellipse"), gamma_arc=(-0.5, 0.5),
-                             table=tables("ellipse"))
+def test_partial_report_ellipse_major_window(domains):
+    rep = partial_web_report(domains("ellipse"), gamma_arc=(-0.5, 0.5))
     assert rep.flag_i
     assert not rep.flag_ii_prime
     assert rep.verdict == "hypotheses-not-met"
@@ -128,6 +123,6 @@ def test_partial_report_ellipse_major_window(curves, tables):
     assert np.allclose(defects, 0.625, atol=1e-3)
 
 
-def test_partial_report_square_inapplicable(curves, tables):
-    rep = partial_web_report(curves("square"), table=tables("square"))
+def test_partial_report_square_inapplicable(domains):
+    rep = partial_web_report(domains("square"))
     assert rep.verdict == "inapplicable"
