@@ -22,6 +22,23 @@ def _col(t):
     return np.atleast_1d(np.asarray(t, dtype=float))
 
 
+def arc_runs(index):
+    """Rows grouped by arc: (arc, rows) pairs, one per arc that owns a row.
+
+    A single stable argsort of the (n,) int index puts each arc's rows in
+    one contiguous run, so grouping costs O(n log n) however many arcs
+    there are; rows keep their input order within an arc.  Empty input
+    gives no groups.
+    """
+    index = np.asarray(index)
+    if index.size == 0:
+        return
+    order = np.argsort(index, kind="stable")
+    edges = np.flatnonzero(np.diff(index[order])) + 1
+    for rows in np.split(order, edges):
+        yield int(index[rows[0]]), rows
+
+
 class Arc:
     """Base class. Subclasses set t0/t1 and implement the three evaluators."""
 
@@ -44,12 +61,12 @@ class Arc:
         Evaluates each arc's point on its own rows; subclasses with a
         closed form override it with stacked per-row coefficients.
         """
-        rows = [(arc, which == k) for k, arc in enumerate(arcs)]
+        groups = list(arc_runs(which))
 
         def point(t):
             out = np.empty((t.size, 2))
-            for arc, m in rows:
-                out[m] = arc.point(t[m])
+            for k, rows in groups:
+                out[rows] = arcs[k].point(t[rows])
             return out
         return point
 
@@ -272,13 +289,16 @@ class TransformedArc(Arc):
         self.scale = float(scale)
         self.rotation = float(rotation)
         self.shift = np.asarray(shift, dtype=float)
-        c, s = np.cos(self.rotation), np.sin(self.rotation)
-        self._rot = np.array([[c, -s], [s, c]])
+        self._cos, self._sin = np.cos(self.rotation), np.sin(self.rotation)
         self.t0 = base.t0
         self.t1 = base.t1
 
     def _apply(self, xy, translate):
-        out = self.scale * (xy @ self._rot.T)
+        # elementwise: a matrix product's rounding can depend on the
+        # number of rows, and a row's value must not depend on its batch
+        c, s = self._cos, self._sin
+        x, y = xy[:, 0], xy[:, 1]
+        out = self.scale * np.stack([c * x - s * y, s * x + c * y], axis=-1)
         if translate:
             out = out + self.shift
         return out

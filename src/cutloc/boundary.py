@@ -7,16 +7,18 @@ convex (kappa = 1/R on a circle of radius R).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .arcs import TransformedArc
+from .arcs import TransformedArc, arc_runs
 from .errors import ConstructionError
 
 __all__ = [
     "BoundaryPoint",
     "CornerInfo",
     "DenseSites",
+    "Junctions",
     "BoundaryCurve",
 ]
 
@@ -61,6 +63,19 @@ class DenseSites:
     arc_index: np.ndarray  # (m,) int
     s: np.ndarray          # (m,) cyclic arclength, increasing
     spacing: float         # mean arclength spacing L/m
+    dparam: np.ndarray     # (number of arcs,) parameter step per arc: the
+                           # bracket half-width of a site-seeded refinement
+
+
+@dataclass(frozen=True, eq=False)
+class Junctions:
+    """Every arc junction j, between arcs[j] and arcs[j+1 mod n]."""
+    s: np.ndarray          # (n,) arclength
+    position: np.ndarray   # (n, 2) end point of arcs[j]
+    nu_minus: np.ndarray   # (n, 2) outward normal at the end of arcs[j]
+    nu_plus: np.ndarray    # (n, 2) outward normal at the start of arcs[j+1]
+    angle: np.ndarray      # (n,) signed turning angle of the normal
+    convex: np.ndarray     # (n,) bool, the normal turns counterclockwise
 
 
 class _Geom:
@@ -93,7 +108,6 @@ class BoundaryCurve:
             raise ConstructionError("need at least one arc")
         self.arcs = list(arcs)
         self._tables = None
-        self._corners_cache = {}
         self._sites_cache = {}
 
         poll = self._poll_points(64)
@@ -196,9 +210,9 @@ class BoundaryCurve:
         param = np.atleast_1d(np.asarray(param, dtype=float))
         out = np.empty(param.size)
         tabs = self._tables
-        for a in np.unique(arc_index):
-            m = arc_index == a
-            out[m] = np.interp(param[m], tabs["p"][a], tabs["s"][a]) + tabs["cum"][a]
+        for a, rows in arc_runs(arc_index):
+            out[rows] = (np.interp(param[rows], tabs["p"][a], tabs["s"][a])
+                         + tabs["cum"][a])
         return out
 
     def s_to_param(self, s):
@@ -209,9 +223,9 @@ class BoundaryCurve:
         aidx = np.clip(np.searchsorted(tabs["cum"], s, side="right") - 1,
                        0, len(self.arcs) - 1)
         t = np.empty(s.size)
-        for a in np.unique(aidx):
-            m = aidx == a
-            t[m] = np.interp(s[m] - tabs["cum"][a], tabs["s"][a], tabs["p"][a])
+        for a, rows in arc_runs(aidx):
+            t[rows] = np.interp(s[rows] - tabs["cum"][a], tabs["s"][a],
+                                tabs["p"][a])
         return aidx, t
 
     # ------------------------------------------------------------- geometry
@@ -224,12 +238,11 @@ class BoundaryCurve:
         pos = np.empty((n, 2))
         vel = np.empty((n, 2))
         acc = np.empty((n, 2))
-        for a in np.unique(arc_index):
-            m = arc_index == a
-            arc = self.arcs[a]
-            pos[m] = arc.point(param[m])
-            vel[m] = arc.velocity(param[m])
-            acc[m] = arc.acceleration(param[m])
+        for a, rows in arc_runs(arc_index):
+            arc, p = self.arcs[a], param[rows]
+            pos[rows] = arc.point(p)
+            vel[rows] = arc.velocity(p)
+            acc[rows] = arc.acceleration(p)
         speed = np.linalg.norm(vel, axis=1)
         tangent = vel / speed[:, None]
         normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=-1)
@@ -286,8 +299,11 @@ class BoundaryCurve:
         params = np.concatenate(prm)
         arc_index = np.concatenate(aix)
         s = self.param_to_s(arc_index, params)
+        # every arc holds at least 8 consecutive sites
+        first = np.searchsorted(arc_index, np.arange(len(self.arcs)))
         sites = DenseSites(points=points, params=params, arc_index=arc_index,
-                           s=s, spacing=L / s.size)
+                           s=s, spacing=L / s.size,
+                           dparam=params[first + 1] - params[first])
         self._sites_cache[key] = sites
         return sites
 
@@ -303,38 +319,36 @@ class BoundaryCurve:
 
     # -------------------------------------------------------------- corners
 
-    def detect_corners(self, angle_tol=DEFAULT_ANGLE_TOL):
-        """Junctions where the outward normal turns by more than angle_tol."""
-        key = float(angle_tol)
-        if key in self._corners_cache:
-            return self._corners_cache[key]
+    @cached_property
+    def junctions(self):
+        """Junction table: two batched evaluations, arc ends and next starts."""
         self._ensure_tables()
         cum = self._tables["cum"]
-        L = cum[-1]
-        out = []
         n = len(self.arcs)
-        for j in range(n):
-            arc = self.arcs[j]
-            nxt = self.arcs[(j + 1) % n]
-            gm = self.geometry([j], [arc.t1])
-            gp = self.geometry([(j + 1) % n], [nxt.t0])
-            nu_m = gm.normal[0]
-            nu_p = gp.normal[0]
-            cross = nu_m[0] * nu_p[1] - nu_m[1] * nu_p[0]
-            dot = float(np.dot(nu_m, nu_p))
-            ang = float(np.arctan2(cross, dot))
-            if abs(ang) <= angle_tol:
-                continue
-            s = float(np.mod(cum[j + 1], L))
-            out.append(CornerInfo(junction=j, s=s, position=gm.position[0].copy(),
-                                  nu_minus=nu_m.copy(), nu_plus=nu_p.copy(),
-                                  delta_nu=(nu_p - nu_m).copy(), angle=ang,
-                                  convex=bool(cross > 0)))
-        self._corners_cache[key] = out
-        return out
+        nxt = np.roll(np.arange(n), -1)
+        ends = self.geometry(np.arange(n), [arc.t1 for arc in self.arcs])
+        starts = self.geometry(nxt, [self.arcs[a].t0 for a in nxt])
+        nu_m, nu_p = ends.normal, starts.normal
+        cross = nu_m[:, 0] * nu_p[:, 1] - nu_m[:, 1] * nu_p[:, 0]
+        dot = nu_m[:, 0] * nu_p[:, 0] + nu_m[:, 1] * nu_p[:, 1]
+        return Junctions(s=np.mod(cum[1:], cum[-1]), position=ends.position,
+                         nu_minus=nu_m, nu_plus=nu_p,
+                         angle=np.arctan2(cross, dot), convex=cross > 0)
+
+    def detect_corners(self, angle_tol=DEFAULT_ANGLE_TOL):
+        """Junctions where the outward normal turns by more than angle_tol."""
+        jt = self.junctions
+        return [CornerInfo(junction=int(j), s=float(jt.s[j]),
+                           position=jt.position[j].copy(),
+                           nu_minus=jt.nu_minus[j].copy(),
+                           nu_plus=jt.nu_plus[j].copy(),
+                           delta_nu=jt.nu_plus[j] - jt.nu_minus[j],
+                           angle=float(jt.angle[j]), convex=bool(jt.convex[j]))
+                for j in np.flatnonzero(np.abs(jt.angle) > angle_tol)]
 
     def corner_arclengths(self, angle_tol=DEFAULT_ANGLE_TOL):
-        return np.asarray([c.s for c in self.detect_corners(angle_tol)])
+        jt = self.junctions
+        return jt.s[np.abs(jt.angle) > angle_tol]
 
     def check_starshaped(self, n=2048):
         """(flag, min <y, nu>) over an arclength sampling; origin-dependent."""

@@ -26,7 +26,6 @@ from .errors import DegenerateRayError, InapplicableError
 from .projector import CurveProjector, cyclic_dist, refine_on_arcs
 
 __all__ = [
-    "CutSample",
     "CutTable",
     "cut_predicate",
     "cut_table",
@@ -42,16 +41,6 @@ _MAX_BISECT = 64
 # shrinking steps after the site pass; one leaves up to 4e-7 next to the
 # square's corners, two reach rounding level
 _SHRINK_STEPS = 2
-
-
-@dataclass(frozen=True)
-class CutSample:
-    point: BoundaryPoint
-    lam: float
-    phi: float
-    lambda_kappa: float
-    corner_zone: bool
-    focal_capped: bool
 
 
 @dataclass(eq=False)
@@ -78,17 +67,13 @@ class CutTable:
     def __len__(self):
         return self.s.size
 
-    def sample(self, i):
-        pt = BoundaryPoint(
+    def point(self, i):
+        """Boundary point of sample i."""
+        return BoundaryPoint(
             arc_index=int(self.arc_index[i]), param=float(self.param[i]),
             s=float(self.s[i]), position=self.position[i].copy(),
             tangent=self.tangent[i].copy(), normal=self.normal[i].copy(),
             curvature=float(self.kappa[i]))
-        return CutSample(point=pt, lam=float(self.lam[i]),
-                         phi=float(self.phi[i]),
-                         lambda_kappa=float(self.lambda_kappa[i]),
-                         corner_zone=bool(self.corner_zone[i]),
-                         focal_capped=bool(self.focal_capped[i]))
 
     def smooth(self):
         """Boolean mask of samples outside corner zones."""
@@ -180,8 +165,7 @@ def _shrink_ball(curve, projector, pos, nrm, s, depth, arg, accept):
     y, nu = pos[rows], nrm[rows]
     for _ in range(_SHRINK_STEPS):
         centre = y - depth[rows, None] * nu
-        foot = refine_on_arcs(curve, centre, arc_index, param,
-                              projector._dparam)
+        foot = refine_on_arcs(curve, centre, arc_index, param, sites.dparam)
         g = curve.geometry(arc_index, foot)
         d = y - g.position
         dot = np.einsum("ij,ij->i", d, nu)
@@ -231,7 +215,7 @@ def _corner_zone(curve, s, tol):
     return dmin <= 10.0 * tol
 
 
-def _cut_values(curve, geom, projector, tol, accept, active=None):
+def _cut_values(curve, geom, projector, tol, accept, active):
     """Cut values of a sampled geometry struct: (lam, focal_capped).
 
     lam = min(depth, cap) with cap = min(1/kappa+, extent), where depth is
@@ -243,7 +227,7 @@ def _cut_values(curve, geom, projector, tol, accept, active=None):
     n = geom.s.size
     lam = np.zeros(n)
     focal = np.zeros(n, dtype=bool)
-    rows = np.arange(n) if active is None else np.flatnonzero(active)
+    rows = np.flatnonzero(active)
     if rows.size == 0:
         return lam, focal
 
@@ -299,18 +283,16 @@ def cut_table(curve, n=2048, projector=None, tol=None, samples=None):
 
 
 def cut_value(curve, y, projector=None, tol=None):
-    """Cut value of a single boundary point (BoundaryPoint or arclength)."""
-    if projector is None:
-        projector = CurveProjector(curve)
-    if tol is None:
-        tol = 1e-6 * curve.extent
-    accept = max(5.0 * tol, 3.0 * projector.spacing)
+    """Cut value of a single boundary point (BoundaryPoint or arclength).
+
+    The value of a one-sample cut_table, corner-zone rule included.
+    """
     if isinstance(y, BoundaryPoint):
         geom = curve.geometry([y.arc_index], [y.param])
     else:
         geom = curve.geometry_at_s([float(y)])
-    lam, _ = _cut_values(curve, geom, projector, tol, accept)
-    return float(lam[0])
+    table = cut_table(curve, projector=projector, tol=tol, samples=geom)
+    return float(table.lam[0])
 
 
 def max_lambda_kappa(table):

@@ -23,7 +23,6 @@ __all__ = [
     "DistanceField",
     "FieldProjector",
     "build_distance_field",
-    "project",
     "singular_measure",
     "eikonal_max_deviation",
 ]
@@ -46,14 +45,6 @@ class GridSpec:
             raise ConfigurationError("grid spacing must be positive")
 
     @property
-    def xmax(self):
-        return self.xmin + self.nx * self.h
-
-    @property
-    def ymax(self):
-        return self.ymin + self.ny * self.h
-
-    @property
     def xs(self):
         return self.xmin + (np.arange(self.nx) + 0.5) * self.h
 
@@ -65,13 +56,6 @@ class GridSpec:
         """(ny*nx, 2) cell centers, row-major with x fastest."""
         gx, gy = np.meshgrid(self.xs, self.ys)
         return np.column_stack([gx.ravel(), gy.ravel()])
-
-    def cell_of(self, x):
-        ix = int(np.floor((x[0] - self.xmin) / self.h))
-        iy = int(np.floor((x[1] - self.ymin) / self.h))
-        if not (0 <= ix < self.nx and 0 <= iy < self.ny):
-            raise ConfigurationError("point outside the grid box")
-        return iy, ix
 
     @staticmethod
     def from_curve(curve, nx=256, ny=None, margin=None):
@@ -181,53 +165,6 @@ def build_distance_field(curve, grid=None, nx=256, m=4096, margin=None,
     return field
 
 
-def project(field, x):
-    """Nearest boundary point of x via the field's stored seeds.
-
-    Seeds from the owning cell (bilinear parameter blend when the four
-    surrounding cells agree on the owning arc and a tight parameter
-    window), then one local re-minimization on the arc.  Returns
-    (point, dist, is_singular).
-    """
-    x = np.asarray(x, dtype=float)
-    iy, ix = field.grid.cell_of(x)
-    seed_arc = np.asarray([int(field.nearest_arc[iy, ix])])
-    seed_param = float(field.nearest_param[iy, ix])
-    blend = _bilinear_param(field, x)
-    if blend is not None:
-        seed_param = blend
-    seed_param = np.asarray([seed_param])
-    dparam = field.projector._dparam
-    depth = np.asarray([float(field.d[iy, ix])])
-    half = _grid_half_widths(field.curve, seed_arc, seed_param,
-                             field.grid.h, dparam, depth)
-    param = refine_on_arcs(field.curve, x[None, :], seed_arc, seed_param,
-                           dparam, half_width=half)
-    g = field.curve.geometry(seed_arc, param)
-    dist = float(np.linalg.norm(x - g.position[0]))
-    return g.position[0].copy(), dist, bool(field.sigma_mask[iy, ix])
-
-
-def _bilinear_param(field, x):
-    grid = field.grid
-    fx = (x[0] - grid.xmin) / grid.h - 0.5
-    fy = (x[1] - grid.ymin) / grid.h - 0.5
-    ix0, iy0 = int(np.floor(fx)), int(np.floor(fy))
-    if not (0 <= ix0 < grid.nx - 1 and 0 <= iy0 < grid.ny - 1):
-        return None
-    arcs = field.nearest_arc[iy0:iy0 + 2, ix0:ix0 + 2]
-    if not np.all(arcs == arcs[0, 0]):
-        return None
-    params = field.nearest_param[iy0:iy0 + 2, ix0:ix0 + 2]
-    arc = field.curve.arcs[int(arcs[0, 0])]
-    window = 4.0 * field.projector._dparam[int(arcs[0, 0])]
-    if params.max() - params.min() > window:
-        return None
-    tx, ty = fx - ix0, fy - iy0
-    return float((1 - ty) * ((1 - tx) * params[0, 0] + tx * params[0, 1])
-                 + ty * ((1 - tx) * params[1, 0] + tx * params[1, 1]))
-
-
 def _grid_half_widths(curve, arc_index, param, h, dparam, depth):
     """Bracket half-widths for grid-seeded refinement.
 
@@ -237,18 +174,9 @@ def _grid_half_widths(curve, arc_index, param, h, dparam, depth):
     responds to query motion with gain 1/(1 - d kappa), which blows up
     toward the medial set; widen accordingly (capped at 50x).
     """
-    half = np.empty(param.size)
-    for a in np.unique(arc_index):
-        m = arc_index == a
-        arc = curve.arcs[int(a)]
-        p = param[m]
-        v = arc.velocity(p)
-        acc = arc.acceleration(p)
-        speed = np.maximum(np.linalg.norm(v, axis=1), 1e-30)
-        kappa = (v[:, 0] * acc[:, 1] - v[:, 1] * acc[:, 0]) / speed**3
-        gain = 1.0 / np.clip(1.0 - depth[m] * kappa, 0.02, 1.0)
-        half[m] = 2.2 * h * gain / speed + dparam[int(a)]
-    return half
+    g = curve.geometry(arc_index, param)
+    gain = 1.0 / np.clip(1.0 - depth * g.curvature, 0.02, 1.0)
+    return 2.2 * h * gain / g.speed + dparam[arc_index]
 
 
 class FieldProjector:
@@ -268,7 +196,7 @@ class FieldProjector:
         iy = np.clip(((points[:, 1] - grid.ymin) / grid.h).astype(int), 0, grid.ny - 1)
         arc_index = field.nearest_arc[iy, ix].astype(int)
         seed = field.nearest_param[iy, ix].astype(float)
-        dparam = field.projector._dparam
+        dparam = field.projector.sites.dparam
         depth = field.d[iy, ix].astype(float)
         half = _grid_half_widths(self.curve, arc_index, seed, grid.h,
                                  dparam, depth)

@@ -38,16 +38,6 @@ class ScalarField:
     def degree(self) -> int:
         return max((i + j for i, j, c in self.terms if c != 0.0), default=0)
 
-    @property
-    def is_constant(self) -> bool:
-        return self.degree == 0
-
-    @property
-    def value(self) -> float:
-        """Constant value; only meaningful when is_constant."""
-        if not self.is_constant:
-            raise ConstructionError("field is not constant")
-        return float(sum(c for i, j, c in self.terms))
 
 def constant(gamma) -> ScalarField:
     return ScalarField(kind="constant", terms=((0, 0, float(gamma)),))

@@ -118,32 +118,15 @@ def minkowski_residual(curve, tol=None):
     return IntegralReport.from_pair(lhs, rhs, n1 + n2)
 
 
-def _junction_normals(curve):
-    """Per junction: position, outgoing-normal jump nu_plus - nu_minus."""
-    arcs = curve.arcs
-    n = len(arcs)
-    pos = np.empty((n, 2))
-    dnu = np.empty((n, 2))
-    for j in range(n):
-        cur, nxt = arcs[j], arcs[(j + 1) % n]
-        v0 = np.asarray(cur.velocity(np.array([cur.t1])))[0]
-        v1 = np.asarray(nxt.velocity(np.array([nxt.t0])))[0]
-        t0 = v0 / np.linalg.norm(v0)
-        t1 = v1 / np.linalg.norm(v1)
-        pos[j] = np.asarray(cur.point(np.array([cur.t1])))[0]
-        dnu[j] = (np.array([t1[1], -t1[0]]) - np.array([t0[1], -t0[0]]))
-    return pos, dnu
-
-
 def corner_sum(curve):
     """sum_i <y_i, R (nu_plus - nu_minus)> over every arc junction.
 
     C1 junctions contribute ~0; the value is the corner correction of the
     cornered curvature-integral identity.
     """
-    pos, dnu = _junction_normals(curve)
-    rotated = dnu @ ROT_CCW.T
-    return float(np.sum(pos * rotated))
+    jt = curve.junctions
+    rotated = (jt.nu_plus - jt.nu_minus) @ ROT_CCW.T
+    return float(np.sum(jt.position * rotated))
 
 
 def minkowski_residual_corners(curve, tol=None):

@@ -254,7 +254,7 @@ def mk_verdict(dom, gamma=1.0):
     picks = smooth[:: max(1, smooth.size // 16)][:16]
     err = 0.0
     for i in picks:
-        val, flagged = vf_boundary(dom, table.sample(int(i)).point, f,
+        val, flagged = vf_boundary(dom, table.point(int(i)), f,
                                    lam=float(table.lam[i]))
         if not flagged:
             err = max(err, abs(val - gamma * float(table.phi[i])))

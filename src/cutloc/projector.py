@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .arcs import arc_runs
 from .quadrature import golden_min_vec
 
 __all__ = ["Projection", "CurveProjector", "cyclic_dist"]
@@ -45,10 +46,6 @@ class CurveProjector:
         self.sites = curve.dense_sites(m)
         self.length = curve.length
         self.spacing = self.sites.spacing
-        # per-arc parameter step of the site table: the refinement bracket
-        # (every arc holds at least 8 consecutive sites)
-        first = np.searchsorted(self.sites.arc_index, np.arange(len(curve.arcs)))
-        self._dparam = self.sites.params[first + 1] - self.sites.params[first]
 
     def project(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -59,7 +56,8 @@ class CurveProjector:
         """Projection of (n, 2) points seeded by their nearest-site indices."""
         arc_index = self.sites.arc_index[idx]
         seed = self.sites.params[idx]
-        param = refine_on_arcs(self.curve, points, arc_index, seed, self._dparam)
+        param = refine_on_arcs(self.curve, points, arc_index, seed,
+                               self.sites.dparam)
         g = self.curve.geometry(arc_index, param)
         dist = np.linalg.norm(points - g.position, axis=1)
         return Projection(point=g.position, dist=dist, s=g.s,
@@ -83,19 +81,17 @@ def refine_on_arcs(curve, points, arc_index, seed_param, dparam, half_width=None
     half = dparam[arc_index] if half_width is None else half_width
     lo = np.maximum(seed_param - half, t0[arc_index])
     hi = np.minimum(seed_param + half, t1[arc_index])
-    members = {}
-    for a in np.unique(arc_index):
-        members.setdefault(type(arcs[a]), []).append(a)
+    classes = list(dict.fromkeys(type(arc) for arc in arcs))
+    arc_class = np.array([classes.index(type(arc)) for arc in arcs])
     param = np.empty(seed_param.size)
-    for cls, used in members.items():
-        m = np.isin(arc_index, used)
-        which = np.searchsorted(used, arc_index[m])
-        point = cls.batch_point([arcs[a] for a in used], which)
-        pts = points[m]
+    for c, rows in arc_runs(arc_class[arc_index]):
+        used, which = np.unique(arc_index[rows], return_inverse=True)
+        point = classes[c].batch_point([arcs[a] for a in used], which)
+        pts = points[rows]
 
         def dist2(p, point=point, pts=pts):
             delta = point(p) - pts
             return np.einsum("ij,ij->i", delta, delta)
 
-        param[m], _ = golden_min_vec(dist2, lo[m], hi[m])
+        param[rows], _ = golden_min_vec(dist2, lo[rows], hi[rows])
     return param

@@ -161,7 +161,7 @@ def refine_max_curvature(table):
         if kappa[j] > table.kappa[i]:
             a, t = int(sites.arc_index[j]), float(sites.params[j])
             arc = curve.arcs[a]
-            dp = table.projector._dparam[a]
+            dp = sites.dparam[a]
     lo = np.array([max(arc.t0, t - 2.0 * dp)])
     hi = np.array([min(arc.t1, t + 2.0 * dp)])
 

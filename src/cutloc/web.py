@@ -36,7 +36,8 @@ class DivergenceOperator:
     """Gradient-magnitude multiplier A with m(r) = A(r) r invertible.
 
     Monotonicity of m on [0, r_max] is checked on a 1024-point grid at
-    construction; m_inverse is a bisection to absolute tolerance 1e-12.
+    construction; m_inverse is a bisection to absolute tolerance 1e-12,
+    with the bracket grown past r_max for larger magnitudes.
     """
 
     name: str
@@ -59,18 +60,36 @@ class DivergenceOperator:
         return np.asarray(self.A(r)) * r
 
     def m_inverse(self, y, tol=1e-12):
-        """Vectorized bisection solve of m(r) = y for y >= 0."""
+        """Vectorized bisection solve of m(r) = y for y >= 0.
+
+        Each row brackets in [0, r_max]; a row with y above m(r_max)
+        doubles its upper end until m reaches y.  Raises
+        OperatorRangeError when m stops being finite or increasing there,
+        or when the bracket grows past the float resolution of tol.
+        """
         y = np.asarray(y, dtype=float)
         scalar = y.ndim == 0
         y = np.atleast_1d(y)
         if np.any(y < -1e-15):
             raise OperatorRangeError("m_inverse needs nonnegative input")
-        top = float(self.m(np.array([self.r_max]))[0])
-        if np.any(y > top * (1.0 + 1e-12)):
-            raise OperatorRangeError(
-                f"magnitude {float(np.max(y)):.6g} above m(r_max) = {top:.6g}")
         lo = np.zeros_like(y)
         hi = np.full_like(y, self.r_max)
+        r = self.r_max
+        m_r = float(self.m(np.array([r]))[0])
+        grow = y > m_r
+        while np.any(grow):
+            if np.spacing(2.0 * r) > tol:
+                raise OperatorRangeError(
+                    f"magnitude {float(np.max(y)):.6g} above m({r:g}) = "
+                    f"{m_r:.6g}; bisection to {tol:g} cannot resolve larger r")
+            r *= 2.0
+            m_next = float(self.m(np.array([r]))[0])
+            if not (np.isfinite(m_next) and m_next > m_r):
+                raise OperatorRangeError(
+                    f"m(r) = A(r) r is not finite and increasing at r = {r:g}")
+            m_r = m_next
+            hi[grow] = r
+            grow &= y > m_r
         for _ in range(200):
             if np.max(hi - lo) <= tol:
                 break
@@ -287,7 +306,7 @@ def partial_web_report(dom, gamma_arc=None, op=None,
     else:
         sm_idx = np.flatnonzero(smooth)
         i_tab = sm_idx[i_best]
-        y0 = table.sample(int(i_tab)).point
+        y0 = table.point(int(i_tab))
         k0 = float(table.kappa[i_tab])
         lam0 = cut_value(curve, y0, projector=dom.projector, tol=dom.tol)
         notes.append("curvature argmax lies outside gamma; anchoring at the "

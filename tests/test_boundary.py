@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from cutloc import from_spec
+from cutloc import corner_sum, from_spec
 from cutloc._kernels import inside_polygon
-from cutloc.arcs import SegmentArc
-from cutloc.boundary import BoundaryCurve, _polyline_self_intersects
+from cutloc.arcs import Arc, SegmentArc
+from cutloc.boundary import (DEFAULT_ANGLE_TOL, BoundaryCurve,
+                             _polyline_self_intersects)
 from cutloc.errors import ConstructionError
+from cutloc.integrals import ROT_CCW
 from cutloc.projector import CurveProjector
 
 POLYGON = {"type": "rounded_polygon", "sides": 96, "side_length": 0.2,
@@ -220,3 +222,110 @@ def test_self_crossing_curve_is_rejected():
     arcs = [SegmentArc(v[i], v[(i + 1) % 4]) for i in range(4)]
     with pytest.raises(ConstructionError, match="self-intersects"):
         BoundaryCurve(arcs)
+
+
+GROUPED = {
+    "polygon": POLYGON,
+    # rotation wraps every arc in a TransformedArc: the per-arc fallback
+    "rotated_7gon": {"type": "rounded_polygon", "sides": 7, "side_length": 1.0,
+                     "corner_radius": 0.1, "rotation": 0.4},
+    "stadium": {"type": "stadium", "cap_radius": 1.0, "straight_length": 2.0},
+    "square": {"type": "square", "side": 2.0},
+}
+_GEOM_FIELDS = ("arc_index", "param", "s", "position", "tangent", "normal",
+                "curvature", "speed")
+
+
+@pytest.mark.parametrize("name", sorted(GROUPED))
+def test_arc_grouping_matches_row_at_a_time(name):
+    curve = from_spec(GROUPED[name])
+    rng = np.random.default_rng(5)
+    n = 400
+    arc_index = rng.integers(0, len(curve.arcs), n)
+    t0 = np.array([arc.t0 for arc in curve.arcs])[arc_index]
+    t1 = np.array([arc.t1 for arc in curve.arcs])[arc_index]
+    param = t0 + rng.uniform(0.0, 1.0, n) * (t1 - t0)
+    rows = [slice(i, i + 1) for i in range(n)]
+
+    g = curve.geometry(arc_index, param)
+    ones = [curve.geometry(arc_index[r], param[r]) for r in rows]
+    for field in _GEOM_FIELDS:
+        assert np.array_equal(getattr(g, field),
+                              np.concatenate([getattr(o, field) for o in ones]))
+    assert np.array_equal(
+        curve.param_to_s(arc_index, param),
+        np.concatenate([curve.param_to_s(arc_index[r], param[r])
+                        for r in rows]))
+    s = rng.uniform(-curve.length, 2.0 * curve.length, n)
+    aidx, t = curve.s_to_param(s)
+    ones = [curve.s_to_param(s[r]) for r in rows]
+    assert np.array_equal(aidx, np.concatenate([o[0] for o in ones]))
+    assert np.array_equal(t, np.concatenate([o[1] for o in ones]))
+    batch = Arc.batch_point(curve.arcs, arc_index)(param)
+    assert np.array_equal(batch, np.concatenate(
+        [curve.arcs[arc_index[i]].point(param[r]) for i, r in enumerate(rows)]))
+
+    empty = curve.geometry(np.zeros(0, dtype=int), np.zeros(0))
+    assert empty.n == 0 and empty.position.shape == (0, 2)
+    assert curve.s_to_param(np.zeros(0))[1].size == 0
+
+
+def _per_junction(curve, angle_tol=DEFAULT_ANGLE_TOL):
+    """Reference: (corners, corner sum), one junction at a time.
+
+    Corners as (junction, angle, convex, position, nu_minus, nu_plus);
+    the corner sum from each junction's arc velocities.
+    """
+    arcs = curve.arcs
+    n = len(arcs)
+    corners = []
+    pos = np.empty((n, 2))
+    dnu = np.empty((n, 2))
+    for j in range(n):
+        cur, nxt = arcs[j], arcs[(j + 1) % n]
+        nu_m = curve.geometry([j], [cur.t1]).normal[0]
+        nu_p = curve.geometry([(j + 1) % n], [nxt.t0]).normal[0]
+        cross = nu_m[0] * nu_p[1] - nu_m[1] * nu_p[0]
+        dot = nu_m[0] * nu_p[0] + nu_m[1] * nu_p[1]
+        ang = float(np.arctan2(cross, dot))
+        pos[j] = cur.point(np.array([cur.t1]))[0]
+        if abs(ang) > angle_tol:
+            corners.append((j, ang, bool(cross > 0), pos[j], nu_m, nu_p))
+        v0 = cur.velocity(np.array([cur.t1]))[0]
+        v1 = nxt.velocity(np.array([nxt.t0]))[0]
+        t0 = v0 / np.linalg.norm(v0)
+        t1 = v1 / np.linalg.norm(v1)
+        dnu[j] = np.array([t1[1], -t1[0]]) - np.array([t0[1], -t0[0]])
+    return corners, float(np.sum(pos * (dnu @ ROT_CCW.T)))
+
+
+@pytest.mark.parametrize("name", SHAPES + ("polygon", "rotated_7gon"))
+def test_junction_table_matches_per_junction(curves, name):
+    if name in GROUPED:
+        curve = from_spec(GROUPED[name])
+    else:
+        curve = curves(name)
+    ref_corners, ref_sum = _per_junction(curve)
+    got = curve.detect_corners()
+    assert len(got) == len(ref_corners)
+    for c, (j, ang, convex, pos, nu_m, nu_p) in zip(got, ref_corners):
+        assert (c.junction, c.angle, c.convex) == (j, ang, convex)
+        assert np.array_equal(c.position, pos)
+        assert np.array_equal(c.nu_minus, nu_m)
+        assert np.array_equal(c.nu_plus, nu_p)
+        assert np.array_equal(c.delta_nu, nu_p - nu_m)
+    if name in ("polygon", "rotated_7gon"):
+        assert corner_sum(curve) == pytest.approx(ref_sum, rel=0, abs=1e-15)
+    else:
+        assert corner_sum(curve) == ref_sum
+
+
+def test_detect_corners_evaluates_the_curve_twice():
+    curve = from_spec(POLYGON)
+    calls = []
+    geometry = curve.geometry
+    curve.geometry = lambda *args: calls.append(1) or geometry(*args)
+    curve.detect_corners()
+    curve.detect_corners(angle_tol=1e-3)
+    corner_sum(curve)
+    assert len(calls) == 2

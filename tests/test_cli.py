@@ -112,6 +112,18 @@ def test_web_report(capsys):
     assert doc["hprime0"] == pytest.approx(-0.5 ** (1 / 3), abs=1e-9)
 
 
+@pytest.mark.parametrize("operator, expect", [("laplace", -20.0),
+                                              ("plap:4", -20.0 ** (1 / 3))])
+def test_web_large_circle(capsys, operator, expect):
+    # |g(0)| = R/2 = 20 lies above m(16): the bracket has to grow
+    code, out, _ = _run(capsys, ["web", "--shape",
+                                 '{"type": "circle", "radius": 40.0}',
+                                 "--samples", "256", "--operator", operator])
+    assert code == 0
+    assert json.loads(out)["hprime0"] == pytest.approx(expect, rel=0,
+                                                       abs=1e-9)
+
+
 def test_web_gamma_arc_violation(capsys):
     code, out, _ = _run(capsys, ["web", "--shape",
                                  '{"type": "ellipse", "a": 2.0, "b": 1.0}',

@@ -39,7 +39,7 @@ def test_cut_value_matches_table_row(curves, tables):
         curve = curves(name)
         table = tables(name)
         for i in np.flatnonzero(table.smooth())[::256]:
-            lam = cut_value(curve, table.sample(i).point)
+            lam = cut_value(curve, table.point(i))
             assert lam == pytest.approx(table.lam[i], rel=0, abs=1e-12)
 
 
@@ -112,6 +112,28 @@ def test_square_corner_zone(curves):
     assert np.all(table.corner_zone)
     assert np.all(table.lam == 0.0)
     assert np.all(table.phi == 0.0)
+
+
+def test_cut_value_follows_corner_zone_rule(curves):
+    # one cut_table row: 0 inside the 10 tol corner zone, the table's value
+    # everywhere else
+    square = curves("square")
+    for s in square.corner_arclengths():
+        assert cut_value(square, float(s)) == 0.0
+    for name in ("square", "union"):
+        curve = curves(name)
+        tol = 1e-6 * curve.extent
+        corner_s = curve.corner_arclengths()
+        near = (corner_s[:, None] + tol * np.array([-20, -9, -2, 0, 3, 9, 20])
+                ).ravel()
+        s = np.concatenate([near, np.linspace(0.0, curve.length, 24,
+                                              endpoint=False)])
+        table = cut_table(curve, samples=curve.geometry_at_s(s))
+        assert table.corner_zone.any() and not table.corner_zone.all()
+        for i in range(len(table)):
+            lam = cut_value(curve, table.point(i), projector=table.projector,
+                            tol=table.tol)
+            assert lam == table.lam[i]
 
 
 def test_stadium_cut_values(tables):

@@ -65,7 +65,7 @@ def test_refine_by_arc_class_matches_per_arc_search(name):
     idx, _ = _kernels.nearest_site(points, sites.points)
     arc_index = sites.arc_index[idx]
     seed = sites.params[idx]
-    dparam = projector._dparam
+    dparam = projector.sites.dparam
     got = refine_on_arcs(curve, points, arc_index, seed, dparam)
     assert np.array_equal(got, _refine_per_arc(curve, points, arc_index,
                                                seed, dparam))
