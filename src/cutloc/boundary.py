@@ -26,9 +26,9 @@ DEFAULT_ANGLE_TOL = 1e-7   # radians; junctions turning less are treated as C1
 _TABLE_NODES = 65536       # fixed arclength-table resolution; a single
                            # size keeps every query independent of what
                            # was computed on the curve before
-# point or segment pairs per chunk of an all-pairs pass (shrinking-ball cut
-# values, curve validation, diameter): each float temporary stays about
-# 1 MB, small enough to stay in cache
+# point or segment pairs per chunk of an all-pairs pass that is not a
+# nearest-site scan (curve validation, diameter): each float temporary
+# stays about 1 MB, small enough to stay in cache
 _PAIR_CHUNK = 131_072
 
 

@@ -21,8 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import _PAIR_CHUNK, BoundaryPoint
-from .errors import DegenerateRayError, InapplicableError
+from ._kernels import _PAIR_BUDGET
+from .boundary import BoundaryPoint
+from .errors import (ConfigurationError, DegenerateRayError,
+                     InapplicableError)
 from .projector import CurveProjector, cyclic_dist, refine_on_arcs
 
 __all__ = [
@@ -108,16 +110,17 @@ def _ball_cut(sites, pos, nrm, s, accept, length):
     t > |y-z|^2 / (2 <y-z, nu>); returns the smallest such depth over the
     sites outside the arclength window `accept` with <y-z, nu> > 0 (inf
     when no site competes) and the index of the site that attains it.
-    One chunked pass over the sites.
+    One pass over the sites, in chunks of samples holding at most
+    _PAIR_BUDGET (sample, site) pairs.
     """
     sx, sy = sites.points[:, 0], sites.points[:, 1]
     m = sites.s.size
     best = np.empty(s.size)
     arg = np.empty(s.size, dtype=int)
-    chunk = max(1, min(s.size, _PAIR_CHUNK // max(m, 1)))
-    # one set of work arrays for all chunks: fresh ~1 MB temporaries per
-    # chunk go back to the system (malloc's mmap and trim thresholds) and
-    # are faulted in again on every chunk
+    chunk = max(1, min(s.size, _PAIR_BUDGET // max(m, 1)))
+    # one set of work arrays for all chunks: fresh temporaries per chunk go
+    # back to the system (malloc's mmap and trim thresholds) and are faulted
+    # in again on every chunk
     work = np.empty((6, chunk, m))
     flags = np.empty((2, chunk, m), dtype=bool)
     for a in range(0, s.size, chunk):
@@ -221,8 +224,10 @@ def _cut_values(curve, geom, projector, tol, accept, active):
     lam = min(depth, cap) with cap = min(1/kappa+, extent), where depth is
     the shrinking-ball depth against the projector's site table, or a
     bisection on cut_predicate when the projector has none.  `active`
-    masks samples to solve; inactive rows come back 0.  Raises
-    DegenerateRayError when an active sample's depth is below tol.
+    masks samples to solve; inactive rows come back 0.  An active sample
+    whose depth is below tol raises ConfigurationError on a curve without
+    corners (the absolute tolerance exceeds a cut value: the shape is too
+    thin for it) and DegenerateRayError otherwise.
     """
     n = geom.s.size
     lam = np.zeros(n)
@@ -247,9 +252,14 @@ def _cut_values(curve, geom, projector, tol, accept, active):
     bad = depth < tol
     if np.any(bad):
         i = int(np.argmax(bad))
+        where = (f"inward ray at s={s[i]:.6g} loses its base point at depth "
+                 f"{depth[i]:.6g}, below the absolute tolerance tol={tol:.6g}")
+        if not curve.corner_arclengths().size:
+            raise ConfigurationError(
+                f"{where}; the shape is too thin for this tolerance")
         raise DegenerateRayError(
-            f"inward ray at s={s[i]:.6g} loses its base point at depth tol; "
-            "sample sits next to a corner")
+            f"{where}; the sample sits next to a corner or in a part "
+            "thinner than tol")
     lam[rows] = np.minimum(depth, cap)
     focal[rows] = depth >= cap
     return lam, focal

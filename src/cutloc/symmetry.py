@@ -176,9 +176,11 @@ def refine_max_curvature(table):
 def criterion_report(dom, phi_slack=None, constancy_tol=1e-3):
     """Assemble the ball-characterization report of a Domain.
 
-    phi_slack defaults to 1e-4 * diameter; constancy_tol is the relative
-    phi-spread threshold for the constant-phi route.  lambda(y0) comes
-    from the domain's projector and tolerance.
+    phi_slack defaults to 1e-4 * |Omega|/|boundary|, the quantity the phi
+    hypothesis compares against (a slack scaled by the diameter exceeds
+    the ratio itself on slender domains and makes the hypothesis vacuous).
+    constancy_tol is the relative phi-spread threshold for the constant-phi
+    route.  lambda(y0) comes from the domain's projector and tolerance.
     """
     table = dom.table
     smooth = table.smooth()
@@ -187,10 +189,9 @@ def criterion_report(dom, phi_slack=None, constancy_tol=1e-3):
         raise ConfigurationError(
             f"only {n_smooth} smooth samples; need at least 64")
 
-    diam = dom.diameter
-    if phi_slack is None:
-        phi_slack = 1e-4 * diam
     ratio = dom.ratio
+    if phi_slack is None:
+        phi_slack = 1e-4 * ratio
     y0, H_max = dom.y0, dom.H_max
     lam0 = dom.lambda_y0
     phi0 = float(phi_closed(lam0, H_max))
@@ -238,7 +239,7 @@ def criterion_report(dom, phi_slack=None, constancy_tol=1e-3):
         hypothesis_H=hyp_H, hypothesis_phi=hyp_phi, phi_constancy=constancy,
         basic_bound_max=basic, corner_status=corner_status,
         starshaped=bool(starshaped), verdict=verdict, note="; ".join(notes),
-        diameter=diam, phi_slack=float(phi_slack),
+        diameter=dom.diameter, phi_slack=float(phi_slack),
         constancy_tol=float(constancy_tol), samples_used=len(table))
 
 

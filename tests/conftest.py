@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,27 @@ SPECS = {
     "union": {"type": "union_disks", "radius": 2.0, "half_distance": 1.0},
     "fourier": {"type": "fourier", "a0": 1.0, "cos": [0.0, 0.0, 0.1]},
 }
+
+
+def traced_peak_mb(fn, *args):
+    """Peak traced allocation of fn(*args) above its entry, in MB (2^20 B).
+
+    numpy registers its buffers with tracemalloc, so array temporaries are
+    measured in process: no RSS noise, and no dependence on the memory the
+    interpreter and its imports already hold.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        if started:
+            tracemalloc.stop()
+
 
 _curves = {}
 _tables = {}

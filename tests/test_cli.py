@@ -221,6 +221,8 @@ BAD_SHAPES = {
     "string-modes": '{"type": "fourier", "a0": 1.0, "sin": "0.1"}',
     "huge-axes": '{"type": "ellipse", "a": 1e300, "b": 1e300}',
     "tiny-axes": '{"type": "ellipse", "a": 1e-300, "b": 1e-300}',
+    # the absolute tol (1e-6 * extent = 200) exceeds every cut value
+    "slender-axes": '{"type": "ellipse", "a": 1e8, "b": 1.0}',
     "fractional-sides": '{"type": "rounded_polygon", "sides": 3.5, '
                         + _POLYGON + '}',
     "string-sides": '{"type": "rounded_polygon", "sides": "4", '

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cutloc import cut_table, cut_value, focal_check, max_lambda_kappa, phi
+from cutloc import (ConfigurationError, cut_table, cut_value, focal_check,
+                    from_spec, max_lambda_kappa, phi)
 from cutloc.cutlocus import _ball_cut, lambda_lipschitz
 from cutloc.distfield import FieldProjector
 from cutloc.projector import CurveProjector, cyclic_dist
@@ -67,8 +68,9 @@ def _ball_cut_fresh_arrays(sites, pos, nrm, s, accept, length):
 def test_ball_cut_reuses_work_arrays_exactly(curves, name):
     curve = curves(name)
     sites = CurveProjector(curve).sites
-    # 1, a partial chunk and several chunks with a short last one
-    for n in (1, 20, 1000):
+    # 1, a partial chunk and several chunks with a short last one; the
+    # reference cuts other chunks, so the rows do not depend on the cut
+    for n in (1, 5, 20, 1000):
         g = curve.resample_struct(n)
         args = (sites, g.position, g.normal, g.s, 3.0 * sites.spacing,
                 curve.length)
@@ -134,6 +136,14 @@ def test_cut_value_follows_corner_zone_rule(curves):
             lam = cut_value(curve, table.point(i), projector=table.projector,
                             tol=table.tol)
             assert lam == table.lam[i]
+
+
+def test_tolerance_above_every_cut_value_is_rejected():
+    # tol = 1e-6 * extent = 200 on a smooth curve whose cut values are at
+    # most b = 1: no corner is to blame, the tolerance is
+    curve = from_spec({"type": "ellipse", "a": 1e8, "b": 1.0})
+    with pytest.raises(ConfigurationError, match="tolerance tol=200"):
+        cut_table(curve, n=256)
 
 
 def test_stadium_cut_values(tables):

@@ -1,6 +1,8 @@
 import numpy as np
 
+from conftest import traced_peak_mb
 from cutloc import _kernels, from_spec
+from cutloc.cutlocus import _ball_cut
 from cutloc.distfield import GridSpec
 from cutloc.projector import CurveProjector
 
@@ -106,6 +108,49 @@ def test_gap_flag_flat_profile_at_circle_centre(curves):
     flag = _assert_gap_matches(queries, proj.sites.points, proj.sites.s,
                                proj.length, 0.5, 1e-2, np.empty(0))
     assert list(flag) == [True, True, False]
+
+
+def _grid_gap_args(curve, nx):
+    proj = CurveProjector(curve, m=4096)
+    grid = GridSpec.from_curve(curve, nx=nx)
+    return (grid.centers(), proj.sites.points, proj.sites.s, proj.length,
+            10.0 * grid.h, 2.0 * grid.h, curve.corner_arclengths())
+
+
+def test_gap_scan_result_does_not_depend_on_the_pair_budget(curves,
+                                                            monkeypatch):
+    # budget 1: every pruning strip and every scan run holds one query
+    for name in ("square", "ellipse"):
+        args = _grid_gap_args(curves(name), 48)
+        default = _kernels.nearest_site_gap(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, "_PAIR_BUDGET", 1)
+            single = _kernels.nearest_site_gap(*args)
+        assert np.count_nonzero(default[2]) > 0
+        for got, want in zip(single, default):
+            assert np.array_equal(got, want)
+
+
+def test_gap_scan_memory_is_bounded_by_the_pair_budget(curves):
+    # near the circle's centre every block is kept, and a run sized for
+    # that worst case everywhere would hold over 1M distances per temporary
+    args = _grid_gap_args(curves("circle"), 96)
+    assert traced_peak_mb(_kernels.nearest_site_gap, *args) <= 12.0
+
+
+def test_ball_pass_memory_is_bounded_by_the_pair_budget(curves):
+    curve = curves("stadium")
+    proj = CurveProjector(curve, m=4096)
+    g = curve.resample_struct(2048)
+    peak = traced_peak_mb(_ball_cut, proj.sites, g.position, g.normal, g.s,
+                          3.0 * proj.spacing, curve.length)
+    assert peak <= 4.0
+
+
+def test_projection_memory_is_bounded_by_the_pair_budget(curves):
+    proj = CurveProjector(curves("ellipse"), m=4096)
+    points = np.random.default_rng(3).uniform(-2.5, 2.5, size=(10_000, 2))
+    assert traced_peak_mb(proj.project, points) <= 20.0
 
 
 def test_inside_polygon_matches_winding_number(curves):

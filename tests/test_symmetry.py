@@ -54,6 +54,17 @@ def test_ellipse_verdict(domains):
     assert "phi" in rep.note
 
 
+def test_slender_ellipse_is_not_a_ball(domains):
+    # 1e-4 * diameter (1.0) exceeds |Omega|/|boundary| (0.785): a slack
+    # scaled by the diameter would let any phi(y0) pass
+    curve = from_spec({"type": "ellipse", "a": 5000.0, "b": 1.0})
+    rep = criterion_report(Domain(cut_table(curve, n=256)))
+    assert not rep.hypothesis_phi
+    assert rep.verdict == "hypotheses-not-met"
+    assert rep.phi_slack == pytest.approx(1e-4 * rep.ratio, rel=1e-12)
+    assert criterion_report(domains("circle")).verdict == "ball"
+
+
 def test_square_verdict(domains):
     rep = criterion_report(domains("square"))
     assert rep.corner_status == "convex-only"
