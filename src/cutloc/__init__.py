@@ -26,8 +26,8 @@ from .mk import (MKSolution, complementarity_max, mk_verdict,
                  weak_form_check)
 from .projector import CurveProjector, Projection
 from .shapes import from_spec, load_shape
-from .symmetry import (SymmetryReport, criterion_report, f_max_bruteforce,
-                       f_value, inequality_chain_check)
+from .symmetry import (SymmetryReport, criterion_report, f_value,
+                       inequality_chain_check)
 from .web import (DivergenceOperator, PartialWebReport, WebProfile,
                   flux_identity_residual, laplace, parse_operator,
                   partial_web_report, plap, profile_checks, web_profile)
@@ -75,7 +75,6 @@ __all__ = [
     "cut_value",
     "divergence_area_residual",
     "eikonal_max_deviation",
-    "f_max_bruteforce",
     "f_value",
     "flux_identity_residual",
     "focal_check",

@@ -103,7 +103,7 @@ class _Geom:
 class BoundaryCurve:
     """Closed CCW chain of arcs with cached arclength tables."""
 
-    def __init__(self, arcs, closure_tol=None, validate=True):
+    def __init__(self, arcs):
         if not arcs:
             raise ConstructionError("need at least one arc")
         self.arcs = list(arcs)
@@ -117,11 +117,7 @@ class BoundaryCurve:
         self._extent = float(np.hypot(hi[0] - lo[0], hi[1] - lo[1]))
         if not self._extent > 0:
             raise ConstructionError("curve has zero extent")
-        if closure_tol is None:
-            closure_tol = 1e-9 * self._extent
-        self.closure_tol = closure_tol
-        if validate:
-            self._validate()
+        self._validate()
 
     # ------------------------------------------------------------ validation
 
@@ -137,7 +133,7 @@ class BoundaryCurve:
         for i, arc in enumerate(self.arcs):
             nxt = self.arcs[(i + 1) % n]
             miss = np.linalg.norm(arc.end - nxt.start)
-            if miss > self.closure_tol:
+            if miss > 1e-9 * self._extent:
                 raise ConstructionError(
                     f"arcs {i} and {(i + 1) % n} fail to chain: gap {miss:.3e}")
         for i, arc in enumerate(self.arcs):
@@ -346,13 +342,13 @@ class BoundaryCurve:
                            angle=float(jt.angle[j]), convex=bool(jt.convex[j]))
                 for j in np.flatnonzero(np.abs(jt.angle) > angle_tol)]
 
-    def corner_arclengths(self, angle_tol=DEFAULT_ANGLE_TOL):
+    def corner_arclengths(self):
         jt = self.junctions
-        return jt.s[np.abs(jt.angle) > angle_tol]
+        return jt.s[np.abs(jt.angle) > DEFAULT_ANGLE_TOL]
 
-    def check_starshaped(self, n=2048):
-        """(flag, min <y, nu>) over an arclength sampling; origin-dependent."""
-        g = self.resample_struct(n)
+    def check_starshaped(self):
+        """(flag, min <y, nu>) over 2048 arclength samples; origin-dependent."""
+        g = self.resample_struct(2048)
         support = np.sum(g.position * g.normal, axis=1)
         m = float(np.min(support))
         return bool(m > 0.0), m

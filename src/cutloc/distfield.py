@@ -2,9 +2,9 @@
 
 The singular set Sigma (points with ambiguous nearest boundary point) is
 flagged through the multiplicity gap: second-best site distance, taken over
-local minima of the per-cell distance sequence at least min_sep away in
-arclength, minus the best.  Cells with gap <= sigma_threshold (default 2h)
-are flagged; the flagged area should shrink like h for curve-like Sigma.
+local minima of the per-cell distance sequence at least 10h away in
+arclength, minus the best.  Cells with gap <= 2h are flagged; the flagged
+area should shrink like h for curve-like Sigma.
 Nearest site and flag come from one block-pruned scan of the site table
 (``_kernels.nearest_site_gap``); insideness from an even-odd scanline test
 per grid row (``_kernels.inside_polygon``).
@@ -58,7 +58,7 @@ class GridSpec:
         return np.column_stack([gx.ravel(), gy.ravel()])
 
     @staticmethod
-    def from_curve(curve, nx=256, ny=None, margin=None):
+    def from_curve(curve, nx=256, ny=None):
         """Box = curve bbox + margin, then expanded to square cells.
 
         The margin must cover at least 2h so boundary stencils stay in-box.
@@ -67,8 +67,7 @@ class GridSpec:
             ny = nx
         x0, x1, y0, y1 = curve.bbox
         w, ht = x1 - x0, y1 - y0
-        if margin is None:
-            margin = max(0.05 * max(w, ht), 2.5 * max(w, ht) / (min(nx, ny) - 5))
+        margin = max(0.05 * max(w, ht), 2.5 * max(w, ht) / (min(nx, ny) - 5))
         bw, bh = w + 2 * margin, ht + 2 * margin
         h = max(bw / nx, bh / ny)
         cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
@@ -79,13 +78,11 @@ class GridSpec:
         return spec
 
     @staticmethod
-    def with_h(curve, h, margin=None):
+    def with_h(curve, h):
         """Box = curve bbox + margin at an exact cell size h."""
         x0, x1, y0, y1 = curve.bbox
         w, ht = x1 - x0, y1 - y0
-        if margin is None:
-            margin = max(0.05 * max(w, ht), 3.0 * h)
-        margin = max(margin, 2.5 * h)
+        margin = max(0.05 * max(w, ht), 3.0 * h)
         nx = max(int(np.ceil((w + 2 * margin) / h)), 16)
         ny = max(int(np.ceil((ht + 2 * margin) / h)), 16)
         cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
@@ -103,8 +100,6 @@ class DistanceField:
     focal_mask: np.ndarray        # (ny, nx) bool, d within pad of 1/kappa
     nearest_arc: np.ndarray       # (ny, nx) int
     nearest_param: np.ndarray     # (ny, nx)
-    sigma_threshold: float
-    min_sep: float
     projector: CurveProjector
 
     def signed(self):
@@ -112,32 +107,26 @@ class DistanceField:
         return np.where(self.inside, self.d, -self.d)
 
 
-def build_distance_field(curve, grid=None, nx=256, m=4096, margin=None,
-                         sigma_threshold=None, min_sep=None):
+def build_distance_field(curve, grid, m=4096):
     """Distance field on a grid around the curve.
 
     For each cell center: nearest of ~m dense boundary sites, with the
-    thresholded multiplicity gap, from a block-pruned scan that returns
-    the brute scan's result bit for bit; then golden-section refinement
-    on the owning arc to parameter tolerance 1e-10.
+    multiplicity gap (local minima at least 10h away) thresholded at 2h,
+    from a block-pruned scan that returns the brute scan's result bit for
+    bit; then golden-section refinement on the owning arc to parameter
+    tolerance 1e-10.
     """
-    if grid is None:
-        grid = GridSpec.from_curve(curve, nx=nx, margin=margin)
     h = grid.h
     x0, x1, y0, y1 = curve.bbox
     if (x0 < grid.xmin + h or x1 > grid.xmin + grid.nx * h - h
             or y0 < grid.ymin + h or y1 > grid.ymin + grid.ny * h - h):
         raise ConstructionError(
             "grid box does not contain the curve (one-cell margin required)")
-    if sigma_threshold is None:
-        sigma_threshold = 2.0 * h
-    if min_sep is None:
-        min_sep = 10.0 * h
     proj = CurveProjector(curve, m=m)
     centers = grid.centers()
     idx, _, ambiguous = _kernels.nearest_site_gap(
-        centers, proj.sites.points, proj.sites.s, proj.length, min_sep,
-        sigma_threshold, curve.corner_arclengths())
+        centers, proj.sites.points, proj.sites.s, proj.length, 10.0 * h,
+        2.0 * h, curve.corner_arclengths())
     p = proj.project_from_sites(centers, idx)
     poly = curve.winding_polygon(max(2048, m // 2))
     shape = (grid.ny, grid.nx)
@@ -157,8 +146,7 @@ def build_distance_field(curve, grid=None, nx=256, m=4096, margin=None,
         grid=grid, curve=curve, d=d, inside=inside, sigma_mask=sigma,
         focal_mask=focal,
         nearest_arc=p.arc_index.reshape(shape),
-        nearest_param=p.param.reshape(shape), sigma_threshold=sigma_threshold,
-        min_sep=min_sep, projector=proj)
+        nearest_param=p.param.reshape(shape), projector=proj)
     for arr in (field.d, field.inside, field.sigma_mask, field.focal_mask,
                 field.nearest_arc, field.nearest_param):
         arr.setflags(write=False)

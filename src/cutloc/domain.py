@@ -124,6 +124,15 @@ class Domain:
         """|Omega| / |boundary|."""
         return self.area / self.perimeter
 
+    @property
+    def phi_slack(self):
+        """Slack of the phi hypothesis phi(y0) >= ratio - phi_slack.
+
+        1e-4 of the ratio itself: a slack scaled by the diameter exceeds
+        the ratio on slender domains and makes the hypothesis vacuous.
+        """
+        return 1e-4 * self.ratio
+
     @cached_property
     def diameter(self):
         return diameter(self.curve)

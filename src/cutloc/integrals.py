@@ -88,31 +88,32 @@ def _curvature_support_row(arc, t):
     return kappa_speed * (p[:, 0] * v[:, 1] - p[:, 1] * v[:, 0]) / np.sqrt(speed2)
 
 
-def perimeter(curve, tol=None):
+def _length_tol(curve):
+    """Absolute quadrature tolerance of a length-dimensioned integral."""
+    return 1e-10 * max(1.0, curve.extent)
+
+
+def perimeter(curve):
     """Boundary length by per-arc adaptive quadrature of |Y'|."""
-    if tol is None:
-        tol = 1e-10 * max(1.0, curve.extent)
-    val, _ = _arc_batch_integral(curve, _speed_row, tol)
+    val, _ = _arc_batch_integral(curve, _speed_row, _length_tol(curve))
     return val
 
 
-def area(curve, tol=None):
+def area(curve):
     """Enclosed area via the divergence theorem, (1/2) oint <y, nu> ds."""
-    if tol is None:
-        tol = 1e-10 * max(1.0, curve.extent) ** 2
+    tol = 1e-10 * max(1.0, curve.extent) ** 2
     val, _ = _arc_batch_integral(curve, _shoelace_row, tol)
     return 0.5 * val
 
 
 # -------------------------------------------------------- curvature integral
 
-def minkowski_residual(curve, tol=None):
+def minkowski_residual(curve):
     """Report for oint kappa <y, nu> ds = |boundary| on smooth curves."""
     if curve.detect_corners():
         raise InapplicableError(
             "curve has corners; use minkowski_residual_corners")
-    if tol is None:
-        tol = 1e-10 * max(1.0, curve.extent)
+    tol = _length_tol(curve)
     lhs, n1 = _arc_batch_integral(curve, _curvature_support_row, tol)
     rhs, n2 = _arc_batch_integral(curve, _speed_row, tol)
     return IntegralReport.from_pair(lhs, rhs, n1 + n2)
@@ -129,14 +130,13 @@ def corner_sum(curve):
     return float(np.sum(jt.position * rotated))
 
 
-def minkowski_residual_corners(curve, tol=None):
+def minkowski_residual_corners(curve):
     """Cornered identity: |boundary| = oint kappa <y,nu> ds - corner sum."""
     corners = curve.detect_corners()
     if any(not c.convex for c in corners):
         raise FormulaOutOfScopeError(
             "concave corner present; the cornered identity is out of scope")
-    if tol is None:
-        tol = 1e-10 * max(1.0, curve.extent)
+    tol = _length_tol(curve)
     smooth_part, n1 = _arc_batch_integral(curve, _curvature_support_row, tol)
     lhs = smooth_part - corner_sum(curve)
     rhs, n2 = _arc_batch_integral(curve, _speed_row, tol)

@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _DEGEN = 1e-12
+# depths eps of the tent test functions of weak_form_check
+_TENT_EPS = (0.2, 0.1, 0.05)
 
 
 class VfValue(NamedTuple):
@@ -215,9 +217,10 @@ def complementarity_max(sol):
     return float(np.max(np.abs(vals))) if vals.size else 0.0
 
 
-def weak_form_check(sol, f=None, eps_list=(0.2, 0.1, 0.05)):
-    """Tent test function psi = min(d/eps, 1): flux integral against
-    int f psi.  Returns a list of (eps, lhs, rhs, abs_err) records."""
+def weak_form_check(sol, f=None):
+    """Tent test function psi = min(d/eps, 1), eps in _TENT_EPS: flux
+    integral against int f psi.  Returns a list of (eps, lhs, rhs,
+    abs_err) records."""
     if f is None:
         f = constant(1.0)
     grid = sol.grid
@@ -226,7 +229,7 @@ def weak_form_check(sol, f=None, eps_list=(0.2, 0.1, 0.05)):
     d = sol.field.d
     fvals = np.asarray(f(grid.centers())).reshape(d.shape)
     out = []
-    for eps in eps_list:
+    for eps in _TENT_EPS:
         collar = sol.inside & (d < eps)
         lhs = float(np.sum(sol.v[collar]
                            * (gx[collar] ** 2 + gy[collar] ** 2))

@@ -13,6 +13,8 @@ __all__ = [
 ]
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0  # 1/phi
+_MAX_NODES = 4097        # most nodes per interval of simpson_doubling_vec
+_GOLDEN_ITERS = 48       # bracket shrink (1/phi)^48 ~ 9e-11
 
 
 def ray_quadrature(f, pos, nu, dist, kappa, tau):
@@ -31,12 +33,13 @@ def ray_quadrature(f, pos, nu, dist, kappa, tau):
     return (vals @ w) * (0.5 * tau) / (1.0 - dist * kappa)
 
 
-def simpson_doubling_vec(f, a, b, tol=1e-10, max_nodes=4097):
+def simpson_doubling_vec(f, a, b, tol=1e-10):
     """Composite Simpson with node doubling, vectorized over a batch of intervals.
 
     f(t) takes an (n, k) array of nodes (row i holds nodes for interval i)
     and returns same-shape values.  a, b are (n,) arrays.  Doubling stops
-    when the worst-row Richardson estimate is below tol.  Returns (n,).
+    when the worst-row Richardson estimate is below tol, or before a row
+    would exceed 4097 nodes.  Returns (n,).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -47,7 +50,7 @@ def simpson_doubling_vec(f, a, b, tol=1e-10, max_nodes=4097):
     est = _composite_simpson_rows(vals, span)
     while True:
         k2 = 2 * k - 1
-        if k2 > max_nodes:
+        if k2 > _MAX_NODES:
             return est
         tau_new = (np.arange(k - 1) + 0.5) / (k - 1)
         new_vals = f(a[:, None] + span[:, None] * tau_new[None, :])
@@ -74,7 +77,7 @@ def _composite_simpson_rows(vals, span):
     return h / 3.0 * (vals @ w)
 
 
-def golden_min_vec(f, lo, hi, iters=48):
+def golden_min_vec(f, lo, hi):
     """Golden-section minimize f over [lo, hi], vectorized.
 
     f maps an (n,) parameter array to (n,) values.  48 iterations shrink
@@ -87,7 +90,7 @@ def golden_min_vec(f, lo, hi, iters=48):
     x2 = lo + _INVPHI * (hi - lo)
     f1 = f(x1)
     f2 = f(x2)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         take_left = f1 < f2
         hi = np.where(take_left, x2, hi)
         lo = np.where(take_left, lo, x1)

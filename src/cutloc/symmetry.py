@@ -2,7 +2,7 @@
 
 Locates the maximal-curvature boundary point y0, tests the two hypotheses
 (curvature max attained at y0; phi(y0) >= |Omega|/|boundary|), verifies the
-pointwise inequality chain, and analyzes the auxiliary function f whose
+pointwise inequality chain, and evaluates the auxiliary function f whose
 maximum over the admissible cone is 1/n.
 """
 
@@ -15,14 +15,18 @@ import numpy as np
 
 from .boundary import _PAIR_CHUNK, BoundaryPoint
 from .cutlocus import _corner_zone, phi as phi_closed
-from .errors import ConfigurationError, HypothesisViolationError
+from .errors import ConfigurationError
 from .quadrature import golden_min_vec
 
 __all__ = [
-    "SymmetryReport", "ChainCheck", "f_value", "f_max_bruteforce",
-    "criterion_report", "inequality_chain_check", "refine_max_curvature",
-    "diameter",
+    "SymmetryReport", "ChainCheck", "f_value", "criterion_report",
+    "inequality_chain_check", "refine_max_curvature", "diameter",
 ]
+
+# relative phi spread at or below which the constant-phi route applies
+_CONSTANCY_TOL = 1e-3
+# relative slack of the pointwise inequality chain
+_CHAIN_TOL = 1e-9
 
 
 # ------------------------------------------------------- auxiliary function f
@@ -50,48 +54,6 @@ def f_value(x):
     """f at a single point x in R^(n-1)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return float(_f_rows(x[None, :])[0])
-
-
-def f_max_bruteforce(n, resolution=241):
-    """Grid maximum of f over {sum x >= 0} cap [-3, 1]^(n-1).
-
-    Returns (max value, argmax vector).  The theoretical maximum is 1/n at
-    the all-ones point; a violation of max <= 1/n + 1e-9 raises.
-    """
-    if n not in (2, 3, 4):
-        raise ConfigurationError("n must be 2, 3, or 4")
-    if resolution < 200:
-        raise ConfigurationError("resolution must be at least 200")
-    axis = np.linspace(-3.0, 1.0, int(resolution))
-    k = n - 1
-    best = -np.inf
-    arg = None
-    if k == 1:
-        X = axis[:, None]
-        mask = X[:, 0] >= 0.0
-        vals = _f_rows(X[mask])
-        i = int(np.argmax(vals))
-        best = float(vals[i])
-        arg = X[mask][i]
-    else:
-        tail = np.stack(np.meshgrid(*([axis] * (k - 1)), indexing="ij"),
-                        axis=-1).reshape(-1, k - 1)
-        tail_sum = np.sum(tail, axis=1)
-        for x0 in axis:
-            mask = tail_sum + x0 >= 0.0
-            if not np.any(mask):
-                continue
-            X = np.concatenate([np.full((int(mask.sum()), 1), x0),
-                                tail[mask]], axis=1)
-            vals = _f_rows(X)
-            i = int(np.argmax(vals))
-            if vals[i] > best:
-                best = float(vals[i])
-                arg = X[i]
-    if best > 1.0 / n + 1e-9:
-        raise HypothesisViolationError(
-            f"f exceeded 1/{n} on the admissible cone: {best}")
-    return best, arg
 
 
 # ----------------------------------------------------------------- reporting
@@ -173,14 +135,12 @@ def refine_max_curvature(table):
     return y0, float(-neg[0])
 
 
-def criterion_report(dom, phi_slack=None, constancy_tol=1e-3):
+def criterion_report(dom):
     """Assemble the ball-characterization report of a Domain.
 
-    phi_slack defaults to 1e-4 * |Omega|/|boundary|, the quantity the phi
-    hypothesis compares against (a slack scaled by the diameter exceeds
-    the ratio itself on slender domains and makes the hypothesis vacuous).
-    constancy_tol is the relative phi-spread threshold for the constant-phi
-    route.  lambda(y0) comes from the domain's projector and tolerance.
+    The phi hypothesis allows the domain's phi_slack; the constant-phi
+    route needs a relative phi spread of at most _CONSTANCY_TOL.  lambda(y0)
+    comes from the domain's projector and tolerance.
     """
     table = dom.table
     smooth = table.smooth()
@@ -190,14 +150,12 @@ def criterion_report(dom, phi_slack=None, constancy_tol=1e-3):
             f"only {n_smooth} smooth samples; need at least 64")
 
     ratio = dom.ratio
-    if phi_slack is None:
-        phi_slack = 1e-4 * ratio
     y0, H_max = dom.y0, dom.H_max
     lam0 = dom.lambda_y0
     phi0 = float(phi_closed(lam0, H_max))
 
     hyp_H = H_max > 0.0
-    hyp_phi = bool(phi0 >= ratio - phi_slack)
+    hyp_phi = bool(phi0 >= ratio - dom.phi_slack)
     ph = table.phi[smooth]
     mean_phi = float(np.mean(ph))
     constancy = float((np.max(ph) - np.min(ph)) / max(abs(mean_phi), 1e-300))
@@ -209,7 +167,7 @@ def criterion_report(dom, phi_slack=None, constancy_tol=1e-3):
     if corner_status == "concave-present":
         verdict = "inapplicable"
         notes.append("concave corners present")
-        if constancy <= constancy_tol:
+        if constancy <= _CONSTANCY_TOL:
             notes.append(
                 "phi is constant on the smooth part, yet the criterion "
                 "does not apply: such a domain need not be a ball")
@@ -218,7 +176,7 @@ def criterion_report(dom, phi_slack=None, constancy_tol=1e-3):
         notes.append("not starshaped with respect to the origin")
     elif corner_status == "none" and hyp_H and hyp_phi:
         verdict = "ball"
-    elif constancy <= constancy_tol:
+    elif constancy <= _CONSTANCY_TOL:
         verdict = "ball"
         notes.append("constant-phi route")
     else:
@@ -232,15 +190,15 @@ def criterion_report(dom, phi_slack=None, constancy_tol=1e-3):
             notes.append(f"phi(y0)={phi0:.6g} < ratio={ratio:.6g}")
         if hyp_phi and corner_status == "none":
             notes.append(f"phi spread {constancy:.3g} exceeds "
-                         f"{constancy_tol:.3g}")
+                         f"{_CONSTANCY_TOL:.3g}")
 
     return SymmetryReport(
         y0=y0, H_max=H_max, phi_at_y0=phi0, lambda_at_y0=lam0, ratio=ratio,
         hypothesis_H=hyp_H, hypothesis_phi=hyp_phi, phi_constancy=constancy,
         basic_bound_max=basic, corner_status=corner_status,
         starshaped=bool(starshaped), verdict=verdict, note="; ".join(notes),
-        diameter=dom.diameter, phi_slack=float(phi_slack),
-        constancy_tol=float(constancy_tol), samples_used=len(table))
+        diameter=dom.diameter, phi_slack=dom.phi_slack,
+        constancy_tol=_CONSTANCY_TOL, samples_used=len(table))
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,22 +215,19 @@ class ChainCheck:
     tol: float
 
 
-def inequality_chain_check(dom, report=None, tol=1e-9):
-    """Pointwise chain ratio H(y) <= ratio H(y0) <= phi(y0) H(y0) <= 1/2.
-
-    tol is the chain's relative slack.
-    """
-    if report is None:
-        report = criterion_report(dom)
+def inequality_chain_check(dom):
+    """Pointwise chain ratio H(y) <= ratio H(y0) <= phi(y0) H(y0) <= 1/2,
+    each link with relative slack _CHAIN_TOL."""
+    report = criterion_report(dom)
     table = dom.table
     smooth = table.smooth()
-    slack = tol * max(1.0, abs(report.H_max)) * max(1.0, report.ratio)
+    slack = _CHAIN_TOL * max(1.0, abs(report.H_max)) * max(1.0, report.ratio)
     t1 = report.ratio * table.kappa[smooth]
     t2 = report.ratio * report.H_max
     t3 = report.phi_at_y0 * report.H_max
     link1 = bool(np.all(t1 <= t2 + slack))
     link2 = bool(t2 <= t3 + slack)
-    link3 = bool(t3 <= 0.5 + max(tol, report.phi_slack * report.H_max))
+    link3 = bool(t3 <= 0.5 + max(_CHAIN_TOL, report.phi_slack * report.H_max))
     first = None
     if not link1:
         first = "curvature max exceeded at a sample"
@@ -283,4 +238,4 @@ def inequality_chain_check(dom, report=None, tol=1e-9):
     return ChainCheck(s=table.s[smooth], term_ratio_H=t1, ratio_H_y0=float(t2),
                       phi_H_y0=float(t3), bound=0.5, link1_ok=link1,
                       link2_ok=link2, link3_ok=link3, first_failure=first,
-                      tol=float(tol))
+                      tol=_CHAIN_TOL)

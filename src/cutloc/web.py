@@ -30,42 +30,51 @@ __all__ = [
     "flux_identity_residual", "partial_web_report",
 ]
 
+# m is checked on [0, _R_MAX], where m_inverse brackets first
+_R_MAX = 16.0
+# absolute tolerance of the m_inverse bisection
+_M_INVERSE_TOL = 1e-12
+# collar depths eps of the partial web report
+_COLLAR_EPS = (0.2, 0.1, 0.05)
+
 
 @dataclass(frozen=True, eq=False)
 class DivergenceOperator:
     """Gradient-magnitude multiplier A with m(r) = A(r) r invertible.
 
-    Monotonicity of m on [0, r_max] is checked on a 1024-point grid at
+    Monotonicity of m on [0, 16] is checked on a 1024-point grid at
     construction; m_inverse is a bisection to absolute tolerance 1e-12,
-    with the bracket grown past r_max for larger magnitudes.
+    with the bracket grown past 16 for larger magnitudes.
     """
 
     name: str
     A: object
-    r_max: float = 16.0
 
     def __post_init__(self):
-        r = np.linspace(0.0, self.r_max, 1025)
+        r = np.linspace(0.0, _R_MAX, 1025)
         m = np.asarray(self.A(r)) * r
         if not np.all(np.isfinite(m)):
-            raise ConstructionError("A(r) r must be finite on [0, r_max]")
+            raise ConstructionError(
+                f"A(r) r must be finite on [0, {_R_MAX:g}]")
         if abs(float(m[0])) > 0.0:
             raise ConstructionError("m(0) = A(0)*0 must be 0")
         if not np.all(np.diff(m) > 0.0):
             raise ConstructionError(
-                "m(r) = A(r) r must be strictly increasing on [0, r_max]")
+                "m(r) = A(r) r must be strictly increasing on "
+                f"[0, {_R_MAX:g}]")
 
     def m(self, r):
         r = np.asarray(r, dtype=float)
         return np.asarray(self.A(r)) * r
 
-    def m_inverse(self, y, tol=1e-12):
+    def m_inverse(self, y):
         """Vectorized bisection solve of m(r) = y for y >= 0.
 
-        Each row brackets in [0, r_max]; a row with y above m(r_max)
-        doubles its upper end until m reaches y.  Raises
+        Each row brackets in [0, 16]; a row with y above m(16) doubles
+        its upper end until m reaches y.  Raises
         OperatorRangeError when m stops being finite or increasing there,
-        or when the bracket grows past the float resolution of tol.
+        or when the bracket grows past the float resolution of the
+        bisection tolerance.
         """
         y = np.asarray(y, dtype=float)
         scalar = y.ndim == 0
@@ -73,15 +82,16 @@ class DivergenceOperator:
         if np.any(y < -1e-15):
             raise OperatorRangeError("m_inverse needs nonnegative input")
         lo = np.zeros_like(y)
-        hi = np.full_like(y, self.r_max)
-        r = self.r_max
+        hi = np.full_like(y, _R_MAX)
+        r = _R_MAX
         m_r = float(self.m(np.array([r]))[0])
         grow = y > m_r
         while np.any(grow):
-            if np.spacing(2.0 * r) > tol:
+            if np.spacing(2.0 * r) > _M_INVERSE_TOL:
                 raise OperatorRangeError(
                     f"magnitude {float(np.max(y)):.6g} above m({r:g}) = "
-                    f"{m_r:.6g}; bisection to {tol:g} cannot resolve larger r")
+                    f"{m_r:.6g}; bisection to {_M_INVERSE_TOL:g} cannot "
+                    "resolve larger r")
             r *= 2.0
             m_next = float(self.m(np.array([r]))[0])
             if not (np.isfinite(m_next) and m_next > m_r):
@@ -91,7 +101,7 @@ class DivergenceOperator:
             hi[grow] = r
             grow &= y > m_r
         for _ in range(200):
-            if np.max(hi - lo) <= tol:
+            if np.max(hi - lo) <= _M_INVERSE_TOL:
                 break
             mid = 0.5 * (lo + hi)
             high = self.m(mid) > y
@@ -122,7 +132,12 @@ def parse_operator(text: str) -> DivergenceOperator:
     if t == "laplace":
         return laplace()
     if t.startswith("plap:"):
-        return plap(float(t.split(":", 1)[1]))
+        try:
+            p = float(t.split(":", 1)[1])
+        except ValueError:
+            raise ConstructionError(
+                f"plap exponent in {text!r} is not a number") from None
+        return plap(p)
     raise ConstructionError(f"unknown operator spec {text!r}")
 
 
@@ -195,22 +210,18 @@ def profile_checks(prof):
 # --------------------------------------------------------- boundary sweeps
 
 def _in_cyclic(s, lo, hi, L, tol=0.0):
+    """Whether arclength s (scalar or array) lies in the cyclic window
+    [lo, hi] widened by tol; hi = lo + a multiple of L is the whole curve."""
     span = (hi - lo) % L
-    if span == 0.0 and hi != lo:
-        return True
-    return (s - lo) % L <= span + tol
+    whole = span == 0.0 and hi != lo
+    return whole | ((s - lo) % L <= span + tol)
 
 
 def _gamma_mask(table, gamma_arc):
-    L = table.curve.length
     if gamma_arc is None:
         return np.ones(len(table), dtype=bool)
-    lo, hi = float(gamma_arc[0]), float(gamma_arc[1])
-    span = (hi - lo) % L
-    if span == 0.0 and hi != lo:
-        return np.ones(len(table), dtype=bool)
-    ds = np.mod(table.s - lo, L)
-    return ds <= span
+    return _in_cyclic(table.s, float(gamma_arc[0]), float(gamma_arc[1]),
+                      table.curve.length)
 
 
 def flux_identity_residual(dom, gamma_arc=None, op=None):
@@ -255,14 +266,14 @@ class PartialWebReport:
     samples_used: int
 
 
-def partial_web_report(dom, gamma_arc=None, op=None,
-                       eps_list=(0.2, 0.1, 0.05)):
+def partial_web_report(dom, gamma_arc=None, op=None):
     """Hypothesis record for the partially overdetermined web criterion.
 
     Solves a profile per smooth boundary sample, compares curvature and
     flux-candidate maxima on gamma against the whole boundary, and reports
-    the collar-inequality defect per eps.  Diagnostics are produced even
-    when hypotheses fail.
+    the collar-inequality defect per eps in _COLLAR_EPS.  The phi
+    hypothesis allows the domain's phi_slack, as the criterion report
+    does.  Diagnostics are produced even when hypotheses fail.
     """
     if op is None:
         op = laplace()
@@ -286,22 +297,17 @@ def partial_web_report(dom, gamma_arc=None, op=None,
     idx_g = np.flatnonzero(in_g)
     i_best = idx_g[int(np.argmax(table.kappa[smooth][idx_g]))]
     attain_tol = 1e-6 * max(1.0, abs(k_global))
-    if gamma_arc is None:
-        flag_i = True
-    else:
-        in_window = _in_cyclic(y0g.s, float(gamma_arc[0]),
-                               float(gamma_arc[1]), curve.length,
-                               tol=1e-9 * curve.length)
-        flag_i = bool(in_window or table.kappa[smooth][i_best]
-                      >= k_global - attain_tol)
+    y0_on_gamma = gamma_arc is None or bool(_in_cyclic(
+        y0g.s, float(gamma_arc[0]), float(gamma_arc[1]), curve.length,
+        tol=1e-9 * curve.length))
+    flag_i = bool(y0_on_gamma or table.kappa[smooth][i_best]
+                  >= k_global - attain_tol)
     c_gamma_max = float(np.max(c_all[idx_g]))
     flag_iip = bool(c_gamma_max >= c_max_global
                     - 1e-6 * max(1.0, abs(c_max_global)))
 
     # anchor point: curvature argmax within gamma (global argmax if inside)
-    if gamma_arc is None or _in_cyclic(y0g.s, float(gamma_arc[0]),
-                                       float(gamma_arc[1]), curve.length,
-                                       tol=1e-9 * curve.length):
+    if y0_on_gamma:
         y0, k0, lam0 = y0g, k_global, dom.lambda_y0
     else:
         sm_idx = np.flatnonzero(smooth)
@@ -319,7 +325,7 @@ def partial_web_report(dom, gamma_arc=None, op=None,
     lam_s = table.lam[smooth]
     kap_s = table.kappa[smooth]
     collar = []
-    for eps in eps_list:
+    for eps in _COLLAR_EPS:
         tmax = np.minimum(float(eps), lam_s)
         tt = tmax[:, None] * np.linspace(0.0, 1.0, 17)[None, :]
         gg = np.abs(_g_of(kap_s[:, None], lam_s[:, None], tt))
@@ -327,7 +333,6 @@ def partial_web_report(dom, gamma_arc=None, op=None,
         collar.append((float(eps), defect))
 
     ratio = dom.ratio
-    slack = 1e-4 * dom.diameter
     if dom.corner_status == "concave-present":
         verdict = "inapplicable"
         notes.append("concave corners present")
@@ -337,13 +342,13 @@ def partial_web_report(dom, gamma_arc=None, op=None,
     elif not dom.starshaped:
         verdict = "inapplicable"
         notes.append("not starshaped with respect to the origin")
-    elif flag_i and phi0 >= ratio - slack:
+    elif flag_i and phi0 >= ratio - dom.phi_slack:
         verdict = "ball"
     else:
         verdict = "hypotheses-not-met"
         if not flag_i:
             notes.append("curvature max not attained on gamma")
-        if phi0 < ratio - slack:
+        if phi0 < ratio - dom.phi_slack:
             notes.append(f"phi(y0)={phi0:.6g} < ratio={ratio:.6g}")
 
     return PartialWebReport(

@@ -5,6 +5,7 @@ import pytest
 
 from cutloc import Domain, build_distance_field, cut_table, from_spec
 from cutloc.distfield import GridSpec
+from cutloc.symmetry import _f_rows
 
 SPECS = {
     "circle": {"type": "circle", "radius": 1.0},
@@ -39,6 +40,39 @@ def traced_peak_mb(fn, *args):
     finally:
         if started:
             tracemalloc.stop()
+
+
+def f_max_bruteforce(n):
+    """Grid maximum of the auxiliary function f over the admissible cone.
+
+    The cone {sum x >= 0} cap [-3, 1]^(n-1) is sampled on a 241-point axis
+    per coordinate.  Returns (max value, argmax vector); the lemma puts
+    the maximum at 1/n, at the all-ones point.
+    """
+    axis = np.linspace(-3.0, 1.0, 241)
+    k = n - 1
+    if k == 1:
+        X = axis[axis >= 0.0][:, None]
+        vals = _f_rows(X)
+        i = int(np.argmax(vals))
+        return float(vals[i]), X[i]
+    best = -np.inf
+    arg = None
+    tail = np.stack(np.meshgrid(*([axis] * (k - 1)), indexing="ij"),
+                    axis=-1).reshape(-1, k - 1)
+    tail_sum = np.sum(tail, axis=1)
+    for x0 in axis:
+        mask = tail_sum + x0 >= 0.0
+        if not np.any(mask):
+            continue
+        X = np.concatenate([np.full((int(mask.sum()), 1), x0),
+                            tail[mask]], axis=1)
+        vals = _f_rows(X)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best = float(vals[i])
+            arg = X[i]
+    return best, arg
 
 
 _curves = {}

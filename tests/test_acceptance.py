@@ -10,9 +10,10 @@ import time
 import numpy as np
 import pytest
 
+from conftest import f_max_bruteforce
 from cutloc import (Domain, area, complementarity_max, constant,
                     criterion_report,
-                    cut_table, f_max_bruteforce, flux_identity_residual,
+                    cut_table, flux_identity_residual,
                     laplace, max_lambda_kappa, mean_value_residual,
                     minkowski_residual, minkowski_residual_corners, mk_verdict,
                     perimeter, phi, plap, residual_summary, vf_boundary,
@@ -100,9 +101,10 @@ def test_criterion_04_f_max():
         mx, arg = f_max_bruteforce(n)
         err = abs(mx - 1.0 / n)
         near_ones = bool(np.max(np.abs(np.asarray(arg) - 1.0)) <= 0.05)
-        ok &= err <= 1e-4 and near_ones
+        ok &= mx <= 1.0 / n + 1e-9 and err <= 1e-4 and near_ones
         parts.append(f"n={n}: |max - 1/n| = {err:.1e}")
-    _line(4, ok, "; ".join(parts) + " (<=1e-4, argmax near all-ones)")
+    _line(4, ok, "; ".join(parts)
+          + " (<=1e-4, max <= 1/n + 1e-9, argmax near all-ones)")
 
 
 def test_criterion_05_minkowski(curves):

@@ -242,6 +242,24 @@ def test_malformed_or_extreme_shape_exits_2(capsys, shape):
     assert "Traceback" not in err
 
 
+BAD_FLAGS = {
+    "gamma-arc-words": ["web", "--gamma-arc", "a,b"],
+    "gamma-arc-nan": ["web", "--gamma-arc=nan,1"],
+    "operator-exponent": ["web", "--operator", "plap:abc"],
+    "gamma-nan": ["mk", "--gamma", "nan", "--grid-nx", "32",
+                  "--grid-ny", "32"],
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_FLAGS.values()), ids=list(BAD_FLAGS))
+def test_malformed_flag_exits_2(capsys, argv):
+    code, _, err = _run(capsys, argv[:1] + ["--shape", CIRCLE, "--samples",
+                                            "256"] + argv[1:])
+    assert code == 2
+    assert any(line.startswith("error:") for line in err.splitlines())
+    assert "Traceback" not in err
+
+
 def test_render_json_float_format():
     text = render_json({"x": 1.0 / 3.0, "flags": [True, False, None],
                         "n": 7, "bad": float("nan")})

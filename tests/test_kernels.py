@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 
 from conftest import traced_peak_mb
@@ -7,8 +9,28 @@ from cutloc.distfield import GridSpec
 from cutloc.projector import CurveProjector
 
 _BIG = 1e300
+_REFERENCE_ROWS = 256
 
 
+def _row_chunked(reference):
+    """Run a dense per-query reference over chunks of _REFERENCE_ROWS queries.
+
+    Every query row of a reference is independent of the others.
+    Unchunked, a 64x64 grid against 4096 sites, or 18 000 points against a
+    1024-vertex polygon, grows the test process past a gigabyte, a peak
+    that every child it forks later inherits in its ru_maxrss.
+    """
+    @functools.wraps(reference)
+    def chunked(queries, *args):
+        parts = [reference(queries[a:a + _REFERENCE_ROWS], *args)
+                 for a in range(0, len(queries), _REFERENCE_ROWS)]
+        if isinstance(parts[0], tuple):
+            return tuple(np.concatenate(p) for p in zip(*parts))
+        return np.concatenate(parts)
+    return chunked
+
+
+@_row_chunked
 def _brute_gap(queries, sites, site_s, length, min_sep, corner_s):
     """Reference: the dense O(queries x sites) multiplicity-gap scan."""
     qx, qy = queries[:, 0], queries[:, 1]
@@ -35,6 +57,7 @@ def _brute_gap(queries, sites, site_s, length, min_sep, corner_s):
     return ii, best, second - best
 
 
+@_row_chunked
 def _winding(queries, polygon):
     """Reference: the dense winding number of a closed polyline."""
     px, py = polygon[:, 0], polygon[:, 1]

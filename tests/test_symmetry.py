@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import f_max_bruteforce
 from cutloc import (ConfigurationError, Domain, criterion_report, cut_table,
-                    cut_value, f_max_bruteforce, f_value, from_spec)
+                    cut_value, f_value, from_spec, partial_web_report)
 from cutloc.distfield import FieldProjector
 from cutloc.symmetry import diameter, inequality_chain_check
 
@@ -21,15 +22,9 @@ def test_f_value_vanishes_on_face():
 def test_f_max_bruteforce():
     for n in (2, 3, 4):
         mx, arg = f_max_bruteforce(n)
+        assert mx <= 1.0 / n + 1e-9
         assert mx == pytest.approx(1.0 / n, abs=1e-4)
         assert np.allclose(arg, 1.0, atol=0.05)
-
-
-def test_f_max_rejects_bad_inputs():
-    with pytest.raises(ConfigurationError):
-        f_max_bruteforce(5)
-    with pytest.raises(ConfigurationError):
-        f_max_bruteforce(3, resolution=50)
 
 
 def test_circle_verdict(domains):
@@ -56,13 +51,17 @@ def test_ellipse_verdict(domains):
 
 def test_slender_ellipse_is_not_a_ball(domains):
     # 1e-4 * diameter (1.0) exceeds |Omega|/|boundary| (0.785): a slack
-    # scaled by the diameter would let any phi(y0) pass
+    # scaled by the diameter would let any phi(y0) pass, in the criterion
+    # report and in the partial web report alike
     curve = from_spec({"type": "ellipse", "a": 5000.0, "b": 1.0})
-    rep = criterion_report(Domain(cut_table(curve, n=256)))
+    dom = Domain(cut_table(curve, n=256))
+    rep = criterion_report(dom)
     assert not rep.hypothesis_phi
     assert rep.verdict == "hypotheses-not-met"
     assert rep.phi_slack == pytest.approx(1e-4 * rep.ratio, rel=1e-12)
+    assert partial_web_report(dom).verdict == "hypotheses-not-met"
     assert criterion_report(domains("circle")).verdict == "ball"
+    assert partial_web_report(domains("circle")).verdict == "ball"
 
 
 def test_square_verdict(domains):
