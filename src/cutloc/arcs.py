@@ -2,6 +2,11 @@
 
 All evaluators accept scalar or (n,) parameter arrays and return (n, 2).
 Arcs are immutable; a curve chains them end to start, counterclockwise.
+
+Each class also finds feet (nearest points) for a batch of rows on arcs
+of that class, within a parameter bracket per row: segments and circular
+arcs in closed form, every other class by safeguarded Newton steps on
+<Y(p) - x, Y'(p)> = 0.
 """
 
 import numpy as np
@@ -18,8 +23,31 @@ __all__ = [
 ]
 
 
+# Newton steps per foot: a site-table seed sits within one site step of
+# the foot and a grid seed within a few cells, and quadratic convergence
+# reaches rounding level from there in four or five steps
+_NEWTON_STEPS = 6
+
+
 def _col(t):
     return np.atleast_1d(np.asarray(t, dtype=float))
+
+
+def _dot(u, v):
+    """Row-wise <u, v> of (n, 2) arrays, elementwise (batch independent)."""
+    return u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1]
+
+
+def _nearest_of(point, x, candidates):
+    """Per row, the candidate parameter whose point is nearest x.
+
+    Ties go to the earliest candidate.
+    """
+    dist2 = []
+    for p in candidates:
+        d = point(p) - x
+        dist2.append(_dot(d, d))
+    return np.choose(np.argmin(dist2, axis=0), candidates)
 
 
 def arc_runs(index):
@@ -37,6 +65,23 @@ def arc_runs(index):
     edges = np.flatnonzero(np.diff(index[order])) + 1
     for rows in np.split(order, edges):
         yield int(index[rows[0]]), rows
+
+
+def per_arc(arcs, which, *evaluators):
+    """Callable t -> one (n, 2) array per named evaluator ("point", ...).
+
+    Row i comes from arcs[which[i]]; each arc evaluates its own rows,
+    grouped once by arc_runs.
+    """
+    groups = list(arc_runs(which))
+
+    def evaluate(t):
+        out = [np.empty((t.size, 2)) for _ in evaluators]
+        for k, rows in groups:
+            for o, name in zip(out, evaluators):
+                o[rows] = getattr(arcs[k], name)(t[rows])
+        return out
+    return evaluate
 
 
 class Arc:
@@ -61,14 +106,51 @@ class Arc:
         Evaluates each arc's point on its own rows; subclasses with a
         closed form override it with stacked per-row coefficients.
         """
-        groups = list(arc_runs(which))
+        evaluate = per_arc(arcs, which, "point")
+        return lambda t: evaluate(t)[0]
 
-        def point(t):
-            out = np.empty((t.size, 2))
-            for k, rows in groups:
-                out[rows] = arcs[k].point(t[rows])
-            return out
-        return point
+    @classmethod
+    def batch_velocity(cls, arcs, which):
+        """Like batch_point, for Y'."""
+        evaluate = per_arc(arcs, which, "velocity")
+        return lambda t: evaluate(t)[0]
+
+    @classmethod
+    def batch_acceleration(cls, arcs, which):
+        """Like batch_point, for Y''."""
+        evaluate = per_arc(arcs, which, "acceleration")
+        return lambda t: evaluate(t)[0]
+
+    @classmethod
+    def batch_foot(cls, arcs, which, x, seed, lo, hi):
+        """Parameter in [lo, hi] of the point of arcs[which[i]] nearest x[i].
+
+        Safeguarded Newton on g(p) = <Y(p) - x, Y'(p)>, the derivative of
+        |Y(p) - x|^2 / 2, from the seed: the sign of g keeps a bracket
+        around the minimum, and a step that leaves it, or one taken where
+        g' = |Y'|^2 + <Y - x, Y''> <= 0 (at and beyond focal points),
+        bisects it instead.  The answer is the nearest of the Newton
+        point and the two ends of [lo, hi].  x is (n, 2); seed, lo, hi
+        are (n,).
+        """
+        point = cls.batch_point(arcs, which)
+        velocity = cls.batch_velocity(arcs, which)
+        acceleration = cls.batch_acceleration(arcs, which)
+        p = np.clip(seed, lo, hi)
+        a, b = lo, hi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_NEWTON_STEPS):
+                d = point(p) - x
+                v = velocity(p)
+                g = _dot(d, v)
+                dg = _dot(v, v) + _dot(d, acceleration(p))
+                # the distance grows at p where g > 0: the minimum is left
+                a = np.where(g > 0, a, p)
+                b = np.where(g > 0, p, b)
+                step = p - g / dg
+                newton = (dg > 0) & (step >= a) & (step <= b)
+                p = np.where(newton, step, 0.5 * (a + b))
+        return _nearest_of(point, x, (p, lo, hi))
 
     @property
     def start(self):
@@ -101,6 +183,24 @@ class CircleArc(Arc):
         return lambda t: center + radius * np.stack([np.cos(t), np.sin(t)],
                                                     axis=-1)
 
+    @classmethod
+    def batch_foot(cls, arcs, which, x, seed, lo, hi):
+        """The polar angle of x about the centre, in closed form.
+
+        The angle is shifted by whole turns to its first value >= lo; when
+        that is past hi, the nearer end of the bracket wins (the distance
+        grows with the angle to the foot, either way round).
+        """
+        center = np.array([arc.center for arc in arcs])[which]
+        rel = x - center
+        theta = np.arctan2(rel[:, 1], rel[:, 0])
+        theta = theta + 2.0 * np.pi * np.ceil((lo - theta) / (2.0 * np.pi))
+        far = theta > hi
+        if np.any(far):
+            point = cls.batch_point(arcs, which[far])
+            theta[far] = _nearest_of(point, x[far], (hi[far], lo[far]))
+        return theta
+
     def velocity(self, t):
         t = _col(t)
         return self.radius * np.stack([-np.sin(t), np.cos(t)], axis=-1)
@@ -130,6 +230,17 @@ class SegmentArc(Arc):
         p0 = np.array([arc.p0 for arc in arcs])[which]
         step = np.array([arc.p1 - arc.p0 for arc in arcs])[which]
         return lambda t: p0 + t[:, None] * step
+
+    @classmethod
+    def batch_foot(cls, arcs, which, x, seed, lo, hi):
+        """The clamped projection parameter <x - p0, p1 - p0> / |p1 - p0|^2.
+
+        |Y(t) - x|^2 is a convex quadratic in t, so clamping its minimizer
+        to [lo, hi] gives the minimizer over the bracket.
+        """
+        p0 = np.array([arc.p0 for arc in arcs])[which]
+        step = np.array([arc.p1 - arc.p0 for arc in arcs])[which]
+        return np.clip(_dot(x - p0, step) / _dot(step, step), lo, hi)
 
     def velocity(self, t):
         t = _col(t)
@@ -167,36 +278,31 @@ class EllipseArc(Arc):
 class PolarArc(Arc):
     """Closed polar graph (r(t) cos t, r(t) sin t), t in [0, 2pi].
 
-    Subclasses provide _r, _dr, _ddr (vectorized).  The curve is regular
-    whenever r > 0 since |Y'|^2 = r^2 + r'^2.
+    Subclasses provide _radius(t, order) -> (r, r', r'')[:order + 1]
+    (vectorized), sharing work between the derivatives.  The curve is
+    regular whenever r > 0 since |Y'|^2 = r^2 + r'^2.
     """
 
     t0 = 0.0
     t1 = 2.0 * np.pi
 
-    def _r(self, t):
-        raise NotImplementedError
-
-    def _dr(self, t):
-        raise NotImplementedError
-
-    def _ddr(self, t):
+    def _radius(self, t, order):
         raise NotImplementedError
 
     def point(self, t):
         t = _col(t)
-        r = self._r(t)
+        (r,) = self._radius(t, 0)
         return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
 
     def velocity(self, t):
         t = _col(t)
-        r, dr = self._r(t), self._dr(t)
+        r, dr = self._radius(t, 1)
         c, s = np.cos(t), np.sin(t)
         return np.stack([dr * c - r * s, dr * s + r * c], axis=-1)
 
     def acceleration(self, t):
         t = _col(t)
-        r, dr, ddr = self._r(t), self._dr(t), self._ddr(t)
+        r, dr, ddr = self._radius(t, 2)
         c, s = np.cos(t), np.sin(t)
         return np.stack([ddr * c - 2 * dr * s - r * c,
                          ddr * s + 2 * dr * c - r * s], axis=-1)
@@ -230,20 +336,15 @@ class SuperellipseArc(PolarArc):
         ddg = ddu / ap + ddv / bp
         return g, dg, ddg
 
-    def _r(self, t):
-        g, _, _ = self._guv(t)
-        return g ** (-1.0 / self.p)
-
-    def _dr(self, t):
-        p = self.p
-        g, dg, _ = self._guv(t)
-        return -(1.0 / p) * g ** (-1.0 / p - 1.0) * dg
-
-    def _ddr(self, t):
+    def _radius(self, t, order):
+        # r = g^(-1/p) with g = |cos t / a|^p + |sin t / b|^p
         p = self.p
         g, dg, ddg = self._guv(t)
-        return ((1.0 / p) * (1.0 / p + 1.0) * g ** (-1.0 / p - 2.0) * dg * dg
-                - (1.0 / p) * g ** (-1.0 / p - 1.0) * ddg)
+        r = g ** (-1.0 / p)
+        dr = -(1.0 / p) * g ** (-1.0 / p - 1.0) * dg
+        ddr = ((1.0 / p) * (1.0 / p + 1.0) * g ** (-1.0 / p - 2.0) * dg * dg
+               - (1.0 / p) * g ** (-1.0 / p - 1.0) * ddg)
+        return (r, dr, ddr)[:order + 1]
 
 
 class FourierArc(PolarArc):
@@ -257,26 +358,26 @@ class FourierArc(PolarArc):
         self.ak = np.pad(self.ak, (0, n - self.ak.size))
         self.bk = np.pad(self.bk, (0, n - self.bk.size))
         self.k = np.arange(1, n + 1, dtype=float)
-        probe = self._r(np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
+        (probe,) = self._radius(
+            np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False), 0)
         if np.min(probe) <= 0:
             raise ValueError("radius must stay positive")
 
-    def _modes(self, t):
-        kt = np.multiply.outer(t, self.k)
-        return np.cos(kt), np.sin(kt)
-
-    def _r(self, t):
-        c, s = self._modes(t)
-        return self.a0 + c @ self.ak + s @ self.bk
-
-    def _dr(self, t):
-        c, s = self._modes(t)
-        return -(s * self.k) @ self.ak + (c * self.k) @ self.bk
-
-    def _ddr(self, t):
-        c, s = self._modes(t)
-        k2 = self.k * self.k
-        return -(c * k2) @ self.ak - (s * k2) @ self.bk
+    def _radius(self, t, order):
+        # sum the modes elementwise in a fixed order: a matrix product's
+        # rounding can depend on the number of rows, and a row's value must
+        # not depend on its batch; one mode at a time keeps temporaries (n,)
+        k, k2 = self.k, self.k * self.k
+        coeffs = [(self.ak, self.bk), (k * self.bk, -k * self.ak),
+                  (-k2 * self.ak, -k2 * self.bk)][:order + 1]
+        out = [np.zeros(t.shape) for _ in coeffs]
+        for j in range(k.size):
+            kt = k[j] * t
+            cos, sin = np.cos(kt), np.sin(kt)
+            for o, (ca, sa) in zip(out, coeffs):
+                o += ca[j] * cos + sa[j] * sin
+        out[0] += self.a0
+        return out
 
 
 class TransformedArc(Arc):

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arcs import TransformedArc, arc_runs
+from .arcs import TransformedArc, arc_runs, per_arc
 from .errors import ConstructionError
 
 __all__ = [
@@ -230,22 +230,23 @@ class BoundaryCurve:
         """Vectorized point data at (arc_index, param) pairs."""
         arc_index = np.atleast_1d(np.asarray(arc_index, dtype=int))
         param = np.atleast_1d(np.asarray(param, dtype=float))
-        n = param.size
-        pos = np.empty((n, 2))
-        vel = np.empty((n, 2))
-        acc = np.empty((n, 2))
-        for a, rows in arc_runs(arc_index):
-            arc, p = self.arcs[a], param[rows]
-            pos[rows] = arc.point(p)
-            vel[rows] = arc.velocity(p)
-            acc[rows] = arc.acceleration(p)
-        speed = np.linalg.norm(vel, axis=1)
+        pos, vel, acc = per_arc(self.arcs, arc_index, "point", "velocity",
+                                "acceleration")(param)
+        speed, kappa = _speed_curvature(vel, acc)
         tangent = vel / speed[:, None]
         normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=-1)
-        kappa = (vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]) / speed ** 3
         s = self.param_to_s(arc_index, param)
         return _Geom(arc_index=arc_index, param=param, s=s, position=pos,
                      tangent=tangent, normal=normal, curvature=kappa, speed=speed)
+
+    def curvature(self, arc_index, param):
+        """Signed curvature at (arc_index, param) pairs, bit for bit
+        geometry's, from velocity and acceleration only."""
+        arc_index = np.atleast_1d(np.asarray(arc_index, dtype=int))
+        param = np.atleast_1d(np.asarray(param, dtype=float))
+        vel, acc = per_arc(self.arcs, arc_index, "velocity",
+                           "acceleration")(param)
+        return _speed_curvature(vel, acc)[1]
 
     def geometry_at_s(self, s):
         aidx, t = self.s_to_param(s)
@@ -359,6 +360,13 @@ class BoundaryCurve:
         """Dilated/rotated copy about the origin."""
         return BoundaryCurve(
             [TransformedArc(a, scale=scale, rotation=rotation) for a in self.arcs])
+
+
+def _speed_curvature(vel, acc):
+    """|Y'| and the signed curvature (x'y'' - y'x'') / |Y'|^3 per row."""
+    speed = np.linalg.norm(vel, axis=1)
+    kappa = (vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]) / speed ** 3
+    return speed, kappa
 
 
 def _min_cyclic_dist(nodes, targets, L):

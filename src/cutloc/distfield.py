@@ -58,7 +58,7 @@ class GridSpec:
         return np.column_stack([gx.ravel(), gy.ravel()])
 
     @staticmethod
-    def from_curve(curve, nx=256, ny=None):
+    def from_curve(curve, nx, ny=None):
         """Box = curve bbox + margin, then expanded to square cells.
 
         The margin must cover at least 2h so boundary stencils stay in-box.
@@ -113,8 +113,9 @@ def build_distance_field(curve, grid, m=4096):
     For each cell center: nearest of ~m dense boundary sites, with the
     multiplicity gap (local minima at least 10h away) thresholded at 2h,
     from a block-pruned scan that returns the brute scan's result bit for
-    bit; then golden-section refinement on the owning arc to parameter
-    tolerance 1e-10.
+    bit; then the foot on the owning arc within one site step of the
+    nearest site, in closed form on segments and circular arcs and by
+    safeguarded Newton steps on every other arc class.
     """
     h = grid.h
     x0, x1, y0, y1 = curve.bbox

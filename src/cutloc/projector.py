@@ -2,10 +2,12 @@
 
 Two projectors share one interface:
 
-* CurveProjector: global scan over a dense midpoint site table, then a
-  golden-section refinement on the owning arc (parameter tolerance 1e-10).
-  Rows are refined per arc class, not per arc: one vectorized search runs
-  over every row whose arc has the same class (segments, circular arcs, ...).
+* CurveProjector: global scan over a dense midpoint site table, then the
+  foot on the owning arc within a bracket of one site step: in closed form
+  on segments and circular arcs, by safeguarded Newton steps on every
+  other class (Arc.batch_foot).  Rows are refined per arc class, not per
+  arc: one vectorized search runs over every row whose arc has the same
+  class (segments, circular arcs, ...).
 * FieldProjector (in distfield): seeds from a precomputed grid instead.
 
 project() returns a Projection struct.
@@ -17,9 +19,13 @@ import numpy as np
 
 from . import _kernels
 from .arcs import arc_runs
-from .quadrature import golden_min_vec
 
 __all__ = ["Projection", "CurveProjector", "cyclic_dist"]
+
+# rows per foot search: timed at 4096 to 131 072 rows on the 256² ellipse
+# grid, 4096 and 8192 tie (0.062 s), and 32 768 rows take 10 % longer with
+# 2.7 times the peak of temporaries (10.8 against 4.0 MB)
+_FOOT_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,14 +72,16 @@ class CurveProjector:
 
 
 def refine_on_arcs(curve, points, arc_index, seed_param, dparam, half_width=None):
-    """Golden-section refine |Y_a(p) - x|^2 around per-point seeds.
+    """Foot parameters of points on their arcs, within brackets around seeds.
 
+    The bracket of row i is [seed - half, seed + half] cut to its arc's
+    parameter range, and the foot is the bracket's point nearest points[i].
     dparam: (number of arcs,) parameter step of the site table per arc.
     half_width: optional per-point bracket half-width (parameter units).
     Defaults to the site-table parameter step of the owning arc; callers
     whose seeds are coarser than the site table (grid-seeded projection)
-    must widen accordingly.  One search runs per arc class, through the
-    class's Arc.batch_point.
+    must widen accordingly.  The search runs per arc class, through the
+    class's Arc.batch_foot, on at most _FOOT_ROWS rows at a time.
     """
     arcs = curve.arcs
     t0 = np.array([arc.t0 for arc in arcs])
@@ -85,13 +93,10 @@ def refine_on_arcs(curve, points, arc_index, seed_param, dparam, half_width=None
     arc_class = np.array([classes.index(type(arc)) for arc in arcs])
     param = np.empty(seed_param.size)
     for c, rows in arc_runs(arc_class[arc_index]):
-        used, which = np.unique(arc_index[rows], return_inverse=True)
-        point = classes[c].batch_point([arcs[a] for a in used], which)
-        pts = points[rows]
-
-        def dist2(p, point=point, pts=pts):
-            delta = point(p) - pts
-            return np.einsum("ij,ij->i", delta, delta)
-
-        param[rows], _ = golden_min_vec(dist2, lo[rows], hi[rows])
+        # a row's foot does not depend on the rows searched with it
+        for part in np.split(rows, range(_FOOT_ROWS, rows.size, _FOOT_ROWS)):
+            used, which = np.unique(arc_index[part], return_inverse=True)
+            param[part] = classes[c].batch_foot(
+                [arcs[a] for a in used], which, points[part],
+                seed_param[part], lo[part], hi[part])
     return param

@@ -33,7 +33,7 @@ def ray_quadrature(f, pos, nu, dist, kappa, tau):
     return (vals @ w) * (0.5 * tau) / (1.0 - dist * kappa)
 
 
-def simpson_doubling_vec(f, a, b, tol=1e-10):
+def simpson_doubling_vec(f, a, b, tol):
     """Composite Simpson with node doubling, vectorized over a batch of intervals.
 
     f(t) takes an (n, k) array of nodes (row i holds nodes for interval i)

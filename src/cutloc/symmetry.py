@@ -117,7 +117,7 @@ def refine_max_curvature(table):
     dp = (curve.length / len(table)) / speed
     sites = getattr(table.projector, "sites", None)
     if sites is not None:
-        kappa = curve.geometry(sites.arc_index, sites.params).curvature
+        kappa = curve.curvature(sites.arc_index, sites.params)
         kappa[_corner_zone(curve, sites.s, table.tol)] = -np.inf
         j = int(np.argmax(kappa))
         if kappa[j] > table.kappa[i]:
@@ -128,7 +128,7 @@ def refine_max_curvature(table):
     hi = np.array([min(arc.t1, t + 2.0 * dp)])
 
     def neg_kappa(p):
-        return -curve.geometry(np.full(p.shape, a), p).curvature
+        return -curve.curvature(np.full(p.shape, a), p)
 
     t_best, neg = golden_min_vec(neg_kappa, lo, hi)
     y0 = curve.geometry([a], [float(t_best[0])]).point(0)

@@ -231,6 +231,11 @@ GROUPED = {
                      "corner_radius": 0.1, "rotation": 0.4},
     "stadium": {"type": "stadium", "cap_radius": 1.0, "straight_length": 2.0},
     "square": {"type": "square", "side": 2.0},
+    # one-arc polar shapes: a row's radius must not depend on the batch
+    "superellipse": {"type": "superellipse", "a": 1.0, "b": 0.7, "p": 4.0},
+    "fourier": {"type": "fourier", "a0": 1.0,
+                "cos": [0.0, -0.003802, 0.002743, -4.7e-05, 0.001576],
+                "sin": [0.0, 0.003613, -0.002547, -0.000525, 0.003003]},
 }
 _GEOM_FIELDS = ("arc_index", "param", "s", "position", "tangent", "normal",
                 "curvature", "speed")
@@ -261,9 +266,13 @@ def test_arc_grouping_matches_row_at_a_time(name):
     ones = [curve.s_to_param(s[r]) for r in rows]
     assert np.array_equal(aidx, np.concatenate([o[0] for o in ones]))
     assert np.array_equal(t, np.concatenate([o[1] for o in ones]))
-    batch = Arc.batch_point(curve.arcs, arc_index)(param)
-    assert np.array_equal(batch, np.concatenate(
-        [curve.arcs[arc_index[i]].point(param[r]) for i, r in enumerate(rows)]))
+    for evaluator in ("point", "velocity", "acceleration"):
+        batch = getattr(Arc, "batch_" + evaluator)(curve.arcs,
+                                                   arc_index)(param)
+        assert np.array_equal(batch, np.concatenate(
+            [getattr(curve.arcs[arc_index[i]], evaluator)(param[r])
+             for i, r in enumerate(rows)]))
+    assert np.array_equal(curve.curvature(arc_index, param), g.curvature)
 
     empty = curve.geometry(np.zeros(0, dtype=int), np.zeros(0))
     assert empty.n == 0 and empty.position.shape == (0, 2)

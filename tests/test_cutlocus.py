@@ -35,6 +35,24 @@ def test_ellipse_vertices(curves):
     assert lam_minor == pytest.approx(1.0, abs=1e-4)
 
 
+def test_whole_boundary_cut_value_oracles(tables):
+    # closed forms at every sample: the ellipse's normal ray ends on the
+    # major axis, the stadium's on its axis segment (or the cap's centre),
+    # and the union's at its disk's centre, past which nothing competes
+    ellipse = tables("ellipse")
+    a, b = 2.0, 1.0
+    want = (b / a) * np.sqrt(a * a * np.sin(ellipse.param) ** 2
+                             + b * b * np.cos(ellipse.param) ** 2)
+    assert (np.max(np.abs(ellipse.lam - want))
+            <= 1e-9 * ellipse.curve.extent)
+    stadium = tables("stadium")
+    assert not stadium.corner_zone.any()
+    assert np.max(np.abs(stadium.lam - 1.0)) <= 1e-9 * stadium.curve.extent
+    union = tables("union")
+    smooth = union.smooth()
+    assert np.max(np.abs(union.lam[smooth] - 2.0)) <= 1e-9 * union.curve.extent
+
+
 def test_cut_value_matches_table_row(curves, tables):
     for name in ("ellipse", "square", "union"):
         curve = curves(name)
@@ -64,19 +82,44 @@ def _ball_cut_fresh_arrays(sites, pos, nrm, s, accept, length):
     return best, arg
 
 
-@pytest.mark.parametrize("name", ["ellipse", "square", "union"])
+# 96 sides: at least 8 sites per arc make the site spacing uneven
+POLYGON = {"type": "rounded_polygon", "sides": 96, "side_length": 0.2,
+           "corner_radius": 0.05}
+
+
+def _wrapping_samples(curve, sites):
+    """Samples whose window band wraps past s = 0 or s = L, s = L included."""
+    reach = 3.0 * sites.spacing + 4.0 * sites.spacing
+    offsets = np.array([0.0, 1e-12, 0.3, 1.0, 2.0, 3.0]) * reach
+    s = np.concatenate([offsets, curve.length - offsets[1:]])
+    g = curve.geometry_at_s(s)
+    last = len(curve.arcs) - 1
+    end = curve.geometry([last], [curve.arcs[last].t1])
+    assert end.s[0] == curve.length
+    return (np.vstack([g.position, end.position]),
+            np.vstack([g.normal, end.normal]), np.concatenate([g.s, end.s]))
+
+
+@pytest.mark.parametrize("name", ["ellipse", "square", "union", "polygon"])
 def test_ball_cut_reuses_work_arrays_exactly(curves, name):
-    curve = curves(name)
+    curve = from_spec(POLYGON) if name == "polygon" else curves(name)
     sites = CurveProjector(curve).sites
+    accept = 3.0 * sites.spacing
     # 1, a partial chunk and several chunks with a short last one; the
     # reference cuts other chunks, so the rows do not depend on the cut
+    cases = []
     for n in (1, 5, 20, 1000):
         g = curve.resample_struct(n)
-        args = (sites, g.position, g.normal, g.s, 3.0 * sites.spacing,
-                curve.length)
-        got, want = _ball_cut(*args), _ball_cut_fresh_arrays(*args)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        cases.append((g.position, g.normal, g.s))
+    cases.append(_wrapping_samples(curve, sites))
+    for pos, nrm, s in cases:
+        # a window of a quarter turn widens every band to about m/2 columns,
+        # so the window test runs over many blocks of a few chunks each
+        for window in (accept, 0.25 * curve.length):
+            args = (sites, pos, nrm, s, window, curve.length)
+            got, want = _ball_cut(*args), _ball_cut_fresh_arrays(*args)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
 
 
 def test_ellipse_phi_range(tables):

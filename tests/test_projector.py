@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak_mb
 from cutloc import _kernels, from_spec
 from cutloc.arcs import Arc, CircleArc, SegmentArc
+from cutloc.distfield import GridSpec
 from cutloc.projector import CurveProjector, refine_on_arcs
 from cutloc.quadrature import golden_min_vec
 
@@ -14,6 +16,11 @@ CASES = {
     # rotation wraps every arc in a TransformedArc: the per-arc base path
     "rotated_7gon": {"type": "rounded_polygon", "sides": 7, "side_length": 1.0,
                      "corner_radius": 0.1, "rotation": 0.4},
+    "ellipse": {"type": "ellipse", "a": 2.0, "b": 1.0},
+    "superellipse": {"type": "superellipse", "a": 1.0, "b": 0.7, "p": 4.0},
+    "fourier": {"type": "fourier", "a0": 1.0,
+                "cos": [0.0, -0.003802, 0.002743, -4.7e-05, 0.001576],
+                "sin": [0.0, 0.003613, -0.002547, -0.000525, 0.003003]},
 }
 
 
@@ -51,8 +58,42 @@ def _refine_per_arc(curve, points, arc_index, seed_param, dparam,
     return param
 
 
+def _ellipse_focal_points(a, b, rng):
+    """Points on and next to the ellipse's evolute, its focal set.
+
+    There the foot is ill-conditioned: |Y - x|^2 is flat to fourth order
+    at the cusps, and beyond the evolute the seed's neighbourhood holds a
+    local maximum between two minima.
+    """
+    t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    c = a * a - b * b
+    evolute = np.stack([c / a * np.cos(t) ** 3, -c / b * np.sin(t) ** 3],
+                       axis=-1)
+    cusps = np.array([[c / a, 0.0], [-c / a, 0.0], [0.0, c / b],
+                      [0.0, -c / b]])
+    near = np.vstack([evolute, cusps])
+    jitter = [np.zeros_like(near)] + [
+        scale * rng.normal(size=near.shape) for scale in (1e-9, 1e-6, 1e-3)]
+    return np.vstack([near + j for j in jitter])
+
+
+def _bracket(curve, arc_index, seed, dparam, half_width):
+    half = dparam[arc_index] if half_width is None else half_width
+    t0 = np.array([arc.t0 for arc in curve.arcs])[arc_index]
+    t1 = np.array([arc.t1 for arc in curve.arcs])[arc_index]
+    return np.maximum(seed - half, t0), np.minimum(seed + half, t1)
+
+
+def _foot_dist(curve, points, arc_index, param):
+    return np.linalg.norm(points - curve.geometry(arc_index, param).position,
+                          axis=1)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_refine_by_arc_class_matches_per_arc_search(name):
+    # closed-form and Newton feet against one golden-section search per
+    # arc: inside the same bracket, and no farther from the query than the
+    # reference's foot beyond 4 ulp of the curve's extent
     curve = from_spec(CASES[name])
     projector = CurveProjector(curve, m=2048)
     sites = projector.sites
@@ -62,15 +103,39 @@ def test_refine_by_arc_class_matches_per_arc_search(name):
                        rng.uniform(ymin, ymax, 3000)], axis=-1)
     # points on the curve, where the bracket meets the arc ends
     points = np.vstack([points, sites.points[::5]])
+    if name == "ellipse":
+        points = np.vstack([points, _ellipse_focal_points(2.0, 1.0, rng)])
     idx, _ = _kernels.nearest_site(points, sites.points)
     arc_index = sites.arc_index[idx]
     seed = sites.params[idx]
     dparam = projector.sites.dparam
-    got = refine_on_arcs(curve, points, arc_index, seed, dparam)
-    assert np.array_equal(got, _refine_per_arc(curve, points, arc_index,
-                                               seed, dparam))
+    slack = 4.0 * np.spacing(curve.extent)
     half = rng.uniform(0.5, 6.0, seed.size) * dparam[arc_index]
-    got = refine_on_arcs(curve, points, arc_index, seed, dparam,
-                         half_width=half)
-    assert np.array_equal(got, _refine_per_arc(curve, points, arc_index,
-                                               seed, dparam, half_width=half))
+    for half_width in (None, half):
+        got = refine_on_arcs(curve, points, arc_index, seed, dparam,
+                             half_width=half_width)
+        want = _refine_per_arc(curve, points, arc_index, seed, dparam,
+                               half_width=half_width)
+        lo, hi = _bracket(curve, arc_index, seed, dparam, half_width)
+        assert np.all((lo <= got) & (got <= hi))
+        excess = (_foot_dist(curve, points, arc_index, got)
+                  - _foot_dist(curve, points, arc_index, want))
+        assert np.max(excess) <= slack
+        # a row's foot does not depend on the rows searched with it
+        some = np.arange(0, seed.size, 3)
+        hw = None if half_width is None else half_width[some]
+        assert np.array_equal(
+            refine_on_arcs(curve, points[some], arc_index[some], seed[some],
+                           dparam, half_width=hw), got[some])
+
+
+def test_foot_memory_is_bounded():
+    # 65 536 grid cells: the searches run on bounded row blocks, so their
+    # temporaries do not grow with the number of queries
+    curve = from_spec(CASES["ellipse"])
+    sites = CurveProjector(curve).sites
+    points = GridSpec.from_curve(curve, nx=256).centers()
+    idx, _ = _kernels.nearest_site(points, sites.points)
+    peak = traced_peak_mb(refine_on_arcs, curve, points, sites.arc_index[idx],
+                          sites.params[idx], sites.dparam)
+    assert peak <= 6.0
