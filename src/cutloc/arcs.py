@@ -110,18 +110,6 @@ class Arc:
         return lambda t: evaluate(t)[0]
 
     @classmethod
-    def batch_velocity(cls, arcs, which):
-        """Like batch_point, for Y'."""
-        evaluate = per_arc(arcs, which, "velocity")
-        return lambda t: evaluate(t)[0]
-
-    @classmethod
-    def batch_acceleration(cls, arcs, which):
-        """Like batch_point, for Y''."""
-        evaluate = per_arc(arcs, which, "acceleration")
-        return lambda t: evaluate(t)[0]
-
-    @classmethod
     def batch_foot(cls, arcs, which, x, seed, lo, hi):
         """Parameter in [lo, hi] of the point of arcs[which[i]] nearest x[i].
 
@@ -133,24 +121,22 @@ class Arc:
         point and the two ends of [lo, hi].  x is (n, 2); seed, lo, hi
         are (n,).
         """
-        point = cls.batch_point(arcs, which)
-        velocity = cls.batch_velocity(arcs, which)
-        acceleration = cls.batch_acceleration(arcs, which)
+        evaluate = per_arc(arcs, which, "point", "velocity", "acceleration")
         p = np.clip(seed, lo, hi)
         a, b = lo, hi
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(_NEWTON_STEPS):
-                d = point(p) - x
-                v = velocity(p)
+                y, v, acc = evaluate(p)
+                d = y - x
                 g = _dot(d, v)
-                dg = _dot(v, v) + _dot(d, acceleration(p))
+                dg = _dot(v, v) + _dot(d, acc)
                 # the distance grows at p where g > 0: the minimum is left
                 a = np.where(g > 0, a, p)
                 b = np.where(g > 0, p, b)
                 step = p - g / dg
                 newton = (dg > 0) & (step >= a) & (step <= b)
                 p = np.where(newton, step, 0.5 * (a + b))
-        return _nearest_of(point, x, (p, lo, hi))
+        return _nearest_of(cls.batch_point(arcs, which), x, (p, lo, hi))
 
     @property
     def start(self):

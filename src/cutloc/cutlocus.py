@@ -118,8 +118,8 @@ def _ball_cut(sites, pos, nrm, s, accept, length):
     are those of q / (2 <y-z, nu>).  A site with <y-z, nu> <= 0 gets
     q / +0 = inf.  Sites are sorted by s, so each sample's window lies in
     an index band found by searchsorted with a margin of 4 site spacings;
-    only the band's columns take the exact cyclic test, once per block of
-    samples whose bands fit the budget, and are set to inf in the pass.
+    only the band's columns take the exact cyclic test, and those in the
+    window are set to inf.
     """
     sx, sy = sites.points[:, 0], sites.points[:, 1]
     m = sites.s.size
@@ -129,43 +129,38 @@ def _ball_cut(sites, pos, nrm, s, accept, length):
     ring = np.concatenate([sites.s - length, sites.s, sites.s + length])
     first = np.searchsorted(ring, s - reach, side="left")
     band = np.searchsorted(ring, s + reach, side="right") - first
-    width = min(m, int(np.max(band, initial=0)))
+    span = np.arange(min(m, int(np.max(band, initial=0))))
     chunk = max(1, min(s.size, _PAIR_BUDGET // max(m, 1)))
-    block = chunk * max(1, _PAIR_BUDGET // max(width * chunk, 1))
     # one set of work arrays for all chunks: fresh temporaries per chunk go
     # back to the system (malloc's mmap and trim thresholds) and are faulted
     # in again on every chunk
     work = np.empty((4, chunk, m))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for a0 in range(0, s.size, block):
-            b0 = min(s.size, a0 + block)
-            # the window's (row, column) pairs, by the cyclic_dist test
-            cols = (first[a0:b0, None] + np.arange(width)) % m
-            sep = np.abs(s[a0:b0, None] - sites.s[cols])
-            sep = np.minimum(sep, length - sep)
-            row, k = np.nonzero(sep <= accept)
-            col = cols[row, k]
-            cut = np.searchsorted(row, np.arange(0, b0 - a0 + chunk, chunk))
-            for c, a in enumerate(range(a0, b0, chunk)):
-                b = min(b0, a + chunk)
-                dx, dy, q, tmp = work[:, :b - a]
-                np.subtract(pos[a:b, 0, None], sx, out=dx)
-                np.subtract(pos[a:b, 1, None], sy, out=dy)
-                np.multiply(dx, dx, out=q)
-                np.multiply(dy, dy, out=tmp)
-                np.add(q, tmp, out=q)
-                np.multiply(dx, nrm[a:b, 0, None], out=dx)
-                np.multiply(dy, nrm[a:b, 1, None], out=dy)
-                dot = np.add(dx, dy, out=dx)
-                # maximum returns its second argument on ties, so -0.0
-                # becomes +0.0 and the quotient +inf, never -inf
-                np.maximum(dot, 0.0, out=dot)
-                np.divide(q, dot, out=q)
-                # a site on the sample gives 0 / 0 and lies in the window
-                near = slice(cut[c], cut[c + 1])
-                q[row[near] + (a0 - a), col[near]] = np.inf
-                arg[a:b] = np.argmin(q, axis=1)
-                best[a:b] = 0.5 * q[np.arange(b - a), arg[a:b]]
+        for a in range(0, s.size, chunk):
+            b = min(s.size, a + chunk)
+            dx, dy, q, tmp = work[:, :b - a]
+            np.subtract(pos[a:b, 0, None], sx, out=dx)
+            np.subtract(pos[a:b, 1, None], sy, out=dy)
+            np.multiply(dx, dx, out=q)
+            np.multiply(dy, dy, out=tmp)
+            np.add(q, tmp, out=q)
+            np.multiply(dx, nrm[a:b, 0, None], out=dx)
+            np.multiply(dy, nrm[a:b, 1, None], out=dy)
+            dot = np.add(dx, dy, out=dx)
+            np.maximum(dot, 0.0, out=dot)
+            # which zero maximum returns for -0.0 against 0.0 is not fixed
+            # (numpy's SIMD and scalar loops differ); -0.0 + 0.0 is +0.0,
+            # so the quotient is +inf, never -inf
+            np.add(dot, 0.0, out=dot)
+            np.divide(q, dot, out=q)
+            # the window's columns, by the cyclic_dist test; a site on the
+            # sample gives 0 / 0 and lies in the window
+            cols = (first[a:b, None] + span) % m
+            sep = np.abs(s[a:b, None] - sites.s[cols])
+            row, k = np.nonzero(np.minimum(sep, length - sep) <= accept)
+            q[row, cols[row, k]] = np.inf
+            arg[a:b] = np.argmin(q, axis=1)
+            best[a:b] = 0.5 * q[np.arange(b - a), arg[a:b]]
     return best, arg
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from cutloc import corner_sum, from_spec
 from cutloc._kernels import inside_polygon
-from cutloc.arcs import Arc, SegmentArc
+from cutloc.arcs import SegmentArc, per_arc
 from cutloc.boundary import (DEFAULT_ANGLE_TOL, BoundaryCurve,
                              _polyline_self_intersects)
 from cutloc.errors import ConstructionError
@@ -266,10 +266,10 @@ def test_arc_grouping_matches_row_at_a_time(name):
     ones = [curve.s_to_param(s[r]) for r in rows]
     assert np.array_equal(aidx, np.concatenate([o[0] for o in ones]))
     assert np.array_equal(t, np.concatenate([o[1] for o in ones]))
-    for evaluator in ("point", "velocity", "acceleration"):
-        batch = getattr(Arc, "batch_" + evaluator)(curve.arcs,
-                                                   arc_index)(param)
-        assert np.array_equal(batch, np.concatenate(
+    evaluators = ("point", "velocity", "acceleration")
+    batch = per_arc(curve.arcs, arc_index, *evaluators)(param)
+    for evaluator, got in zip(evaluators, batch):
+        assert np.array_equal(got, np.concatenate(
             [getattr(curve.arcs[arc_index[i]], evaluator)(param[r])
              for i, r in enumerate(rows)]))
     assert np.array_equal(curve.curvature(arc_index, param), g.curvature)

@@ -133,6 +133,20 @@ def test_web_gamma_arc_violation(capsys):
     assert doc["identity_status"].startswith("hypothesis-violation")
 
 
+def test_web_skips_identity_on_corners(capsys, monkeypatch):
+    # the identity needs a smooth boundary: skipped without being tried
+    def refuse(*args, **kwargs):
+        raise AssertionError("flux_identity_residual called on corners")
+    monkeypatch.setattr("cutloc.cli.flux_identity_residual", refuse)
+    code, out, _ = _run(capsys, ["web", "--shape", SQUARE, "--samples",
+                                 "512"])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["identity_status"] == ("skipped: identity requires a smooth "
+                                      "boundary")
+    assert doc["identity_residual"] is None
+
+
 def test_exit_2_on_bad_config(capsys):
     assert _run(capsys, ["report", "--shape", CIRCLE, "--tol", "0.5"])[0] == 2
     assert _run(capsys, ["report", "--shape", "nope.json"])[0] == 2

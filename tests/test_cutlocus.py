@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -113,13 +115,26 @@ def test_ball_cut_reuses_work_arrays_exactly(curves, name):
         cases.append((g.position, g.normal, g.s))
     cases.append(_wrapping_samples(curve, sites))
     for pos, nrm, s in cases:
-        # a window of a quarter turn widens every band to about m/2 columns,
-        # so the window test runs over many blocks of a few chunks each
+        # a window of a quarter turn widens every band to about m/2 columns
         for window in (accept, 0.25 * curve.length):
             args = (sites, pos, nrm, s, window, curve.length)
             got, want = _ball_cut(*args), _ball_cut_fresh_arrays(*args)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
+
+
+def test_ball_cut_negative_zero_dot_does_not_compete():
+    # the sample's normal (-1, -0.0) and the site straight below it give
+    # <y-z, nu> = (-0.0) + (-0.0) = -0.0, as on the square's left side; the
+    # other site sits on the sample, inside the window
+    pos, nrm = np.array([[0.0, 0.0]]), np.array([[-1.0, -0.0]])
+    sites = SimpleNamespace(points=np.array([[0.0, 0.0], [0.0, -1.0]]),
+                            s=np.array([0.0, 1.0]), spacing=0.01)
+    d = pos[0] - sites.points[1]
+    dot = d[0] * nrm[0, 0] + d[1] * nrm[0, 1]
+    assert dot == 0.0 and np.signbit(dot)
+    best, _ = _ball_cut(sites, pos, nrm, np.array([0.0]), 0.1, 4.0)
+    assert best[0] == np.inf
 
 
 def test_ellipse_phi_range(tables):
