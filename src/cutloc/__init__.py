@@ -10,7 +10,7 @@ from .boundary import BoundaryCurve, BoundaryPoint, CornerInfo
 from .cutlocus import (CutTable, cut_table, cut_value, focal_check,
                        max_lambda_kappa, phi)
 from .distfield import (DistanceField, GridSpec, build_distance_field,
-                        eikonal_max_deviation)
+                        eikonal_max_deviation, inside_mask)
 from .domain import Domain
 from .errors import (ConfigurationError, ConstructionError, CutlocError,
                      DegenerateRayError, FormulaOutOfScopeError,
@@ -80,6 +80,7 @@ __all__ = [
     "focal_check",
     "from_spec",
     "inequality_chain_check",
+    "inside_mask",
     "laplace",
     "load_shape",
     "max_lambda_kappa",

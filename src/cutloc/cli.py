@@ -98,14 +98,12 @@ def _emit(doc, config, filename):
     text = render_json(doc) + "\n"
     sys.stdout.write(text)
     if config.out and "json" in config.formats:
-        os.makedirs(config.out, exist_ok=True)
         with open(os.path.join(config.out, filename), "w") as fh:
             fh.write(text)
 
 
 def _maybe_csv(config, write_fn, filename):
     if config.out and "csv" in config.formats:
-        os.makedirs(config.out, exist_ok=True)
         write_fn(os.path.join(config.out, filename))
 
 
@@ -142,6 +140,13 @@ def _config_from(args):
                     out=args.out,
                     formats=tuple(args.format.split(",")))
     cfg.validate()
+    if cfg.out:
+        # before any work, so that a bad --out leaves stdout empty
+        try:
+            os.makedirs(cfg.out, exist_ok=True)
+        except OSError as e:
+            raise ConfigurationError(
+                f"--out {cfg.out!r} is not a usable directory: {e}") from e
     return cfg
 
 
@@ -259,14 +264,12 @@ def cmd_verify(args):
         records.append(_record("mean-value", "skipped",
                                reason="concave corner present"))
     else:
-        field = build_distance_field(
-            curve, grid=GridSpec.from_curve(curve, nx=cfg.grid_nx,
-                                            ny=cfg.grid_ny))
-        r = cov_residual(dom, constant(1.0), field)
-        tol_chv = 3.0 * field.grid.h * dom.perimeter / dom.area
+        grid = GridSpec.from_curve(curve, nx=cfg.grid_nx, ny=cfg.grid_ny)
+        r = cov_residual(dom, constant(1.0), grid)
+        tol_chv = 3.0 * grid.h * dom.perimeter / dom.area
         records.append(_record("chv-grid",
                                "pass" if r.rel_residual <= tol_chv else "fail",
-                               tolerance=tol_chv, grid_h=field.grid.h,
+                               tolerance=tol_chv, grid_h=grid.h,
                                **_ireport_fields(r)))
         r = mean_value_residual(dom)
         tol_mv = 1e-5 if not corners else 1e-3

@@ -7,7 +7,8 @@ arclength, minus the best.  Cells with gap <= 2h are flagged; the flagged
 area should shrink like h for curve-like Sigma.
 Nearest site and flag come from one block-pruned scan of the site table
 (``_kernels.nearest_site_gap``); insideness from an even-odd scanline test
-per grid row (``_kernels.inside_polygon``).
+per grid row (``_kernels.inside_polygon``), which ``inside_mask`` runs
+alone for callers that only count inside cells.
 """
 
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ __all__ = [
     "DistanceField",
     "FieldProjector",
     "build_distance_field",
+    "inside_mask",
     "singular_measure",
     "eikonal_max_deviation",
 ]
@@ -118,20 +120,14 @@ def build_distance_field(curve, grid, m=4096):
     safeguarded Newton steps on every other arc class.
     """
     h = grid.h
-    x0, x1, y0, y1 = curve.bbox
-    if (x0 < grid.xmin + h or x1 > grid.xmin + grid.nx * h - h
-            or y0 < grid.ymin + h or y1 > grid.ymin + grid.ny * h - h):
-        raise ConstructionError(
-            "grid box does not contain the curve (one-cell margin required)")
+    inside = inside_mask(curve, grid)
     proj = CurveProjector(curve, m=m)
     centers = grid.centers()
     idx, _, ambiguous = _kernels.nearest_site_gap(
         centers, proj.sites.points, proj.sites.s, proj.length, 10.0 * h,
         2.0 * h, curve.corner_arclengths())
     p = proj.project_from_sites(centers, idx)
-    poly = curve.winding_polygon(max(2048, m // 2))
     shape = (grid.ny, grid.nx)
-    inside = _kernels.inside_polygon(centers, poly).reshape(shape)
     d = p.dist.reshape(shape)
     # The multiplicity gap is blind at focal points (unique projection but
     # exploding level-set curvature); flag cells whose depth comes within a
@@ -152,6 +148,24 @@ def build_distance_field(curve, grid, m=4096):
                 field.nearest_arc, field.nearest_param):
         arr.setflags(write=False)
     return field
+
+
+def inside_mask(curve, grid):
+    """(ny, nx) bool: cell centers inside the curve.
+
+    An even-odd scanline test per grid row against the curve's 2048-point
+    winding polygon.  The grid box must hold the curve with a one-cell
+    margin, else ConstructionError.
+    """
+    h = grid.h
+    x0, x1, y0, y1 = curve.bbox
+    if (x0 < grid.xmin + h or x1 > grid.xmin + grid.nx * h - h
+            or y0 < grid.ymin + h or y1 > grid.ymin + grid.ny * h - h):
+        raise ConstructionError(
+            "grid box does not contain the curve (one-cell margin required)")
+    inside = _kernels.inside_polygon(grid.centers(),
+                                     curve.winding_polygon(2048))
+    return inside.reshape(grid.ny, grid.nx)
 
 
 def _grid_half_widths(curve, arc_index, param, h, dparam, depth):

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distfield import inside_mask
 from .errors import FormulaOutOfScopeError, InapplicableError
 from .quadrature import ray_quadrature, simpson_doubling_vec
 
@@ -176,13 +177,13 @@ def cov_integral(dom, h):
     return value
 
 
-def cov_residual(dom, h, field):
+def cov_residual(dom, h, grid):
     """Ray-side integral of h against its grid quadrature over inside cells."""
     lhs, _, _ = cov_integral_detail(dom, h)
-    centers = field.grid.centers()
-    vals = np.asarray(h(centers)).reshape(field.inside.shape)
-    rhs = float(np.sum(vals[field.inside]) * field.grid.h ** 2)
-    return IntegralReport.from_pair(lhs, rhs, int(np.sum(field.inside)))
+    inside = inside_mask(dom.curve, grid)
+    vals = np.asarray(h(grid.centers())).reshape(inside.shape)
+    rhs = float(np.sum(vals[inside]) * grid.h ** 2)
+    return IntegralReport.from_pair(lhs, rhs, int(np.sum(inside)))
 
 
 def mean_value_residual(dom):
@@ -198,8 +199,8 @@ def mean_value_residual(dom):
     return IntegralReport.from_pair(lhs, dom.ratio, len(table))
 
 
-def divergence_area_residual(curve, field):
+def divergence_area_residual(curve, grid):
     """Quadrature area against the grid cell-count area."""
     lhs = area(curve)
-    rhs = float(np.sum(field.inside)) * field.grid.h ** 2
-    return IntegralReport.from_pair(lhs, rhs, int(np.sum(field.inside)))
+    cells = int(np.sum(inside_mask(curve, grid)))
+    return IntegralReport.from_pair(lhs, float(cells) * grid.h ** 2, cells)

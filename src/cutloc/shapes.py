@@ -217,8 +217,11 @@ def from_spec(spec):
 
 def load_shape(path):
     """Parse a JSON shape file into a BoundaryCurve."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ShapeParseError(f"cannot read shape file {path}: {e}") from e
     try:
         spec = json.loads(text)
     except json.JSONDecodeError as e:

@@ -19,7 +19,7 @@ from cutloc import (Domain, area, complementarity_max, constant,
                     perimeter, phi, plap, residual_summary, vf_boundary,
                     vf_field, web_profile)
 from cutloc.cli import main as cli_main
-from cutloc.distfield import FieldProjector
+from cutloc.distfield import FieldProjector, GridSpec
 from cutloc.integrals import corner_sum, cov_residual
 from cutloc.fields import abs2
 from cutloc.mk import MKSolution
@@ -129,13 +129,15 @@ def test_criterion_05_minkowski(curves):
           f"C1 corner terms {c1_worst:.1e} (<=1e-10)")
 
 
-def test_criterion_06_change_of_variables(domains, fields):
+def test_criterion_06_change_of_variables(curves, domains):
     ok = True
     parts = []
     for name in ("circle", "ellipse"):
         for fname, f in (("1", constant(1.0)), ("|x|^2", abs2())):
-            r64 = cov_residual(domains(name), f, fields(name, 1 / 64))
-            r128 = cov_residual(domains(name), f, fields(name, 1 / 128))
+            r64 = cov_residual(domains(name), f,
+                               GridSpec.with_h(curves(name), 1 / 64))
+            r128 = cov_residual(domains(name), f,
+                                GridSpec.with_h(curves(name), 1 / 128))
             ratio = r128.abs_residual / max(r64.abs_residual, 1e-300)
             # superconvergence on symmetry-aligned grids beats the nominal
             # first-order model; require at least the promised improvement

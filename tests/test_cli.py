@@ -12,6 +12,7 @@ from cutloc.cli import main, render_json
 CIRCLE = '{"type": "circle", "radius": 1.0}'
 SQUARE = '{"type": "square", "side": 2.0}'
 UNION = '{"type": "union_disks", "radius": 2.0, "half_distance": 1.0}'
+STADIUM = '{"type": "stadium", "cap_radius": 1.0, "straight_length": 2.0}'
 
 
 def _run(capsys, argv):
@@ -81,6 +82,18 @@ def test_verify_square(capsys):
     assert recs["minkowski-cornered"]["status"] == "pass"
     assert recs["minkowski-cornered"]["corner_sum"] == pytest.approx(-8.0)
     assert recs["kappa-lambda-bound"]["status"] == "pass"
+
+
+def test_verify_builds_no_distance_field(capsys, monkeypatch):
+    # chv-grid counts inside cells: no nearest-site scan is needed
+    def refuse(*args, **kwargs):
+        raise AssertionError("nearest_site_gap called by verify")
+    monkeypatch.setattr("cutloc._kernels.nearest_site_gap", refuse)
+    code, out, _ = _run(capsys, ["verify", "--shape", STADIUM, "--samples",
+                                 "512", "--grid-nx", "64", "--grid-ny", "64"])
+    assert code == 0
+    recs = {r["name"]: r for r in json.loads(out)}
+    assert recs["chv-grid"]["status"] == "pass"
 
 
 def test_verify_union_out_of_scope(capsys):
@@ -270,6 +283,25 @@ def test_malformed_flag_exits_2(capsys, argv):
     code, _, err = _run(capsys, argv[:1] + ["--shape", CIRCLE, "--samples",
                                             "256"] + argv[1:])
     assert code == 2
+    assert any(line.startswith("error:") for line in err.splitlines())
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["shape-directory", "shape-not-utf8",
+                                  "out-is-file", "out-under-file"])
+def test_io_error_exits_2(capsys, tmp_path, case):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"type": "circle", "radius": 1.0, "name": "\xe9"}')
+    shape_and_out = {
+        "shape-directory": ["--shape", str(tmp_path)],
+        "shape-not-utf8": ["--shape", str(latin1)],
+        "out-is-file": ["--shape", CIRCLE, "--out", str(latin1)],
+        "out-under-file": ["--shape", CIRCLE, "--out", str(latin1 / "sub")],
+    }[case]
+    code, out, err = _run(capsys, ["report", "--samples", "256"]
+                          + shape_and_out)
+    assert code == 2
+    assert out == ""
     assert any(line.startswith("error:") for line in err.splitlines())
     assert "Traceback" not in err
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import SPECS
 from cutloc import ConstructionError, build_distance_field
 from cutloc.distfield import (FieldProjector, GridSpec, eikonal_max_deviation,
-                              singular_measure)
+                              inside_mask, singular_measure)
 
 
 def _cell(field, x, y):
@@ -89,6 +90,17 @@ def test_grid_must_contain_curve(curves):
     grid = GridSpec(xmin=-0.2, ymin=-0.2, nx=16, ny=16, h=0.025)
     with pytest.raises(ConstructionError):
         build_distance_field(curves("circle"), grid=grid)
+
+
+def test_inside_mask_is_the_field_inside_test(curves, fields):
+    for name in SPECS:
+        field = fields(name, 1 / 64)
+        got = inside_mask(curves(name), GridSpec.with_h(curves(name), 1 / 64))
+        assert got.dtype == field.inside.dtype
+        assert np.array_equal(got, field.inside), name
+    grid = GridSpec(xmin=-0.2, ymin=-0.2, nx=16, ny=16, h=0.025)
+    with pytest.raises(ConstructionError):
+        inside_mask(curves("circle"), grid)
 
 
 def test_projector_roundtrip(curves, fields):

@@ -5,6 +5,7 @@ from cutloc import (FormulaOutOfScopeError, InapplicableError, abs2, area,
                     constant, corner_sum, cov_integral, cov_residual,
                     divergence_area_residual, mean_value_residual,
                     minkowski_residual, minkowski_residual_corners, perimeter)
+from cutloc.distfield import GridSpec
 from cutloc.fields import parse_field
 
 
@@ -77,9 +78,9 @@ def test_cov_integral_square(domains):
     assert got == pytest.approx(4.0, abs=5e-4)
 
 
-def test_cov_residual_grid(domains, fields):
+def test_cov_residual_grid(curves, domains):
     r = cov_residual(domains("circle"), constant(1.0),
-                     fields("circle", 1 / 64))
+                     GridSpec.with_h(curves("circle"), 1 / 64))
     assert r.rel_residual <= 2e-2
 
 
@@ -102,10 +103,10 @@ def test_mean_value_rejects_concave(domains):
         mean_value_residual(domains("union"))
 
 
-def test_divergence_area_consistency(curves, fields):
-    field = fields("ellipse", 1 / 64)
-    r = divergence_area_residual(curves("ellipse"), field)
-    assert r.abs_residual <= 3 * field.grid.h * perimeter(curves("ellipse"))
+def test_divergence_area_consistency(curves):
+    grid = GridSpec.with_h(curves("ellipse"), 1 / 64)
+    r = divergence_area_residual(curves("ellipse"), grid)
+    assert r.abs_residual <= 3 * grid.h * perimeter(curves("ellipse"))
 
 
 def test_parse_field():
