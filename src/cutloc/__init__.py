@@ -10,7 +10,7 @@ from .boundary import BoundaryCurve, BoundaryPoint, CornerInfo
 from .cutlocus import (CutTable, cut_table, cut_value, focal_check,
                        max_lambda_kappa, phi)
 from .distfield import (DistanceField, GridSpec, build_distance_field,
-                        eikonal_max_deviation, inside_mask)
+                        inside_mask)
 from .domain import Domain
 from .errors import (ConfigurationError, ConstructionError, CutlocError,
                      DegenerateRayError, FormulaOutOfScopeError,
@@ -21,9 +21,9 @@ from .integrals import (IntegralReport, area, corner_sum, cov_integral,
                         cov_residual, divergence_area_residual,
                         mean_value_residual, minkowski_residual,
                         minkowski_residual_corners, perimeter)
-from .mk import (MKSolution, complementarity_max, mk_verdict,
-                 residual_summary, vf_at, vf_boundary, vf_field,
-                 weak_form_check)
+from .mk import (MKSolution, complementarity_max, eikonal_max_deviation,
+                 mk_verdict, residual_summary, singular_measure, vf_at,
+                 vf_boundary, vf_field, weak_form_check)
 from .projector import CurveProjector, Projection
 from .shapes import from_spec, load_shape
 from .symmetry import (SymmetryReport, criterion_report, f_value,
@@ -96,6 +96,7 @@ __all__ = [
     "plap",
     "profile_checks",
     "residual_summary",
+    "singular_measure",
     "vf_at",
     "vf_boundary",
     "vf_field",

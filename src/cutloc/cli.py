@@ -20,7 +20,7 @@ import numpy as np
 
 from .cutlocus import (cut_table, export_cut_csv, focal_check,
                        max_lambda_kappa)
-from .distfield import GridSpec, build_distance_field, eikonal_max_deviation
+from .distfield import GridSpec, build_distance_field
 from .domain import Domain
 from .errors import (ConfigurationError, ConstructionError, CutlocError,
                      FormulaOutOfScopeError, HypothesisViolationError,
@@ -28,8 +28,8 @@ from .errors import (ConfigurationError, ConstructionError, CutlocError,
 from .fields import constant
 from .integrals import (corner_sum, cov_residual, mean_value_residual,
                         minkowski_residual, minkowski_residual_corners)
-from .mk import (complementarity_max, export_mk_csv, mk_verdict,
-                 residual_summary, vf_field, weak_form_check)
+from .mk import (complementarity_max, eikonal_max_deviation, export_mk_csv,
+                 mk_verdict, residual_summary, vf_field, weak_form_check)
 from .shapes import SHAPE_SCHEMAS, from_spec, load_shape
 from .symmetry import criterion_report
 from .web import (flux_identity_residual, parse_operator, partial_web_report,
@@ -94,17 +94,23 @@ def render_json(obj, indent=0):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _emit(doc, config, filename):
+def _emit(doc, config, filename, csv=None):
+    """Write the --out files, then the JSON to stdout.
+
+    csv: optional (write_fn, filename) of the run's table.  A failed write
+    is a ConfigurationError, raised before anything reaches stdout.
+    """
     text = render_json(doc) + "\n"
+    try:
+        if config.out and "json" in config.formats:
+            with open(os.path.join(config.out, filename), "w") as fh:
+                fh.write(text)
+        if csv and config.out and "csv" in config.formats:
+            csv[0](os.path.join(config.out, csv[1]))
+    except OSError as e:
+        raise ConfigurationError(
+            f"cannot write to --out {config.out!r}: {e}") from e
     sys.stdout.write(text)
-    if config.out and "json" in config.formats:
-        with open(os.path.join(config.out, filename), "w") as fh:
-            fh.write(text)
-
-
-def _maybe_csv(config, write_fn, filename):
-    if config.out and "csv" in config.formats:
-        write_fn(os.path.join(config.out, filename))
 
 
 # ----------------------------------------------------------- shape loading
@@ -213,8 +219,8 @@ def cmd_report(args):
     }
     doc = _report_dict(rep)
     doc["assertions"] = assertions
-    _emit(doc, cfg, "report.json")
-    _maybe_csv(cfg, lambda p: export_cut_csv(table, p), "samples.csv")
+    _emit(doc, cfg, "report.json",
+          csv=(lambda p: export_cut_csv(table, p), "samples.csv"))
     ok = assertions["kappa_lambda_bound_ok"] and assertions["basic_bound_ok"]
     return 0 if ok else 1
 
@@ -308,7 +314,7 @@ def cmd_mk(args):
     rep, trace_err = mk_verdict(dom, gamma=args.gamma)
     table = dom.table
     trace = args.gamma * table.phi[table.smooth()]
-    eik = eikonal_max_deviation(sol.field)
+    eik = eikonal_max_deviation(sol)
     comp = complementarity_max(sol)
     v_min = float(np.min(sol.v))
     doc = {
@@ -328,8 +334,8 @@ def cmd_mk(args):
         "complementarity_bound": 5.0 * grid.h * float(np.max(sol.v)),
         "weak_form": weak_form_check(sol, f),
     }
-    _emit(doc, cfg, "mk_summary.json")
-    _maybe_csv(cfg, lambda p: export_mk_csv(sol, p), "mk_grid.csv")
+    _emit(doc, cfg, "mk_summary.json",
+          csv=(lambda p: export_mk_csv(sol, p), "mk_grid.csv"))
     ok = (v_min >= -1e-10 and trace_err <= 1e-8 and eik <= 5.0 * grid.h
           and comp <= doc["complementarity_bound"] + 1e-12)
     return 0 if ok else 1

@@ -28,10 +28,12 @@ from .errors import (ConfigurationError, DegenerateRayError,
 from .projector import CurveProjector, cyclic_dist, refine_on_arcs
 
 __all__ = [
+    "CornerFan",
     "CutTable",
     "cut_predicate",
     "cut_table",
     "cut_value",
+    "corner_fans",
     "phi",
     "max_lambda_kappa",
     "focal_check",
@@ -43,6 +45,8 @@ _MAX_BISECT = 64
 # shrinking steps after the site pass; one leaves up to 4e-7 next to the
 # square's corners, two reach rounding level
 _SHRINK_STEPS = 2
+# rays per concave-corner fan table
+_FAN_RAYS = 256
 
 
 @dataclass(eq=False)
@@ -316,6 +320,55 @@ def cut_value(curve, y, projector=None, tol=None):
         geom = curve.geometry_at_s([float(y)])
     table = cut_table(curve, projector=projector, tol=tol, samples=geom)
     return float(table.lam[0])
+
+
+@dataclass(frozen=True, eq=False)
+class CornerFan:
+    """Cut depths along the inward fan of rays at a concave corner."""
+
+    junction: int
+    position: np.ndarray  # (2,) the corner
+    start: np.ndarray     # (2,) first ray direction, -nu_minus
+    turn: float           # signed angle from -nu_minus to -nu_plus
+    lam: np.ndarray       # (_FAN_RAYS,) depths at evenly spaced angles
+
+    def cut(self, points):
+        """Cut value along the fan ray through each of (n, 2) points."""
+        w = np.asarray(points, dtype=float) - self.position
+        angle = np.arctan2(self.start[0] * w[:, 1] - self.start[1] * w[:, 0],
+                           w @ self.start)
+        return np.interp(angle / self.turn,
+                         np.linspace(0.0, 1.0, self.lam.size), self.lam)
+
+
+def corner_fans(table):
+    """One CornerFan per concave corner of the table's curve.
+
+    The points of the fan between -nu_minus and -nu_plus all have the
+    corner as their foot, so their cut value is the depth along their own
+    ray from the corner, not the table's value on either adjacent arc.
+    Each fan holds the shrinking-ball depth of _FAN_RAYS evenly spaced
+    rays against the table's site table, with the table's window around
+    the corner, capped at the curve's extent.
+    """
+    curve = table.curve
+    fans = []
+    for c in curve.detect_corners():
+        if c.convex:
+            continue
+        angle = np.linspace(0.0, c.angle, _FAN_RAYS)
+        cos, sin = np.cos(angle), np.sin(angle)
+        # nu_minus turned by each angle: the outward nu of the ray y - t nu
+        nu = np.column_stack([cos * c.nu_minus[0] - sin * c.nu_minus[1],
+                              sin * c.nu_minus[0] + cos * c.nu_minus[1]])
+        depth, _ = _ball_cut(table.projector.sites,
+                             np.tile(c.position, (_FAN_RAYS, 1)), nu,
+                             np.full(_FAN_RAYS, c.s), table.accept,
+                             curve.length)
+        fans.append(CornerFan(junction=c.junction, position=c.position,
+                              start=-c.nu_minus, turn=c.angle,
+                              lam=np.minimum(depth, curve.extent)))
+    return fans
 
 
 def max_lambda_kappa(table):

@@ -1,14 +1,11 @@
-"""Grid distance fields: d(x), insideness, nearest-point data, singular set.
+"""Grid distance fields: d(x), insideness and nearest-point data.
 
-The singular set Sigma (points with ambiguous nearest boundary point) is
-flagged through the multiplicity gap: second-best site distance, taken over
-local minima of the per-cell distance sequence at least 10h away in
-arclength, minus the best.  Cells with gap <= 2h are flagged; the flagged
-area should shrink like h for curve-like Sigma.
-Nearest site and flag come from one block-pruned scan of the site table
-(``_kernels.nearest_site_gap``); insideness from an even-odd scanline test
-per grid row (``_kernels.inside_polygon``), which ``inside_mask`` runs
-alone for callers that only count inside cells.
+The nearest site of every cell comes from one exact block-pruned scan of
+the site table (``_kernels.nearest_site``), and its foot from a search on
+the site's arc; insideness from an even-odd scanline test per grid row
+(``_kernels.inside_polygon``), which ``inside_mask`` runs alone for callers
+that only count inside cells.  The singular set is not a property of the
+field: ``mk.vf_field`` reads it off the cut values at the cells' feet.
 """
 
 from dataclasses import dataclass
@@ -25,8 +22,6 @@ __all__ = [
     "FieldProjector",
     "build_distance_field",
     "inside_mask",
-    "singular_measure",
-    "eikonal_max_deviation",
 ]
 
 
@@ -98,8 +93,6 @@ class DistanceField:
     curve: object
     d: np.ndarray                 # (ny, nx) distance to the curve
     inside: np.ndarray            # (ny, nx) bool
-    sigma_mask: np.ndarray        # (ny, nx) bool, inside cells near Sigma
-    focal_mask: np.ndarray        # (ny, nx) bool, d within pad of 1/kappa
     nearest_arc: np.ndarray       # (ny, nx) int
     nearest_param: np.ndarray     # (ny, nx)
     projector: CurveProjector
@@ -112,40 +105,24 @@ class DistanceField:
 def build_distance_field(curve, grid, m=4096):
     """Distance field on a grid around the curve.
 
-    For each cell center: nearest of ~m dense boundary sites, with the
-    multiplicity gap (local minima at least 10h away) thresholded at 2h,
-    from a block-pruned scan that returns the brute scan's result bit for
-    bit; then the foot on the owning arc within one site step of the
-    nearest site, in closed form on segments and circular arcs and by
-    safeguarded Newton steps on every other arc class.
+    For each cell center: the nearest of ~m dense boundary sites, from a
+    block-pruned scan that returns the brute scan's result bit for bit;
+    then the foot on the owning arc within one site step of the nearest
+    site, in closed form on segments and circular arcs and by safeguarded
+    Newton steps on every other arc class.
     """
-    h = grid.h
     inside = inside_mask(curve, grid)
     proj = CurveProjector(curve, m=m)
     centers = grid.centers()
-    idx, _, ambiguous = _kernels.nearest_site_gap(
-        centers, proj.sites.points, proj.sites.s, proj.length, 10.0 * h,
-        2.0 * h, curve.corner_arclengths())
+    idx, _ = _kernels.nearest_site(centers, proj.sites.points)
     p = proj.project_from_sites(centers, idx)
     shape = (grid.ny, grid.nx)
-    d = p.dist.reshape(shape)
-    # The multiplicity gap is blind at focal points (unique projection but
-    # exploding level-set curvature); flag cells whose depth comes within a
-    # pad of the foot's focal depth 1/kappa.  Pad ~ sqrt(h) keeps the
-    # flagged area of a point singularity shrinking linearly in h.
-    focal_pad = max(3.0 * h, 0.25 * np.sqrt(h))
-    with np.errstate(divide="ignore"):
-        focal_depth = np.where(p.kappa > 0, 1.0 / np.maximum(p.kappa, 1e-300),
-                               np.inf)
-    focal = inside & (focal_depth.reshape(shape) - d <= focal_pad)
-    sigma = inside & (ambiguous.reshape(shape) | focal)
     field = DistanceField(
-        grid=grid, curve=curve, d=d, inside=inside, sigma_mask=sigma,
-        focal_mask=focal,
+        grid=grid, curve=curve, d=p.dist.reshape(shape), inside=inside,
         nearest_arc=p.arc_index.reshape(shape),
         nearest_param=p.param.reshape(shape), projector=proj)
-    for arr in (field.d, field.inside, field.sigma_mask, field.focal_mask,
-                field.nearest_arc, field.nearest_param):
+    for arr in (field.d, field.inside, field.nearest_arc,
+                field.nearest_param):
         arr.setflags(write=False)
     return field
 
@@ -210,40 +187,3 @@ class FieldProjector:
         return Projection(point=g.position, dist=dist, s=g.s,
                           arc_index=arc_index, param=param,
                           kappa=g.curvature)
-
-
-def singular_measure(field):
-    """Area of the flagged singular-set cover: count * h^2."""
-    return float(np.sum(field.sigma_mask) * field.grid.h ** 2)
-
-
-def eikonal_max_deviation(field):
-    """max | |grad d| - 1 | by central differences on eligible cells.
-
-    Eligible: cell and 4-neighborhood inside, d > 2h, and the cell is not
-    flagged nor adjacent (8-neighborhood) to a flagged cell: a stencil
-    that straddles the kink of d reports an O(1) defect that says nothing
-    about the field away from the singular set.
-    """
-    d = field.d
-    h = field.grid.h
-    near_sigma = field.sigma_mask.copy()
-    near_sigma[1:, :] |= field.sigma_mask[:-1, :]
-    near_sigma[:-1, :] |= field.sigma_mask[1:, :]
-    near_sigma[:, 1:] |= near_sigma[:, :-1].copy()
-    near_sigma[:, :-1] |= near_sigma[:, 1:].copy()
-    ok = field.inside & ~near_sigma & (d > 2 * h)
-    elig = ok.copy()
-    elig[1:-1, 1:-1] &= (field.inside[1:-1, :-2] & field.inside[1:-1, 2:]
-                         & field.inside[:-2, 1:-1] & field.inside[2:, 1:-1])
-    elig[0, :] = elig[-1, :] = False
-    elig[:, 0] = elig[:, -1] = False
-    gx = np.zeros_like(d)
-    gy = np.zeros_like(d)
-    gx[1:-1, 1:-1] = (d[1:-1, 2:] - d[1:-1, :-2]) / (2 * h)
-    gy[1:-1, 1:-1] = (d[2:, 1:-1] - d[:-2, 1:-1]) / (2 * h)
-    mag = np.hypot(gx, gy)
-    if not np.any(elig):
-        return 0.0
-    return float(np.max(np.abs(mag[elig] - 1.0)))
-

@@ -2,7 +2,8 @@
 
 The criterion and its two PDE applications read the same few quantities
 of one domain: the cut values over the boundary, the curvature maximum y0
-with its cut value, the corners and |Omega| / |boundary|.  A Domain wraps
+with its cut value, the corners with the cut values along the fan of
+each concave one, and |Omega| / |boundary|.  A Domain wraps
 the uniform cut table that a run builds first and computes each of the
 other quantities at most once, when it is first read.  Every cut value it
 computes uses the table's projector and its absolute tolerance.
@@ -12,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cutlocus import cut_table, cut_value
+from .cutlocus import corner_fans, cut_table, cut_value
 from .integrals import area, perimeter
 from .symmetry import diameter, refine_max_curvature
 
@@ -88,6 +89,11 @@ class Domain:
         if all(c.convex for c in self.corners):
             return "convex-only"
         return "concave-present"
+
+    @cached_property
+    def corner_fans(self):
+        """Fan cut tables of the concave corners (cutlocus.corner_fans)."""
+        return corner_fans(self.table)
 
     @cached_property
     def starshaped(self):

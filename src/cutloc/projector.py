@@ -2,10 +2,11 @@
 
 Two projectors share one interface:
 
-* CurveProjector: global scan over a dense midpoint site table, then the
-  foot on the owning arc within a bracket of one site step: in closed form
-  on segments and circular arcs, by safeguarded Newton steps on every
-  other class (Arc.batch_foot).  Rows are refined per arc class, not per
+* CurveProjector: the exact block-pruned nearest-site scan of a dense
+  midpoint site table (_kernels.nearest_site), then the foot on the
+  owning arc within a bracket of one site step: in closed form on
+  segments and circular arcs, by safeguarded Newton steps on every other
+  class (Arc.batch_foot).  Rows are refined per arc class, not per
   arc: one vectorized search runs over every row whose arc has the same
   class (segments, circular arcs, ...).
 * FieldProjector (in distfield): seeds from a precomputed grid instead.

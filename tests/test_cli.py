@@ -87,8 +87,8 @@ def test_verify_square(capsys):
 def test_verify_builds_no_distance_field(capsys, monkeypatch):
     # chv-grid counts inside cells: no nearest-site scan is needed
     def refuse(*args, **kwargs):
-        raise AssertionError("nearest_site_gap called by verify")
-    monkeypatch.setattr("cutloc._kernels.nearest_site_gap", refuse)
+        raise AssertionError("nearest_site called by verify")
+    monkeypatch.setattr("cutloc._kernels.nearest_site", refuse)
     code, out, _ = _run(capsys, ["verify", "--shape", STADIUM, "--samples",
                                  "512", "--grid-nx", "64", "--grid-ny", "64"])
     assert code == 0
@@ -114,6 +114,17 @@ def test_mk_summary(capsys):
     assert doc["verdict"] == "ball"
     assert doc["boundary_trace"]["mean"] == pytest.approx(1.0, abs=1e-4)
     assert doc["residual"]["median"] <= 0.05 * 2.0
+
+
+@pytest.mark.parametrize("shape", [
+    '{"type": "ellipse", "a": 2.0, "b": 1.0}', SQUARE])
+def test_mk_benchmark_grid_exits_0(capsys, shape):
+    # the grid size of the benchmark's mk invocations, which expect exit 0
+    code, out, _ = _run(capsys, ["mk", "--shape", shape, "--samples", "512",
+                                 "--grid-nx", "96", "--grid-ny", "96"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["eikonal_max_deviation"] <= 5 * doc["grid"]["h"]
 
 
 def test_web_report(capsys):
@@ -300,6 +311,18 @@ def test_io_error_exits_2(capsys, tmp_path, case):
     }[case]
     code, out, err = _run(capsys, ["report", "--samples", "256"]
                           + shape_and_out)
+    assert code == 2
+    assert out == ""
+    assert any(line.startswith("error:") for line in err.splitlines())
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["report.json", "samples.csv"])
+def test_out_write_error_exits_2(capsys, tmp_path, name):
+    # --out exists, but one of the files it should receive is a directory
+    (tmp_path / name).mkdir()
+    code, out, err = _run(capsys, ["report", "--shape", CIRCLE, "--samples",
+                                   "256", "--out", str(tmp_path)])
     assert code == 2
     assert out == ""
     assert any(line.startswith("error:") for line in err.splitlines())

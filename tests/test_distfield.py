@@ -3,8 +3,7 @@ import pytest
 
 from conftest import SPECS
 from cutloc import ConstructionError, build_distance_field
-from cutloc.distfield import (FieldProjector, GridSpec, eikonal_max_deviation,
-                              inside_mask, singular_measure)
+from cutloc.distfield import FieldProjector, GridSpec, inside_mask
 
 
 def _cell(field, x, y):
@@ -12,29 +11,6 @@ def _cell(field, x, y):
     ix = int((x - g.xmin) / g.h)
     iy = int((y - g.ymin) / g.h)
     return iy, ix
-
-
-def test_disk_center_is_singular(fields):
-    field = fields("circle", 1 / 64)
-    iy, ix = _cell(field, 0.0, 0.0)
-    assert np.isclose(field.d[iy, ix], 1.0, atol=2 * field.grid.h)
-    assert field.sigma_mask[iy, ix]
-
-
-def test_disk_halfway_point(fields):
-    field = fields("circle", 1 / 64)
-    iy, ix = _cell(field, 0.5, 0.0)
-    # cell center is within h/2 of (0.5, 0); d is exact for the center
-    assert np.isclose(field.d[iy, ix], 1.0 - np.hypot(*(
-        np.array([field.grid.xs[ix], field.grid.ys[iy]]))), atol=1e-9)
-    assert not field.sigma_mask[iy, ix]
-
-
-def test_ellipse_center_singular(fields):
-    field = fields("ellipse", 1 / 64)
-    iy, ix = _cell(field, 0.0, 0.0)
-    assert field.sigma_mask[iy, ix]
-    assert np.isclose(field.d[iy, ix], 1.0, atol=3 * field.grid.h)
 
 
 def test_ellipse_distance_brute_force(curves, fields):
@@ -46,38 +22,6 @@ def test_ellipse_distance_brute_force(curves, fields):
     pts = np.stack([2 * np.cos(t), np.sin(t)], axis=1)
     brute = np.min(np.linalg.norm(pts - x, axis=1))
     assert np.isclose(field.d[iy, ix], brute, atol=1e-6)
-
-
-def test_square_diagonal_singular(fields):
-    field = fields("square", 1 / 64)
-    iy, ix = _cell(field, 0.9, 0.9)
-    assert np.isclose(field.d[iy, ix], 0.1, atol=2 * field.grid.h)
-    assert field.sigma_mask[iy, ix]
-
-
-def test_square_sigma_on_diagonals(fields):
-    field = fields("square", 1 / 64)
-    g = field.grid
-    ys, xs = np.nonzero(field.sigma_mask)
-    cx = g.xs[xs]
-    cy = g.ys[ys]
-    off_diag = np.minimum(np.abs(np.abs(cx) - np.abs(cy)),
-                          np.hypot(cx, cy))
-    assert np.max(off_diag) <= 4 * g.h
-
-
-def test_eikonal_bound(fields):
-    for name in ("circle", "ellipse", "square"):
-        field = fields(name, 1 / 64)
-        assert eikonal_max_deviation(field) <= 5 * field.grid.h
-
-
-def test_singular_measure_shrinks(fields):
-    # point singular set: the flagged cover is the focal collar, whose
-    # width ~ sqrt(h) takes over below h ~ 1/144 and shrinks linearly
-    coarse = singular_measure(fields("circle", 1 / 128))
-    fine = singular_measure(fields("circle", 1 / 256))
-    assert 0.3 <= fine / coarse <= 0.7
 
 
 def test_inside_area(fields):

@@ -8,7 +8,6 @@ from cutloc.cutlocus import _ball_cut
 from cutloc.distfield import GridSpec
 from cutloc.projector import CurveProjector
 
-_BIG = 1e300
 _REFERENCE_ROWS = 256
 
 
@@ -31,30 +30,15 @@ def _row_chunked(reference):
 
 
 @_row_chunked
-def _brute_gap(queries, sites, site_s, length, min_sep, corner_s):
-    """Reference: the dense O(queries x sites) multiplicity-gap scan."""
-    qx, qy = queries[:, 0], queries[:, 1]
-    sx, sy = sites[:, 0], sites[:, 1]
-    ss = np.asarray(site_s, dtype=float)
-    dx = qx[:, None] - sx[None, :]
-    dy = qy[:, None] - sy[None, :]
-    d = np.sqrt(dx * dx + dy * dy)
-    ii = np.argmin(d, axis=1)
-    best = d[np.arange(qx.size), ii]
-    locmin = (d <= np.roll(d, 1, axis=1)) & (d <= np.roll(d, -1, axis=1))
-    ds = np.abs(ss[None, :] - ss[ii][:, None])
-    ds = np.minimum(ds, length - ds)
-    ok = ds >= min_sep
-    if corner_s.size:
-        lo = np.minimum(ss[None, :], ss[ii][:, None])
-        hi = np.maximum(ss[None, :], ss[ii][:, None])
-        direct = (hi - lo) <= 0.5 * length
-        for c in corner_s:
-            inside_int = (lo <= c) & (c <= hi)
-            ok |= np.where(direct, inside_int, ~inside_int)
-    second = np.min(np.where(locmin & ok, d, _BIG), axis=1)
-    second = np.minimum(second, np.max(d, axis=1))
-    return ii, best, second - best
+def _dense_argmin(queries, sites):
+    """Reference: the dense squared-distance argmin over every site, its
+    distance, and the number of sites at that distance."""
+    dx = queries[:, 0][:, None] - sites[:, 0][None, :]
+    dy = queries[:, 1][:, None] - sites[:, 1][None, :]
+    d2 = dx * dx + dy * dy
+    ii = np.argmin(d2, axis=1)
+    best = d2[np.arange(ii.size), ii]
+    return ii, np.sqrt(best), np.count_nonzero(d2 == best[:, None], axis=1)
 
 
 @_row_chunked
@@ -69,23 +53,18 @@ def _winding(queries, polygon):
     return up.sum(axis=1) - dn.sum(axis=1)
 
 
-def _assert_gap_matches(queries, sites, site_s, length, min_sep, threshold,
-                        corner_s):
-    idx, dist, flag = _kernels.nearest_site_gap(
-        queries, sites, site_s, length, min_sep, threshold, corner_s)
-    ref_idx, ref_dist, ref_gap = _brute_gap(queries, sites, site_s, length,
-                                            min_sep, corner_s)
+def _assert_matches_dense(queries, sites):
+    """Assert the kernel's result equals the reference; (idx, ties)."""
+    idx, dist = _kernels.nearest_site(queries, sites)
+    ref_idx, ref_dist, ties = _dense_argmin(queries, sites)
     assert np.array_equal(idx, ref_idx)
     assert np.array_equal(dist, ref_dist)
-    assert np.array_equal(flag, ref_gap <= threshold)
-    return flag
+    return idx, ties
 
 
 def _ring_sites(m=4097, r=1.0):
     t = np.linspace(0.0, 2 * np.pi, m, endpoint=False)
-    sites = np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
-    s = r * t
-    return sites, s, 2 * np.pi * r
+    return np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
 
 
 def test_nearest_site_exact_values():
@@ -95,70 +74,58 @@ def test_nearest_site_exact_values():
     assert np.allclose(d, [0.2, 0.5], atol=1e-15)
 
 
-def test_gap_flag_matches_brute_scan_on_ring():
-    # 4097 sites: the last block is short and wraps to block 0's sites
+def test_nearest_site_matches_dense_argmin_on_ring():
+    # 4097 sites: the last block is short and padded with the last site
     rng = np.random.default_rng(11)
-    sites, s, length = _ring_sites()
-    queries = rng.uniform(-0.8, 0.8, size=(300, 2))
-    for threshold in (0.0, 0.05, 0.3):
-        flag = _assert_gap_matches(queries, sites, s, length, 0.2, threshold,
-                                   np.empty(0))
-    assert 0 < np.count_nonzero(flag) < flag.size
+    sites = _ring_sites()
+    queries = np.vstack([rng.uniform(-0.8, 0.8, size=(300, 2)),
+                         1.2 * sites[-3:], 0.9 * sites[:3]])
+    idx, _ = _assert_matches_dense(queries, sites)
+    assert 4096 in idx
 
 
-def test_gap_flag_matches_brute_scan_across_corners(curves):
-    # grid centres on the square tie between sites (argmin tie-break) and
-    # the union's concave corners take the corner branch
+def test_nearest_site_matches_dense_argmin_at_grid_ties(curves):
+    # grid centres on the square's diagonals sit at equal distance from
+    # two sites (ties go to the lowest index); the union's sites meet at
+    # concave corners
     for name in ("square", "union"):
-        curve = curves(name)
-        proj = CurveProjector(curve, m=4096)
-        grid = GridSpec.from_curve(curve, nx=64)
-        corners = curve.corner_arclengths()
-        assert corners.size
-        args = (grid.centers(), proj.sites.points, proj.sites.s, proj.length,
-                10.0 * grid.h, 2.0 * grid.h)
-        flag = _assert_gap_matches(*args, corners)
-        plain = _assert_gap_matches(*args, np.empty(0))
-        assert np.count_nonzero(flag & ~plain) > 0
+        proj = CurveProjector(curves(name), m=4096)
+        queries = GridSpec.from_curve(curves(name), nx=64).centers()
+        _, ties = _assert_matches_dense(queries, proj.sites.points)
+        if name == "square":
+            assert np.any(ties > 1)
 
 
-def test_gap_flag_flat_profile_at_circle_centre(curves):
-    # at the centre every site is equally far: every block is kept and only
-    # the largest-distance cap can set the flag
-    curve = curves("circle")
-    proj = CurveProjector(curve, m=4096)
+def test_nearest_site_matches_dense_argmin_at_circle_centre(curves):
+    # at the centre every site is equally far: no block can be pruned
+    proj = CurveProjector(curves("circle"), m=4096)
     queries = np.array([[0.0, 0.0], [1e-3, -2e-3], [0.3, 0.1]])
-    flag = _assert_gap_matches(queries, proj.sites.points, proj.sites.s,
-                               proj.length, 0.5, 1e-2, np.empty(0))
-    assert list(flag) == [True, True, False]
+    _assert_matches_dense(queries, proj.sites.points)
 
 
-def _grid_gap_args(curve, nx):
+def _grid_args(curve, nx):
     proj = CurveProjector(curve, m=4096)
     grid = GridSpec.from_curve(curve, nx=nx)
-    return (grid.centers(), proj.sites.points, proj.sites.s, proj.length,
-            10.0 * grid.h, 2.0 * grid.h, curve.corner_arclengths())
+    return grid.centers(), proj.sites.points
 
 
-def test_gap_scan_result_does_not_depend_on_the_pair_budget(curves,
-                                                            monkeypatch):
+def test_nearest_site_does_not_depend_on_the_pair_budget(curves, monkeypatch):
     # budget 1: every pruning strip and every scan run holds one query
     for name in ("square", "ellipse"):
-        args = _grid_gap_args(curves(name), 48)
-        default = _kernels.nearest_site_gap(*args)
+        args = _grid_args(curves(name), 48)
+        default = _kernels.nearest_site(*args)
         with monkeypatch.context() as patch:
             patch.setattr(_kernels, "_PAIR_BUDGET", 1)
-            single = _kernels.nearest_site_gap(*args)
-        assert np.count_nonzero(default[2]) > 0
+            single = _kernels.nearest_site(*args)
         for got, want in zip(single, default):
             assert np.array_equal(got, want)
 
 
-def test_gap_scan_memory_is_bounded_by_the_pair_budget(curves):
+def test_nearest_site_memory_is_bounded_by_the_pair_budget(curves):
     # near the circle's centre every block is kept, and a run sized for
     # that worst case everywhere would hold over 1M distances per temporary
-    args = _grid_gap_args(curves("circle"), 96)
-    assert traced_peak_mb(_kernels.nearest_site_gap, *args) <= 12.0
+    args = _grid_args(curves("circle"), 96)
+    assert traced_peak_mb(_kernels.nearest_site, *args) <= 12.0
 
 
 def test_ball_pass_memory_is_bounded_by_the_pair_budget(curves):

@@ -2,11 +2,22 @@ import numpy as np
 import pytest
 
 from cutloc import (HypothesisViolationError, build_distance_field,
-                    complementarity_max, constant, mk_verdict,
-                    residual_summary, vf_at, vf_boundary, vf_field,
-                    weak_form_check)
+                    complementarity_max, constant, eikonal_max_deviation,
+                    mk_verdict, residual_summary, singular_measure, vf_at,
+                    vf_boundary, vf_field, weak_form_check)
 from cutloc.distfield import GridSpec
 from cutloc.mk import export_mk_csv
+
+
+def _solve(domains, fields, name, h):
+    return vf_field(domains(name), fields(name, h))
+
+
+def _cell(sol, x, y):
+    g = sol.grid
+    ix = int((x - g.xmin) / g.h)
+    iy = int((y - g.ymin) / g.h)
+    return iy, ix
 
 
 def test_vf_at_disk_closed_form(domains):
@@ -91,3 +102,76 @@ def test_export_csv(tmp_path, domains, fields):
     first = lines[1].split(",")
     assert len(first) == 7
     assert first[6] in ("0", "1")
+
+
+def test_disk_center_is_singular(domains, fields):
+    sol = _solve(domains, fields, "circle", 1 / 64)
+    iy, ix = _cell(sol, 0.0, 0.0)
+    assert np.isclose(sol.u[iy, ix], 1.0, atol=2 * sol.h)
+    assert sol.singular[iy, ix]
+
+
+def test_disk_halfway_point(domains, fields):
+    sol = _solve(domains, fields, "circle", 1 / 64)
+    iy, ix = _cell(sol, 0.5, 0.0)
+    # cell center is within h/2 of (0.5, 0); d is exact for the center
+    assert np.isclose(sol.u[iy, ix], 1.0 - np.hypot(*(
+        np.array([sol.grid.xs[ix], sol.grid.ys[iy]]))), atol=1e-9)
+    assert not sol.singular[iy, ix]
+
+
+def test_ellipse_center_singular(domains, fields):
+    sol = _solve(domains, fields, "ellipse", 1 / 64)
+    iy, ix = _cell(sol, 0.0, 0.0)
+    assert sol.singular[iy, ix]
+    assert np.isclose(sol.u[iy, ix], 1.0, atol=3 * sol.h)
+
+
+def test_square_diagonal_singular(domains, fields):
+    sol = _solve(domains, fields, "square", 1 / 64)
+    iy, ix = _cell(sol, 0.9, 0.9)
+    assert np.isclose(sol.u[iy, ix], 0.1, atol=2 * sol.h)
+    assert sol.singular[iy, ix]
+
+
+def test_square_sigma_on_diagonals(domains, fields):
+    sol = _solve(domains, fields, "square", 1 / 64)
+    g = sol.grid
+    ys, xs = np.nonzero(sol.singular)
+    cx = g.xs[xs]
+    cy = g.ys[ys]
+    off_diag = np.minimum(np.abs(np.abs(cx) - np.abs(cy)),
+                          np.hypot(cx, cy))
+    assert np.max(off_diag) <= 4 * g.h
+
+
+def test_union_sigma_on_the_segment_between_centres(domains, fields):
+    # feet on y = 0 are the two concave corners (0, +-sqrt 3): the cut
+    # value comes from each corner's fan, not from the adjacent arcs
+    sol = _solve(domains, fields, "union", 1 / 64)
+    g = sol.grid
+    row = np.abs(g.ys) <= 0.5 * g.h
+    col = np.abs(g.xs) < 0.9
+    assert np.any(row) and np.any(col)
+    assert np.all(sol.singular[np.ix_(row, col)])
+
+
+def test_eikonal_bound(domains, fields):
+    for name in ("circle", "ellipse", "square", "union", "fourier"):
+        sol = _solve(domains, fields, name, 1 / 64)
+        assert eikonal_max_deviation(sol) <= 5 * sol.h, name
+
+
+def test_singular_measure_shrinks(curves, domains, fields):
+    # the cover of a point singular set (the circle's centre) is a disc of
+    # radius 3h, so its measure falls like h^2; the cover of a curve-like
+    # one is a band of width O(h)
+    for name, lo, hi in (("circle", 0.2, 0.3), ("ellipse", 0.4, 0.6),
+                         ("square", 0.4, 0.6)):
+        curve = curves(name)
+        coarse = singular_measure(_solve(domains, fields, name, 1 / 128))
+        fine_field = build_distance_field(
+            curve, grid=GridSpec.with_h(curve, 1 / 256))
+        fine = singular_measure(vf_field(domains(name), fine_field))
+        assert lo <= fine / coarse <= hi, name
+
