@@ -38,14 +38,16 @@ def _dot(u, v):
     return u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1]
 
 
-def _nearest_of(point, x, candidates):
-    """Per row, the candidate parameter whose point is nearest x.
+def _nearest_of(arcs, which, x, candidates):
+    """Per row, the candidate parameter whose point on arcs[which[i]] is
+    nearest x.
 
     Ties go to the earliest candidate.
     """
+    point = per_arc(arcs, which, "point")
     dist2 = []
     for p in candidates:
-        d = point(p) - x
+        d = point(p)[0] - x
         dist2.append(_dot(d, d))
     return np.choose(np.argmin(dist2, axis=0), candidates)
 
@@ -70,16 +72,41 @@ def arc_runs(index):
 def per_arc(arcs, which, *evaluators):
     """Callable t -> one (n, 2) array per named evaluator ("point", ...).
 
-    Row i comes from arcs[which[i]]; each arc evaluates its own rows,
-    grouped once by arc_runs.
+    Row i comes from arcs[which[i]].  Rows are grouped once by arc kind
+    (Arc.kind), with arc_runs: the rows of a kind on one arc evaluate
+    through that arc, and those on several arcs through Arc.stacked, all
+    at once.  Either way a row's value is the arc's own, bit for bit.
     """
-    groups = list(arc_runs(which))
+    which = np.asarray(which)
+    kinds = {}
+    kind_of = np.array([kinds.setdefault(a if k is None else k, len(kinds))
+                        for a, k in enumerate(arc.kind for arc in arcs)],
+                       dtype=np.intp)
+    groups = []
+    for _, rows in arc_runs(kind_of[which]):
+        own = which[rows]
+        present = np.bincount(own, minlength=len(arcs)) > 0
+        used = np.flatnonzero(present)
+        if used.size == 1:
+            groups.append((arcs[used[0]], rows))
+        else:
+            slot = np.cumsum(present) - 1
+            groups.append((type(arcs[used[0]]).stacked(
+                [arcs[a] for a in used], slot[own]), rows))
+    # each evaluator's rows come out grouped; back puts them in input order
+    order = np.concatenate([rows for _, rows in groups]
+                           or [np.zeros(0, dtype=np.intp)])
+    back = np.empty(order.size, dtype=np.intp)
+    back[order] = np.arange(order.size)
 
     def evaluate(t):
-        out = [np.empty((t.size, 2)) for _ in evaluators]
-        for k, rows in groups:
-            for o, name in zip(out, evaluators):
-                o[rows] = getattr(arcs[k], name)(t[rows])
+        t_rows = [t[rows] for _, rows in groups]
+        out = []
+        for name in evaluators:
+            grouped = [getattr(arc, name)(tr)
+                       for (arc, _), tr in zip(groups, t_rows)]
+            out.append(np.take(np.concatenate(grouped or [np.empty((0, 2))]),
+                               back, axis=0))
         return out
     return evaluate
 
@@ -99,15 +126,31 @@ class Arc:
     def acceleration(self, t):
         raise NotImplementedError
 
-    @classmethod
-    def batch_point(cls, arcs, which):
-        """Callable t -> (n, 2) with row i on arcs[which[i]], all of class cls.
+    # the attributes that hold an arc's coefficients, when its evaluators
+    # are closed forms in them; empty: each arc evaluates its own rows
+    _ROW_COEFFICIENTS = ()
 
-        Evaluates each arc's point on its own rows; subclasses with a
-        closed form override it with stacked per-row coefficients.
+    @property
+    def kind(self):
+        """Key under which per_arc evaluates arcs together: the class, when
+        it stacks (_ROW_COEFFICIENTS), else None (this arc alone)."""
+        return type(self) if self._ROW_COEFFICIENTS else None
+
+    @classmethod
+    def stacked(cls, arcs, which):
+        """An instance of cls whose evaluators give row i on arcs[which[i]].
+
+        Each coefficient holds one row per point, (n, 1) for a number and
+        (n, 2) for a vector, so the class's own evaluators run once on all
+        rows with the same elementwise arithmetic as each arc's.  arcs are
+        of one kind (Arc.kind is not None).
         """
-        evaluate = per_arc(arcs, which, "point")
-        return lambda t: evaluate(t)[0]
+        rows = object.__new__(cls)
+        for name in cls._ROW_COEFFICIENTS:
+            value = np.array([getattr(arc, name) for arc in arcs])
+            setattr(rows, name,
+                    np.take(value, which, axis=0).reshape(which.size, -1))
+        return rows
 
     @classmethod
     def batch_foot(cls, arcs, which, x, seed, lo, hi):
@@ -136,18 +179,12 @@ class Arc:
                 step = p - g / dg
                 newton = (dg > 0) & (step >= a) & (step <= b)
                 p = np.where(newton, step, 0.5 * (a + b))
-        return _nearest_of(cls.batch_point(arcs, which), x, (p, lo, hi))
-
-    @property
-    def start(self):
-        return self.point(self.t0)[0]
-
-    @property
-    def end(self):
-        return self.point(self.t1)[0]
+        return _nearest_of(arcs, which, x, (p, lo, hi))
 
 
 class CircleArc(Arc):
+    _ROW_COEFFICIENTS = ("center", "radius")
+
     def __init__(self, center, radius, t0, t1):
         if radius <= 0:
             raise ValueError("radius must be positive")
@@ -163,13 +200,6 @@ class CircleArc(Arc):
         return self.center + self.radius * np.stack([np.cos(t), np.sin(t)], axis=-1)
 
     @classmethod
-    def batch_point(cls, arcs, which):
-        center = np.array([arc.center for arc in arcs])[which]
-        radius = np.array([arc.radius for arc in arcs])[which, None]
-        return lambda t: center + radius * np.stack([np.cos(t), np.sin(t)],
-                                                    axis=-1)
-
-    @classmethod
     def batch_foot(cls, arcs, which, x, seed, lo, hi):
         """The polar angle of x about the centre, in closed form.
 
@@ -183,8 +213,8 @@ class CircleArc(Arc):
         theta = theta + 2.0 * np.pi * np.ceil((lo - theta) / (2.0 * np.pi))
         far = theta > hi
         if np.any(far):
-            point = cls.batch_point(arcs, which[far])
-            theta[far] = _nearest_of(point, x[far], (hi[far], lo[far]))
+            theta[far] = _nearest_of(arcs, which[far], x[far],
+                                     (hi[far], lo[far]))
         return theta
 
     def velocity(self, t):
@@ -199,6 +229,8 @@ class CircleArc(Arc):
 class SegmentArc(Arc):
     """Straight segment, t in [0, 1]."""
 
+    _ROW_COEFFICIENTS = ("p0", "p1")
+
     def __init__(self, p0, p1):
         self.p0 = np.asarray(p0, dtype=float)
         self.p1 = np.asarray(p1, dtype=float)
@@ -210,12 +242,6 @@ class SegmentArc(Arc):
     def point(self, t):
         t = _col(t)
         return self.p0 + t[:, None] * (self.p1 - self.p0)
-
-    @classmethod
-    def batch_point(cls, arcs, which):
-        p0 = np.array([arc.p0 for arc in arcs])[which]
-        step = np.array([arc.p1 - arc.p0 for arc in arcs])[which]
-        return lambda t: p0 + t[:, None] * step
 
     @classmethod
     def batch_foot(cls, arcs, which, x, seed, lo, hi):
@@ -369,6 +395,8 @@ class FourierArc(PolarArc):
 class TransformedArc(Arc):
     """scale * R(rotation) * base(t) + shift; curvature scales by 1/scale."""
 
+    _ROW_COEFFICIENTS = ("scale", "_cos", "_sin", "shift")
+
     def __init__(self, base, scale=1.0, rotation=0.0, shift=(0.0, 0.0)):
         if scale <= 0:
             raise ValueError("scale must be positive")
@@ -380,12 +408,27 @@ class TransformedArc(Arc):
         self.t0 = base.t0
         self.t1 = base.t1
 
+    @property
+    def kind(self):
+        """(TransformedArc, the base's kind), or None if the base's is."""
+        base = self.base.kind
+        return None if base is None else (TransformedArc, base)
+
+    @classmethod
+    def stacked(cls, arcs, which):
+        """Arc.stacked, with the bases stacked too (one kind, as ours)."""
+        rows = super().stacked(arcs, which)
+        bases = [arc.base for arc in arcs]
+        rows.base = type(bases[0]).stacked(bases, which)
+        return rows
+
     def _apply(self, xy, translate):
         # elementwise: a matrix product's rounding can depend on the
         # number of rows, and a row's value must not depend on its batch
         c, s = self._cos, self._sin
-        x, y = xy[:, 0], xy[:, 1]
-        out = self.scale * np.stack([c * x - s * y, s * x + c * y], axis=-1)
+        x, y = xy[:, :1], xy[:, 1:]
+        out = self.scale * np.concatenate([c * x - s * y, s * x + c * y],
+                                          axis=1)
         if translate:
             out = out + self.shift
         return out

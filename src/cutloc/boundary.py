@@ -26,10 +26,12 @@ DEFAULT_ANGLE_TOL = 1e-7   # radians; junctions turning less are treated as C1
 _TABLE_NODES = 65536       # fixed arclength-table resolution; a single
                            # size keeps every query independent of what
                            # was computed on the curve before
-# point or segment pairs per chunk of an all-pairs pass that is not a
-# nearest-site scan (curve validation, diameter): each float temporary
-# stays about 1 MB, small enough to stay in cache
+# segment pairs per chunk of the crossing test of curve validation: each
+# float temporary stays about 1 MB, small enough to stay in cache
 _PAIR_CHUNK = 131_072
+# parameters per block of the per-arc samplings (_arc_blocks): evaluating
+# a block holds a few hundred bytes of temporaries per parameter
+_BLOCK_NODES = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +112,7 @@ class BoundaryCurve:
         self._tables = None
         self._sites_cache = {}
 
-        poll = self._poll_points(64)
+        poll = self._sample(64, endpoint=False)
         lo = poll.min(axis=0)
         hi = poll.max(axis=0)
         self._bbox = (lo[0], hi[0], lo[1], hi[1])
@@ -121,26 +123,71 @@ class BoundaryCurve:
 
     # ------------------------------------------------------------ validation
 
-    def _poll_points(self, per_arc):
-        pts = []
-        for arc in self.arcs:
-            t = np.linspace(arc.t0, arc.t1, per_arc, endpoint=False)
-            pts.append(arc.point(t))
-        return np.vstack(pts)
+    @cached_property
+    def _param_range(self):
+        """(t0, t1): (number of arcs,) parameter ranges of the arcs."""
+        return (np.array([arc.t0 for arc in self.arcs]),
+                np.array([arc.t1 for arc in self.arcs]))
+
+    def _arc_blocks(self, counts, endpoint, offset=0.0):
+        """counts[a] parameters on each arc a, in blocks of whole arcs.
+
+        Yields (arc of each parameter, parameters) pairs, arcs in order.
+        Arc a's parameters are t0 + (j + offset) * step, j < counts[a];
+        with offset 0 they are np.linspace's, bit for bit, with or without
+        the endpoint.  A block holds at most _BLOCK_NODES parameters, or
+        one arc's if it has more.
+        """
+        t0, t1 = self._param_range
+        counts = np.broadcast_to(counts, t0.shape)
+        step = (t1 - t0) / (counts - 1 if endpoint else counts)
+        end = np.cumsum(counts)
+        start = 0
+        while start < counts.size:
+            stop = max(start + 1, int(np.searchsorted(
+                end, end[start] - counts[start] + _BLOCK_NODES, side="right")))
+            c = counts[start:stop]
+            which = np.repeat(np.arange(start, stop), c)
+            first = np.cumsum(c) - c
+            j = np.arange(which.size) - first[which - start] + offset
+            t = j * step[which] + t0[which]
+            if endpoint:
+                t[first + c - 1] = t1[start:stop]
+            yield which, t
+            start = stop
+
+    def _speed(self, which, t):
+        """|Y'| at parameters t of arcs which, _BLOCK_NODES rows at a time."""
+        return np.concatenate([np.linalg.norm(per_arc(
+            self.arcs, which[i:i + _BLOCK_NODES], "velocity")(
+                t[i:i + _BLOCK_NODES])[0], axis=1)
+            for i in range(0, t.size, _BLOCK_NODES)])
+
+    def _sample(self, counts, endpoint):
+        """(nodes, 2) points at the parameters of _arc_blocks."""
+        blocks = self._arc_blocks(counts, endpoint)
+        return np.concatenate([per_arc(self.arcs, which, "point")(t)[0]
+                               for which, t in blocks])
 
     def _validate(self):
         n = len(self.arcs)
-        for i, arc in enumerate(self.arcs):
-            nxt = self.arcs[(i + 1) % n]
-            miss = np.linalg.norm(arc.end - nxt.start)
-            if miss > 1e-9 * self._extent:
-                raise ConstructionError(
-                    f"arcs {i} and {(i + 1) % n} fail to chain: gap {miss:.3e}")
-        for i, arc in enumerate(self.arcs):
-            t = np.linspace(arc.t0, arc.t1, 257)
-            sp = np.linalg.norm(arc.velocity(t), axis=1)
-            if np.min(sp) <= 1e-12 * (self._extent + 1.0):
-                raise ConstructionError(f"arc {i} is not regular (|Y'| ~ 0)")
+        t0, t1 = self._param_range
+        point = per_arc(self.arcs, np.arange(n), "point")
+        (end,), (start,) = point(t1), point(t0)
+        miss = np.linalg.norm(end - np.roll(start, -1, axis=0), axis=1)
+        gap = np.flatnonzero(miss > 1e-9 * self._extent)
+        if gap.size:
+            i = gap[0]
+            raise ConstructionError(f"arcs {i} and {(i + 1) % n} fail to "
+                                    f"chain: gap {miss[i]:.3e}")
+        slowest = []
+        for which, t in self._arc_blocks(257, endpoint=True):
+            sp = self._speed(which, t).reshape(-1, 257)
+            slowest.append(np.min(sp, axis=1))
+        slow = np.flatnonzero(
+            np.concatenate(slowest) <= 1e-12 * (self._extent + 1.0))
+        if slow.size:
+            raise ConstructionError(f"arc {slow[0]} is not regular (|Y'| ~ 0)")
         poly = self.winding_polygon(512)
         x, y = poly[:, 0], poly[:, 1]
         area2 = np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
@@ -154,30 +201,32 @@ class BoundaryCurve:
     def _ensure_tables(self):
         if self._tables is not None:
             return
-        total_nodes = _TABLE_NODES
+        t0, t1 = self._param_range
         # bootstrap length fractions from a chord poll
         frac = []
-        for arc in self.arcs:
-            t = np.linspace(arc.t0, arc.t1, 257)
-            p = arc.point(t)
-            frac.append(np.sum(np.linalg.norm(np.diff(p, axis=0), axis=1)))
-        frac = np.asarray(frac)
+        for which, t in self._arc_blocks(257, endpoint=True):
+            p = per_arc(self.arcs, which, "point")(t)[0].reshape(-1, 257, 2)
+            frac.append(np.sum(np.linalg.norm(np.diff(p, axis=1), axis=2),
+                               axis=1))
+        frac = np.concatenate(frac)
         frac = frac / frac.sum()
 
-        p_tabs, s_tabs, lengths = [], [], []
-        for arc, f in zip(self.arcs, frac):
-            k = max(32, int(np.ceil(total_nodes * f)))
-            p = np.linspace(arc.t0, arc.t1, k + 1)
-            mid = 0.5 * (p[:-1] + p[1:])
-            sp = np.linalg.norm(arc.velocity(p), axis=1)
-            sm = np.linalg.norm(arc.velocity(mid), axis=1)
-            dp = (arc.t1 - arc.t0) / k
-            seg = dp / 6.0 * (sp[:-1] + 4.0 * sm + sp[1:])
-            s = np.concatenate([[0.0], np.cumsum(seg)])
-            p_tabs.append(p)
-            s_tabs.append(s)
-            lengths.append(s[-1])
-        cum = np.concatenate([[0.0], np.cumsum(lengths)])
+        # composite Simpson on k intervals per arc: a block holds whole
+        # arcs, and [p[i], p[i + 1]] is an interval where both are one arc's
+        k = np.maximum(32, np.ceil(_TABLE_NODES * frac).astype(int))
+        sixth = (t1 - t0) / k / 6.0
+        p_tabs, s_tabs = [], []
+        for which, p in self._arc_blocks(k + 1, endpoint=True):
+            left = np.flatnonzero(which[:-1] == which[1:])
+            sp = self._speed(which, p)
+            sm = self._speed(which[left], 0.5 * (p[:-1] + p[1:])[left])
+            seg = sixth[which[left]] * (sp[left] + 4.0 * sm + sp[left + 1])
+            # per arc, as np.cumsum rounds along one arc's intervals only
+            edges = np.cumsum(k[which[0]:which[-1] + 1])[:-1]
+            p_tabs += np.split(p, edges + np.arange(1, edges.size + 1))
+            s_tabs += [np.concatenate([[0.0], np.cumsum(part)])
+                       for part in np.split(seg, edges)]
+        cum = np.concatenate([[0.0], np.cumsum([s[-1] for s in s_tabs])])
         self._tables = {"p": p_tabs, "s": s_tabs, "cum": cum}
 
     @property
@@ -284,17 +333,12 @@ class BoundaryCurve:
         self._ensure_tables()
         cum = self._tables["cum"]
         L = cum[-1]
-        pts, prm, aix = [], [], []
-        for a, arc in enumerate(self.arcs):
-            frac = (cum[a + 1] - cum[a]) / L
-            ma = max(8, int(round(m * frac)))
-            t = arc.t0 + (np.arange(ma) + 0.5) * ((arc.t1 - arc.t0) / ma)
-            pts.append(arc.point(t))
-            prm.append(t)
-            aix.append(np.full(ma, a, dtype=int))
-        points = np.vstack(pts)
-        params = np.concatenate(prm)
-        arc_index = np.concatenate(aix)
+        counts = np.maximum(8, np.round(m * (np.diff(cum) / L)).astype(int))
+        blocks = list(self._arc_blocks(counts, endpoint=False, offset=0.5))
+        arc_index = np.concatenate([which for which, _ in blocks])
+        params = np.concatenate([t for _, t in blocks])
+        points = np.concatenate([per_arc(self.arcs, which, "point")(t)[0]
+                                 for which, t in blocks])
         s = self.param_to_s(arc_index, params)
         # every arc holds at least 8 consecutive sites
         first = np.searchsorted(arc_index, np.arange(len(self.arcs)))
@@ -306,13 +350,11 @@ class BoundaryCurve:
 
     def winding_polygon(self, m):
         """Per-arc sampling that keeps arc start points (corners included)."""
-        pts = []
-        total = sum((a.t1 - a.t0) for a in self.arcs)
-        for arc in self.arcs:
-            ma = max(8, int(round(m * (arc.t1 - arc.t0) / total)))
-            t = arc.t0 + np.arange(ma) * ((arc.t1 - arc.t0) / ma)
-            pts.append(arc.point(t))
-        return np.vstack(pts)
+        t0, t1 = self._param_range
+        span = t1 - t0
+        # np.cumsum adds in order, as a running sum over the arcs does
+        counts = np.maximum(8, np.round(m * span / np.cumsum(span)[-1]))
+        return self._sample(counts.astype(int), endpoint=False)
 
     # -------------------------------------------------------------- corners
 

@@ -18,8 +18,14 @@ from .errors import ConstructionError, ShapeParseError
 __all__ = [
     "circle", "ellipse", "superellipse", "rounded_polygon", "square",
     "stadium", "union_disks", "fourier", "from_spec", "load_shape",
-    "SHAPE_SCHEMAS",
+    "SHAPE_SCHEMAS", "MAX_SIDES", "MAX_FOURIER_MODES",
 ]
+
+# Largest shape a description may ask for: a rounded polygon has two arcs
+# per side, and every evaluation of a Fourier radius sums its modes one at
+# a time, so larger values would run for minutes or exhaust memory.
+MAX_SIDES = 4096
+MAX_FOURIER_MODES = 256
 
 
 def _finish(arcs, center, rotation):
@@ -134,7 +140,8 @@ SHAPE_SCHEMAS = {
                      "p": "exponent >= 2", "center": "[x, y], optional",
                      "rotation": "radians, optional"},
     "square": {"side": "number > 0", "center": "[x, y], optional"},
-    "rounded_polygon": {"sides": "integer >= 3", "side_length": "number > 0",
+    "rounded_polygon": {"sides": f"integer, 3 to {MAX_SIDES}",
+                        "side_length": "number > 0",
                         "corner_radius": "number > 0 (tangent fit must leave "
                                          "room on each side)",
                         "center": "[x, y], optional",
@@ -143,8 +150,9 @@ SHAPE_SCHEMAS = {
                 "center": "[x, y], optional", "rotation": "radians, optional"},
     "union_disks": {"radius": "number > 0", "half_distance": "0 < value < radius",
                     "center": "[x, y], optional"},
-    "fourier": {"a0": "mean radius", "cos": "[a_1, a_2, ...], optional",
-                "sin": "[b_1, b_2, ...], optional",
+    "fourier": {"a0": "mean radius",
+                "cos": f"[a_1, a_2, ...], at most {MAX_FOURIER_MODES}, optional",
+                "sin": f"[b_1, b_2, ...], at most {MAX_FOURIER_MODES}, optional",
                 "center": "[x, y], optional", "rotation": "radians, optional"},
 }
 
@@ -178,9 +186,12 @@ def _number(kind, key, value, integer=False):
     return value
 
 
-def _numbers(kind, key, value):
+def _numbers(kind, key, value, most=None):
     if not isinstance(value, (list, tuple)):
         raise ShapeParseError(f"shape {kind!r}: {key} must be a list")
+    if most is not None and len(value) > most:
+        raise ShapeParseError(
+            f"shape {kind!r}: {key} holds {len(value)} values, at most {most}")
     return [_number(kind, key, v) for v in value]
 
 
@@ -198,12 +209,18 @@ def from_spec(spec):
         if key not in spec:
             raise ShapeParseError(f"shape {kind!r} is missing key {key!r}")
         kwargs[key] = _number(kind, key, spec[key], integer=key == "sides")
+    if kwargs.get("sides", 0) > MAX_SIDES:
+        raise ShapeParseError(
+            f"shape {kind!r}: sides must be at most {MAX_SIDES}, "
+            f"not {kwargs['sides']!r}")
     for key in optional:
         if key in spec:
             kwargs[key] = _number(kind, key, spec[key])
     if kind == "fourier":
-        kwargs["cos_coeffs"] = _numbers(kind, "cos", spec.get("cos", ()))
-        kwargs["sin_coeffs"] = _numbers(kind, "sin", spec.get("sin", ()))
+        kwargs["cos_coeffs"] = _numbers(kind, "cos", spec.get("cos", ()),
+                                        MAX_FOURIER_MODES)
+        kwargs["sin_coeffs"] = _numbers(kind, "sin", spec.get("sin", ()),
+                                        MAX_FOURIER_MODES)
     if "center" in spec:
         c = spec["center"]
         if not (isinstance(c, (list, tuple)) and len(c) == 2):

@@ -8,12 +8,13 @@ maximum over the admissible cone is 1/n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .boundary import _PAIR_CHUNK, BoundaryPoint
+from .boundary import BoundaryPoint
 from .cutlocus import _corner_zone, phi as phi_closed
 from .errors import ConfigurationError
 from .quadrature import golden_min_vec
@@ -82,18 +83,76 @@ class SymmetryReport:
 def diameter(curve, n=1024):
     """Max pairwise distance over a boundary polygon sampling.
 
-    Exact over all pairs: rows of the upper triangle in chunks of about
-    _PAIR_CHUNK pairs, so memory stays bounded on many-arc curves.
+    Exact: the farthest pair of a point set is an antipodal pair of
+    vertices of its convex hull, and rotating calipers list those pairs
+    in O(hull) (Shamos 1978).  The pairs are measured as the all-pairs
+    maximum measures them, so the result equals it bit for bit.
     """
     pts = curve.winding_polygon(n)
-    x, y = pts[:, 0], pts[:, 1]
-    rows = max(1, _PAIR_CHUNK // x.size)
-    best = 0.0
-    for a in range(0, x.size, rows):
-        dx = x[a:a + rows, None] - x[a:]
-        dy = y[a:a + rows, None] - y[a:]
-        best = max(best, float(np.max(dx * dx + dy * dy)))
-    return float(np.sqrt(best))
+    hull = pts[_convex_hull(pts)]
+    i, j = _antipodal_pairs(hull)
+    d = hull[i] - hull[j]
+    return float(np.sqrt(np.max(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])))
+
+
+# sine of the turn below which a hull vertex counts as straight: rounding
+# bends a straight run of samples by ~1e-13, a sampled arc by >= 1e-6
+_STRAIGHT = 1e-9
+
+
+def _convex_hull(pts):
+    """Indices of the convex hull's vertices of (n, 2) pts, counterclockwise.
+
+    Andrew's monotone chain (1979).  A vertex that turns by less than
+    _STRAIGHT is dropped with the rest: it lies so near the chord between
+    its neighbours that it is nearer every point than one of them, by
+    about the square of the sample spacing, and is never the farthest.
+    """
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    xy = pts[order].tolist()
+
+    def chain(ks):
+        h = []
+        for k in ks:
+            x, y = xy[k]
+            while len(h) >= 2:
+                x0, y0 = xy[h[-2]]
+                x1, y1 = xy[h[-1]]
+                ux, uy, vx, vy = x1 - x0, y1 - y0, x - x0, y - y0
+                cross = ux * vy - uy * vx
+                if cross > _STRAIGHT * math.hypot(ux, uy) * math.hypot(vx, vy):
+                    break
+                h.pop()
+            h.append(k)
+        return h[:-1]
+
+    ks = range(len(xy))
+    hull = chain(ks) + chain(reversed(ks))
+    return order[hull] if len(hull) > 1 else order[:1]
+
+
+def _antipodal_pairs(hull):
+    """(i, j) index pairs of hull vertices that hold every antipodal pair.
+
+    hull: (h, 2) vertices, counterclockwise, each turning.  For each edge
+    k the caliper parallel to it touches the far side at the vertex where
+    the edge direction passes the reverse of edge k's, found by search on
+    the unwrapped edge angles; both ends of edge k pair with that vertex
+    and its two neighbours, which also covers parallel edges and angles
+    off by rounding.
+    """
+    h = hull.shape[0]
+    if h < 3:
+        return np.arange(h), np.arange(h)[::-1]
+    edge = np.roll(hull, -1, axis=0) - hull
+    angle = np.unwrap(np.arctan2(edge[:, 1], edge[:, 0]))
+    far = np.searchsorted(np.concatenate([angle, angle + 2.0 * np.pi]),
+                          angle + np.pi)
+    k = np.arange(h)
+    i = np.concatenate([k, (k + 1) % h])
+    j = np.concatenate([far, far])
+    return (np.repeat(i, 3),
+            (np.repeat(j, 3) + np.tile([-1, 0, 1], 2 * h)) % h)
 
 
 def refine_max_curvature(table):

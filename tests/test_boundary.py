@@ -338,3 +338,94 @@ def test_detect_corners_evaluates_the_curve_twice():
     curve.detect_corners(angle_tol=1e-3)
     corner_sum(curve)
     assert len(calls) == 2
+
+
+def _per_arc_reference(curve, m):
+    """Reference: each quantity one arc at a time, as np.linspace and
+    np.cumsum lay it out per arc.
+
+    Returns (polled points, parameter and arclength tables, cumulative
+    arc lengths, dense sites' points, params and arc indices, winding
+    polygon).
+    """
+    arcs = curve.arcs
+    poll = np.vstack([arc.point(np.linspace(arc.t0, arc.t1, 64,
+                                            endpoint=False)) for arc in arcs])
+    frac = np.array([np.sum(np.linalg.norm(np.diff(
+        arc.point(np.linspace(arc.t0, arc.t1, 257)), axis=0), axis=1))
+        for arc in arcs])
+    frac = frac / frac.sum()
+    p_tabs, s_tabs = [], []
+    for arc, f in zip(arcs, frac):
+        k = max(32, int(np.ceil(65536 * f)))
+        p = np.linspace(arc.t0, arc.t1, k + 1)
+        mid = 0.5 * (p[:-1] + p[1:])
+        sp = np.linalg.norm(arc.velocity(p), axis=1)
+        sm = np.linalg.norm(arc.velocity(mid), axis=1)
+        seg = (arc.t1 - arc.t0) / k / 6.0 * (sp[:-1] + 4.0 * sm + sp[1:])
+        p_tabs.append(p)
+        s_tabs.append(np.concatenate([[0.0], np.cumsum(seg)]))
+    cum = np.concatenate([[0.0], np.cumsum([s[-1] for s in s_tabs])])
+    sites = []
+    for a, arc in enumerate(arcs):
+        ma = max(8, int(round(m * ((cum[a + 1] - cum[a]) / cum[-1]))))
+        t = arc.t0 + (np.arange(ma) + 0.5) * ((arc.t1 - arc.t0) / ma)
+        sites.append((arc.point(t), t, np.full(ma, a)))
+    span = sum(arc.t1 - arc.t0 for arc in arcs)
+    poly = []
+    for arc in arcs:
+        ma = max(8, int(round(m * (arc.t1 - arc.t0) / span)))
+        poly.append(arc.point(arc.t0 + np.arange(ma)
+                              * ((arc.t1 - arc.t0) / ma)))
+    return (poll, p_tabs, s_tabs, cum,
+            [np.concatenate(c) for c in zip(*sites)], np.vstack(poly))
+
+
+MOVED_POLYGON = dict(POLYGON, center=[0.3, -0.2], rotation=0.4)
+
+
+@pytest.mark.parametrize("name", SHAPES + ("moved_polygon",))
+def test_per_class_evaluation_matches_per_arc_reference(curves, name):
+    # several arcs of one kind evaluate at once (Arc.stacked); the moved
+    # polygon's arcs are TransformedArcs over segments and circular arcs
+    curve = (from_spec(MOVED_POLYGON) if name == "moved_polygon"
+             else curves(name))
+    m = 1000
+    poll, p_tabs, s_tabs, cum, sites, poly = _per_arc_reference(curve, m)
+    assert curve.bbox == (poll[:, 0].min(), poll[:, 0].max(),
+                          poll[:, 1].min(), poll[:, 1].max())
+    curve._ensure_tables()
+    tabs = curve._tables
+    assert len(tabs["p"]) == len(tabs["s"]) == len(curve.arcs)
+    for got, want in zip(tabs["p"] + tabs["s"], p_tabs + s_tabs):
+        assert np.array_equal(got, want)
+    assert np.array_equal(tabs["cum"], cum)
+    got = curve.dense_sites(m)
+    for field, want in zip(("points", "params", "arc_index"), sites):
+        assert np.array_equal(getattr(got, field), want)
+    assert np.array_equal(curve.winding_polygon(m), poly)
+
+    # every evaluator on random rows, against each arc on its own rows
+    rng = np.random.default_rng(11)
+    arc_index = rng.integers(0, len(curve.arcs), 2000)
+    t0, t1 = (np.array([getattr(arc, e) for arc in curve.arcs])[arc_index]
+              for e in ("t0", "t1"))
+    param = t0 + rng.uniform(0.0, 1.0, arc_index.size) * (t1 - t0)
+    evaluators = ("point", "velocity", "acceleration")
+    batch = per_arc(curve.arcs, arc_index, *evaluators)(param)
+    for evaluator, got in zip(evaluators, batch):
+        want = np.empty_like(got)
+        for a in np.unique(arc_index):
+            rows = arc_index == a
+            want[rows] = getattr(curve.arcs[a], evaluator)(param[rows])
+        assert np.array_equal(got, want)
+
+    jt = curve.junctions
+    arcs = curve.arcs
+    for j, (cur, nxt) in enumerate(zip(arcs, arcs[1:] + arcs[:1])):
+        assert np.array_equal(jt.position[j], cur.point(cur.t1)[0])
+        for nu, arc, t in ((jt.nu_minus, cur, cur.t1),
+                           (jt.nu_plus, nxt, nxt.t0)):
+            v = arc.velocity(t)[0]
+            tangent = v / np.linalg.norm(v[None, :], axis=1)
+            assert np.array_equal(nu[j], [tangent[1], -tangent[0]])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cutloc.cli import main, render_json
+from cutloc.shapes import MAX_FOURIER_MODES, MAX_SIDES
 
 CIRCLE = '{"type": "circle", "radius": 1.0}'
 SQUARE = '{"type": "square", "side": 2.0}'
@@ -265,6 +266,11 @@ BAD_SHAPES = {
                         + _POLYGON + '}',
     "string-sides": '{"type": "rounded_polygon", "sides": "4", '
                     + _POLYGON + '}',
+    # one past the documented bounds; the huge values would hang or OOM
+    "too-many-sides": '{"type": "rounded_polygon", "sides": %d, %s}'
+                      % (MAX_SIDES + 1, _POLYGON),
+    "too-many-modes": '{"type": "fourier", "a0": 1.0, "sin": %s}'
+                      % json.dumps([0.0] * (MAX_FOURIER_MODES + 1)),
     "array-shape": '[{"type": "circle", "radius": 1.0}]',
     "string-shape": '"circle"',
 }

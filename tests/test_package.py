@@ -1,0 +1,87 @@
+"""The package namespace: submodules load on first use.
+
+Each check runs in a fresh interpreter, since this test session has
+imported every submodule already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SRC = os.path.join(ROOT, "src")
+TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
+
+
+def _child(code):
+    """The JSON that code prints as its last line, run with src on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_from_spec_loads_only_the_curve_modules():
+    loaded = _child(
+        "import json, sys\n"
+        "import cutloc\n"
+        "cutloc.from_spec({'type': 'circle', 'radius': 1.0})\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] == 'cutloc')))\n")
+    assert loaded == ["cutloc", "cutloc.arcs", "cutloc.boundary",
+                      "cutloc.errors", "cutloc.shapes"]
+
+
+def test_every_public_name_resolves_to_its_defining_module():
+    doc = _child(
+        "import importlib, json, sys\n"
+        "import cutloc\n"
+        "wrong = []\n"
+        "for name in cutloc.__all__:\n"
+        "    obj = getattr(cutloc, name)\n"
+        "    home = getattr(obj, '__module__', None)\n"
+        "    if name != '__version__' and not (\n"
+        "            home and home.startswith('cutloc.')\n"
+        "            and getattr(importlib.import_module(home), name) is obj):\n"
+        "        wrong.append(name)\n"
+        "star = {}\n"
+        "exec('from cutloc import *', star)\n"
+        "print(json.dumps({'wrong': wrong, 'all': cutloc.__all__,\n"
+        "                  'star': sorted(set(star) - {'__builtins__'}),\n"
+        "                  'dir': dir(cutloc),\n"
+        "                  'kernels': cutloc._kernels.__name__}))\n")
+    assert doc["wrong"] == []
+    assert len(doc["all"]) == len(set(doc["all"])) > 60
+    assert doc["star"] == sorted(doc["all"])
+    assert set(doc["all"]) <= set(doc["dir"])
+    assert doc["kernels"] == "cutloc._kernels"
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "__wrapped__"])
+def test_unknown_name_raises_attribute_error(name):
+    doc = _child(
+        "import json\n"
+        "import cutloc\n"
+        "try:\n"
+        f"    getattr(cutloc, {name!r})\n"
+        "except AttributeError as e:\n"
+        "    print(json.dumps(str(e)))\n")
+    assert name in doc
+
+
+def test_cli_loads_every_layer_the_benchmark_tracer_wraps():
+    missing = _child(
+        "import importlib.util, json, sys\n"
+        f"spec = importlib.util.spec_from_file_location('tracer', {TRACER!r})\n"
+        "tracer = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracer)\n"
+        "import cutloc.cli\n"
+        "print(json.dumps([m for m in tracer.MODULES\n"
+        "                  if 'cutloc.' + m not in sys.modules]))\n")
+    assert missing == []

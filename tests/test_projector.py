@@ -3,7 +3,7 @@ import pytest
 
 from conftest import traced_peak_mb
 from cutloc import _kernels, from_spec
-from cutloc.arcs import Arc, CircleArc, SegmentArc
+from cutloc.arcs import CircleArc, SegmentArc, TransformedArc, per_arc
 from cutloc.distfield import GridSpec
 from cutloc.projector import CurveProjector, refine_on_arcs
 from cutloc.quadrature import golden_min_vec
@@ -24,18 +24,28 @@ CASES = {
 }
 
 
-def test_batch_point_matches_per_arc_point():
+def test_per_arc_stacked_rows_match_each_arcs_rows():
+    # several arcs of one kind evaluate through Arc.stacked, on per-row
+    # coefficients; a TransformedArc stacks its bases as well
     rng = np.random.default_rng(3)
     segments = [SegmentArc(rng.normal(size=2), rng.normal(size=2))
                 for _ in range(5)]
     circles = [CircleArc(rng.normal(size=2), rng.uniform(0.1, 3.0),
                          t0, t0 + rng.uniform(0.1, 3.0))
                for t0 in rng.uniform(-3.0, 3.0, 5)]
-    for arcs in (segments, circles):
+    mixed = [TransformedArc(arc, scale=rng.uniform(0.5, 2.0),
+                            rotation=rng.uniform(-3.0, 3.0),
+                            shift=rng.normal(size=2))
+             for arc in segments + circles]
+    evaluators = ("point", "velocity", "acceleration")
+    for arcs in (segments, circles, mixed, [TransformedArc(a) for a in mixed]):
         which = rng.integers(0, len(arcs), 400)
         t = rng.uniform(0.0, 1.0, 400)
-        batch = type(arcs[0]).batch_point(arcs, which)
-        assert np.array_equal(batch(t), Arc.batch_point(arcs, which)(t))
+        got = per_arc(arcs, which, *evaluators)(t)
+        for name, rows in zip(evaluators, got):
+            want = np.concatenate([getattr(arcs[k], name)(t[i:i + 1])
+                                   for i, k in enumerate(which)])
+            assert np.array_equal(rows, want)
 
 
 def _refine_per_arc(curve, points, arc_index, seed_param, dparam,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cutloc import ConstructionError, ShapeParseError, from_spec, load_shape
-from cutloc.shapes import SHAPE_SCHEMAS
+from cutloc.shapes import MAX_FOURIER_MODES, MAX_SIDES, SHAPE_SCHEMAS
 
 
 def test_every_schema_builds():
@@ -23,6 +23,23 @@ def test_every_schema_builds():
     for name, params in defaults.items():
         curve = from_spec({"type": name, **params})
         assert curve.length > 0
+
+
+def test_size_bounds_are_documented_and_enforced():
+    assert str(MAX_SIDES) in SHAPE_SCHEMAS["rounded_polygon"]["sides"]
+    for key in ("cos", "sin"):
+        assert str(MAX_FOURIER_MODES) in SHAPE_SCHEMAS["fourier"][key]
+    polygon = {"type": "rounded_polygon", "side_length": 1.0,
+               "corner_radius": 0.1}
+    with pytest.raises(ShapeParseError, match="at most"):
+        from_spec(dict(polygon, sides=MAX_SIDES + 1))
+    for key in ("cos", "sin"):
+        with pytest.raises(ShapeParseError, match="at most"):
+            from_spec({"type": "fourier", "a0": 1.0,
+                       key: [0.0] * (MAX_FOURIER_MODES + 1)})
+    curve = from_spec({"type": "fourier", "a0": 1.0,
+                       "cos": [0.0] * (MAX_FOURIER_MODES - 1) + [1e-3]})
+    assert curve.arcs[0].ak.size == MAX_FOURIER_MODES
 
 
 def test_missing_type_key():

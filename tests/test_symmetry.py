@@ -117,7 +117,7 @@ def test_diameter(curves):
               ("circle", "circle_small", "circle_big", "ellipse",
                "superellipse", "square", "rounded", "stadium", "union",
                "fourier")] + [polygon]
-    # n=1024 spans several row chunks on every shape, n=256 one chunk
+    # the hull and its antipodal pairs change with the sampling: both n
     for curve in shapes:
         assert diameter(curve) == _diameter_all_pairs(curve)
         assert diameter(curve, n=256) == _diameter_all_pairs(curve, n=256)
