@@ -11,14 +11,18 @@ neighbours, Fukunaga & Narendra 1975).  A pruned block holds no site at
 the nearest distance, so pruning changes no output bit.
 
 Every nearest-site scan works in bounded memory, sized by the pairs it
-evaluates: one budget, ``_PAIR_BUDGET`` distances per temporary, sets the
-query strips of the pruning test, the runs of kept (query, block) pairs
-and the work buffers of the shrinking-ball pass
-(``cutlocus._ball_cut``).  Each pair is still evaluated with the same
-arithmetic, and results do not depend on how the queries are cut.
+evaluates: one budget, ``boundary._PAIR_BUDGET`` distances per temporary,
+sets the query strips of the pruning test, the runs of kept (query,
+block) pairs and the work buffers of the shrinking-ball pass
+(``cutlocus._ball_cut``); it also sizes the crossing test of curve
+validation.  A chunk holds at least one query, so a single query may
+exceed it.  Each pair is still evaluated with the same arithmetic, and
+results do not depend on how the queries are cut.
 """
 
 import numpy as np
+
+from .boundary import _PAIR_BUDGET
 
 __all__ = [
     "backend",
@@ -27,13 +31,6 @@ __all__ = [
 ]
 
 _BLOCK = 32
-
-# (query, site) distances per temporary of a nearest-site scan, 8 bytes
-# each: 256 kB, small enough to stay in cache.  A chunk holds at least one
-# query, so a single query may exceed it.  Timed from 2^14 to 2^17 against
-# 4096 sites: 2^14 and 2^15 tie on the nearest-site scan of the 256² ellipse
-# and square grids, and 2^15 gives the faster ball pass.
-_PAIR_BUDGET = 1 << 15
 
 
 def backend():
@@ -82,13 +79,25 @@ def nearest_site(queries, sites):
     # pairs, _BLOCK distances each, fit the budget.
     strip = max(1, _PAIR_BUDGET // nb)
     run_pairs = _PAIR_BUDGET // _BLOCK
+    # one set of work buffers for the strips and runs, as in
+    # cutlocus._ball_cut: a strip's distances to the discs, then a run's
+    # coordinate differences, and the run's site indices.  A run holds at
+    # most max(run_pairs, nb) pairs (a single query may exceed the budget),
+    # and a strip no more floats.
+    size = min(n * nb, max(run_pairs, nb)) * _BLOCK
+    work = np.empty((2, size))
+    cbuf = np.empty(size, np.int64)
     for a in range(0, n, strip):
         b = min(n, a + strip)
-        ex = qx[a:b, None] - cx
-        ey = qy[a:b, None] - cy
-        dc = np.sqrt(ex * ex + ey * ey)
-        keep = dc - radius <= (np.min(dc + radius, axis=1) + slack)[:, None]
-        del ex, ey, dc  # not held through the scan runs
+        ex = work[0, :(b - a) * nb].reshape(b - a, nb)
+        ey = work[1, :(b - a) * nb].reshape(b - a, nb)
+        np.subtract(qx[a:b, None], cx, out=ex)
+        np.subtract(qy[a:b, None], cy, out=ey)
+        np.multiply(ex, ex, out=ex)
+        np.multiply(ey, ey, out=ey)
+        dc = np.sqrt(np.add(ex, ey, out=ex), out=ex)
+        near = np.min(np.add(dc, radius, out=ey), axis=1) + slack
+        keep = np.subtract(dc, radius, out=ey) <= near[:, None]
         end = np.cumsum(np.count_nonzero(keep, axis=1))
         lo = 0
         while lo < b - a:
@@ -98,10 +107,15 @@ def nearest_site(queries, sites):
             q = slice(a + lo, a + hi)
             row, blk = np.nonzero(keep[lo:hi])
             starts = np.searchsorted(row, np.arange(hi - lo))
-            c = cols[blk]
-            dx = qx[q][row, None] - sx[c]
-            dy = qy[q][row, None] - sy[c]
-            d2 = dx * dx + dy * dy
+            r = row.size * _BLOCK
+            c = np.take(cols, blk, axis=0, out=cbuf[:r].reshape(-1, _BLOCK))
+            dx = np.take(sx, c, out=work[0, :r].reshape(-1, _BLOCK))
+            dy = np.take(sy, c, out=work[1, :r].reshape(-1, _BLOCK))
+            np.subtract(qx[q][row, None], dx, out=dx)
+            np.subtract(qy[q][row, None], dy, out=dy)
+            np.multiply(dx, dx, out=dx)
+            np.multiply(dy, dy, out=dy)
+            d2 = np.add(dx, dy, out=dx)
             j = np.argmin(d2, axis=1)
             pair_best = d2[np.arange(row.size), j]
             best = np.minimum.reduceat(pair_best, starts)
@@ -125,14 +139,18 @@ def inside_polygon(queries, polygon):
     px, py = _as_xy(polygon)
     x1 = np.roll(px, -1)
     y1 = np.roll(py, -1)
-    heights, row = np.unique(qy, return_inverse=True)
-    order = np.argsort(row, kind="stable")
-    bounds = np.searchsorted(row[order], np.arange(heights.size + 1))
     inside = np.zeros(qx.size, bool)
-    for r, y in enumerate(heights):
+    if not qx.size:
+        return inside
+    # one stable sort groups the queries by height, in input order within
+    # a height
+    order = np.argsort(qy, kind="stable")
+    heights = qy[order]
+    edges = np.flatnonzero(heights[1:] != heights[:-1]) + 1
+    for k in np.split(order, edges):
+        y = qy[k[0]]
         up = np.flatnonzero((py <= y) & (y < y1))
         dn = np.flatnonzero((y1 <= y) & (y < py))
-        k = order[bounds[r]:bounds[r + 1]]
         x = qx[k][:, None]
         crossings = (np.count_nonzero(_cross(x, y, px, py, x1, y1, up) > 0, axis=1)
                      + np.count_nonzero(_cross(x, y, px, py, x1, y1, dn) < 0, axis=1))

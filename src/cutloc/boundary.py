@@ -26,9 +26,14 @@ DEFAULT_ANGLE_TOL = 1e-7   # radians; junctions turning less are treated as C1
 _TABLE_NODES = 65536       # fixed arclength-table resolution; a single
                            # size keeps every query independent of what
                            # was computed on the curve before
-# segment pairs per chunk of the crossing test of curve validation: each
-# float temporary stays about 1 MB, small enough to stay in cache
-_PAIR_CHUNK = 131_072
+# (point, point) pairs per temporary of every pairwise pass, 8 bytes each:
+# 256 kB, small enough to stay in cache.  It sizes the crossing test of
+# curve validation here, and the nearest-site scans of _kernels and
+# cutlocus._ball_cut, which import it from here so that `import cutloc`
+# does not load _kernels.  Timed from 2^14 to 2^17 against 4096 sites:
+# 2^14 and 2^15 tie on the nearest-site scan of the 256² ellipse and
+# square grids, and 2^15 gives the faster ball pass.
+_PAIR_BUDGET = 1 << 15
 # parameters per block of the per-arc samplings (_arc_blocks): evaluating
 # a block holds a few hundred bytes of temporaries per parameter
 _BLOCK_NODES = 8192
@@ -130,31 +135,35 @@ class BoundaryCurve:
                 np.array([arc.t1 for arc in self.arcs]))
 
     def _arc_blocks(self, counts, endpoint, offset=0.0):
-        """counts[a] parameters on each arc a, in blocks of whole arcs.
+        """counts[a] parameters on each arc a, in blocks of consecutive ones.
 
         Yields (arc of each parameter, parameters) pairs, arcs in order.
         Arc a's parameters are t0 + (j + offset) * step, j < counts[a];
         with offset 0 they are np.linspace's, bit for bit, with or without
-        the endpoint.  A block holds at most _BLOCK_NODES parameters, or
-        one arc's if it has more.
+        the endpoint.  A block holds at most _BLOCK_NODES parameters: it
+        ends at the last arc end within them, or after all of them when no
+        arc ends there, so an arc with more parameters comes out in
+        consecutive runs, and one with fewer always in a single block.
         """
         t0, t1 = self._param_range
         counts = np.broadcast_to(counts, t0.shape)
         step = (t1 - t0) / (counts - 1 if endpoint else counts)
         end = np.cumsum(counts)
-        start = 0
-        while start < counts.size:
-            stop = max(start + 1, int(np.searchsorted(
-                end, end[start] - counts[start] + _BLOCK_NODES, side="right")))
-            c = counts[start:stop]
-            which = np.repeat(np.arange(start, stop), c)
-            first = np.cumsum(c) - c
-            j = np.arange(which.size) - first[which - start] + offset
-            t = j * step[which] + t0[which]
+        lo = 0
+        while lo < end[-1]:
+            hi = lo + _BLOCK_NODES
+            k = int(np.searchsorted(end, hi, side="right"))
+            if k and end[k - 1] > lo:
+                hi = int(end[k - 1])
+            which = np.searchsorted(end, np.arange(lo, hi), side="right")
+            t = np.arange(lo, hi) - (end[which] - counts[which]) + offset
+            t *= step[which]
+            t += t0[which]
             if endpoint:
-                t[first + c - 1] = t1[start:stop]
+                last = np.flatnonzero((end > lo) & (end <= hi))
+                t[end[last] - 1 - lo] = t1[last]
             yield which, t
-            start = stop
+            lo = hi
 
     def _speed(self, which, t):
         """|Y'| at parameters t of arcs which, _BLOCK_NODES rows at a time."""
@@ -211,21 +220,45 @@ class BoundaryCurve:
         frac = np.concatenate(frac)
         frac = frac / frac.sum()
 
-        # composite Simpson on k intervals per arc: a block holds whole
-        # arcs, and [p[i], p[i + 1]] is an interval where both are one arc's
+        # composite Simpson on k intervals per arc, written block by block
+        # into preallocated tables: node i of the blocks' layout is node
+        # i - first[a] of its arc a
         k = np.maximum(32, np.ceil(_TABLE_NODES * frac).astype(int))
         sixth = (t1 - t0) / k / 6.0
-        p_tabs, s_tabs = [], []
-        for which, p in self._arc_blocks(k + 1, endpoint=True):
-            left = np.flatnonzero(which[:-1] == which[1:])
-            sp = self._speed(which, p)
-            sm = self._speed(which[left], 0.5 * (p[:-1] + p[1:])[left])
-            seg = sixth[which[left]] * (sp[left] + 4.0 * sm + sp[left + 1])
-            # per arc, as np.cumsum rounds along one arc's intervals only
-            edges = np.cumsum(k[which[0]:which[-1] + 1])[:-1]
-            p_tabs += np.split(p, edges + np.arange(1, edges.size + 1))
-            s_tabs += [np.concatenate([[0.0], np.cumsum(part)])
-                       for part in np.split(seg, edges)]
+        end = np.cumsum(k + 1)
+        first = end - (k + 1)
+        p_tabs = [np.empty(n) for n in k + 1]
+        s_tabs = [np.empty(n) for n in k + 1]
+        lo, last_p, last_sp = 0, 0.0, 0.0
+        for which, t in self._arc_blocks(k + 1, endpoint=True):
+            hi = lo + t.size
+            # node i's Simpson term is the interval [p[i - 1], p[i]]'s: the
+            # block's first node takes the last block's last node and its
+            # speed; an arc's first node ends no interval, so its midpoint
+            # is the node itself and its term is set to 0
+            starts = first[(first >= lo) & (first < hi)] - lo
+            mid = np.concatenate([[last_p], t[:-1]])
+            mid[starts] = t[starts]
+            mid += t
+            mid *= 0.5
+            seg = self._speed(which, mid)
+            sp = self._speed(which, t)
+            seg *= 4.0
+            seg += np.concatenate([[last_sp], sp[:-1]])
+            seg += sp
+            seg *= sixth[which]
+            seg[starts] = 0.0
+            for a in range(which[0], which[-1] + 1):
+                i, j = max(first[a], lo), min(end[a], hi)
+                rows = slice(i - first[a], j - first[a])
+                p_tabs[a][rows] = t[i - lo:j - lo]
+                s_tabs[a][rows] = seg[i - lo:j - lo]
+                # the running sum, seeded with the sum before the block:
+                # np.cumsum adds in the order one np.cumsum over the arc does
+                run = s_tabs[a][max(rows.start - 1, 0):rows.stop]
+                np.cumsum(run, out=run)
+            last_p, last_sp = t[-1], sp[-1]
+            lo = hi
         cum = np.concatenate([[0.0], np.cumsum([s[-1] for s in s_tabs])])
         self._tables = {"p": p_tabs, "s": s_tabs, "cum": cum}
 
@@ -276,15 +309,26 @@ class BoundaryCurve:
     # ------------------------------------------------------------- geometry
 
     def geometry(self, arc_index, param):
-        """Vectorized point data at (arc_index, param) pairs."""
+        """Vectorized point data at (arc_index, param) pairs.
+
+        Evaluated _BLOCK_NODES rows at a time, as _speed does: a row's
+        values do not depend on its batch.
+        """
         arc_index = np.atleast_1d(np.asarray(arc_index, dtype=int))
         param = np.atleast_1d(np.asarray(param, dtype=float))
-        pos, vel, acc = per_arc(self.arcs, arc_index, "point", "velocity",
-                                "acceleration")(param)
-        speed, kappa = _speed_curvature(vel, acc)
-        tangent = vel / speed[:, None]
-        normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=-1)
-        s = self.param_to_s(arc_index, param)
+        n = param.size
+        pos, tangent, normal = (np.empty((n, 2)) for _ in range(3))
+        s, speed, kappa = np.empty(n), np.empty(n), np.empty(n)
+        for i in range(0, n, _BLOCK_NODES):
+            rows = slice(i, i + _BLOCK_NODES)
+            s[rows] = self.param_to_s(arc_index[rows], param[rows])
+            pos[rows], vel, acc = per_arc(
+                self.arcs, arc_index[rows], "point", "velocity",
+                "acceleration")(param[rows])
+            speed[rows], kappa[rows] = _speed_curvature(vel, acc)
+            np.divide(vel, speed[rows, None], out=tangent[rows])
+            normal[rows, 0] = tangent[rows, 1]
+            normal[rows, 1] = -tangent[rows, 0]
         return _Geom(arc_index=arc_index, param=param, s=s, position=pos,
                      tangent=tangent, normal=normal, curvature=kappa, speed=speed)
 
@@ -427,7 +471,8 @@ def _polyline_self_intersects(poly):
     Sort-and-sweep on x (Shamos & Hoey, "Geometric intersection problems",
     1976): segments whose closed x-ranges are disjoint cannot cross, so
     only the pairs that overlap in x go to the orientation test, in chunks
-    of at most _PAIR_CHUNK pairs.
+    whose four (pairs, 2) end-point arrays hold _PAIR_BUDGET floats
+    together.
     """
     n = poly.shape[0]
     a = poly
@@ -445,8 +490,9 @@ def _polyline_self_intersects(poly):
         return ((q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1])
                 - (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0]))
 
-    for first in range(0, total, _PAIR_CHUNK):
-        pair = np.arange(first, min(first + _PAIR_CHUNK, total))
+    chunk = _PAIR_BUDGET // 8
+    for first in range(0, total, chunk):
+        pair = np.arange(first, min(first + chunk, total))
         k = np.searchsorted(end, pair, side="right")
         u = order[k]
         v = order[k + 1 + pair - (end[k] - count[k])]

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _PAIR_BUDGET
-from .boundary import BoundaryPoint
+from .boundary import _PAIR_BUDGET, BoundaryPoint
 from .errors import (ConfigurationError, DegenerateRayError,
                      InapplicableError)
 from .projector import CurveProjector, cyclic_dist, refine_on_arcs

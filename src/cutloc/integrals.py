@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arcs import per_arc
+from .boundary import _BLOCK_NODES
 from .distfield import inside_mask
 from .errors import FormulaOutOfScopeError, InapplicableError
 from .quadrature import ray_quadrature, simpson_doubling_vec
@@ -48,10 +50,14 @@ class IntegralReport:
 
 # ------------------------------------------------------------ arc quadrature
 
-def _arc_batch_integral(curve, rowfun, tol):
-    """Sum over arcs of the doubling-Simpson integral of rowfun(arc, t).
+def _arc_batch_integral(curve, rowfun, evaluators, tol):
+    """Sum over arcs of the doubling-Simpson integral of a row function.
 
-    Returns (value, node_count).  rowfun maps (arc, (k,) params) -> (k,).
+    rowfun maps the named arcs.per_arc evaluators' (k, 2) values at k
+    nodes to (k,) values.  Each doubling level evaluates every arc's
+    nodes through one per_arc grouping, _BLOCK_NODES rows at a time; a
+    row's values are its arc's own, bit for bit.  Returns (value,
+    node_count).
     """
     arcs = curve.arcs
     a = np.array([arc.t0 for arc in arcs], dtype=float)
@@ -60,33 +66,39 @@ def _arc_batch_integral(curve, rowfun, tol):
 
     def f(tmat):
         count[0] += tmat.size
-        out = np.empty_like(tmat)
-        for i, arc in enumerate(arcs):
-            out[i] = rowfun(arc, tmat[i])
-        return out
+        which = np.repeat(np.arange(len(arcs)), tmat.shape[1])
+        t = tmat.ravel()
+        out = np.empty(t.size)
+        for i in range(0, t.size, _BLOCK_NODES):
+            rows = slice(i, i + _BLOCK_NODES)
+            out[rows] = rowfun(*per_arc(arcs, which[rows],
+                                        *evaluators)(t[rows]))
+        return out.reshape(tmat.shape)
 
     vals = simpson_doubling_vec(f, a, b, tol=tol)
     return float(np.sum(vals)), count[0]
 
 
-def _speed_row(arc, t):
-    return np.linalg.norm(arc.velocity(t), axis=-1)
+def _speed_row(v):
+    return np.linalg.norm(v, axis=-1)
 
 
-def _shoelace_row(arc, t):
+def _shoelace_row(p, v):
     # <y, nu> ds = (x y' - y x') dt for a CCW curve
-    p = arc.point(t)
-    v = arc.velocity(t)
     return p[:, 0] * v[:, 1] - p[:, 1] * v[:, 0]
 
 
-def _curvature_support_row(arc, t):
-    v = arc.velocity(t)
-    acc = arc.acceleration(t)
-    p = arc.point(t)
+def _curvature_support_row(p, v, acc):
     speed2 = v[:, 0] ** 2 + v[:, 1] ** 2
     kappa_speed = (v[:, 0] * acc[:, 1] - v[:, 1] * acc[:, 0]) / speed2
     return kappa_speed * (p[:, 0] * v[:, 1] - p[:, 1] * v[:, 0]) / np.sqrt(speed2)
+
+
+# each row function with the evaluators it reads, in its argument order
+_SPEED = (_speed_row, ("velocity",))
+_SHOELACE = (_shoelace_row, ("point", "velocity"))
+_CURVATURE_SUPPORT = (_curvature_support_row,
+                      ("point", "velocity", "acceleration"))
 
 
 def _length_tol(curve):
@@ -96,14 +108,14 @@ def _length_tol(curve):
 
 def perimeter(curve):
     """Boundary length by per-arc adaptive quadrature of |Y'|."""
-    val, _ = _arc_batch_integral(curve, _speed_row, _length_tol(curve))
+    val, _ = _arc_batch_integral(curve, *_SPEED, _length_tol(curve))
     return val
 
 
 def area(curve):
     """Enclosed area via the divergence theorem, (1/2) oint <y, nu> ds."""
     tol = 1e-10 * max(1.0, curve.extent) ** 2
-    val, _ = _arc_batch_integral(curve, _shoelace_row, tol)
+    val, _ = _arc_batch_integral(curve, *_SHOELACE, tol)
     return 0.5 * val
 
 
@@ -115,8 +127,8 @@ def minkowski_residual(curve):
         raise InapplicableError(
             "curve has corners; use minkowski_residual_corners")
     tol = _length_tol(curve)
-    lhs, n1 = _arc_batch_integral(curve, _curvature_support_row, tol)
-    rhs, n2 = _arc_batch_integral(curve, _speed_row, tol)
+    lhs, n1 = _arc_batch_integral(curve, *_CURVATURE_SUPPORT, tol)
+    rhs, n2 = _arc_batch_integral(curve, *_SPEED, tol)
     return IntegralReport.from_pair(lhs, rhs, n1 + n2)
 
 
@@ -138,9 +150,9 @@ def minkowski_residual_corners(curve):
         raise FormulaOutOfScopeError(
             "concave corner present; the cornered identity is out of scope")
     tol = _length_tol(curve)
-    smooth_part, n1 = _arc_batch_integral(curve, _curvature_support_row, tol)
+    smooth_part, n1 = _arc_batch_integral(curve, *_CURVATURE_SUPPORT, tol)
     lhs = smooth_part - corner_sum(curve)
-    rhs, n2 = _arc_batch_integral(curve, _speed_row, tol)
+    rhs, n2 = _arc_batch_integral(curve, *_SPEED, tol)
     return IntegralReport.from_pair(lhs, rhs, n1 + n2)
 
 

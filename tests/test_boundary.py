@@ -4,11 +4,13 @@ import pytest
 from cutloc import corner_sum, from_spec
 from cutloc._kernels import inside_polygon
 from cutloc.arcs import SegmentArc, per_arc
-from cutloc.boundary import (DEFAULT_ANGLE_TOL, BoundaryCurve,
+from cutloc.boundary import (_BLOCK_NODES, DEFAULT_ANGLE_TOL, BoundaryCurve,
                              _polyline_self_intersects)
 from cutloc.errors import ConstructionError
 from cutloc.integrals import ROT_CCW
 from cutloc.projector import CurveProjector
+
+from conftest import SPECS, traced_peak_mb
 
 POLYGON = {"type": "rounded_polygon", "sides": 96, "side_length": 0.2,
            "corner_radius": 0.05}
@@ -382,13 +384,19 @@ def _per_arc_reference(curve, m):
 
 
 MOVED_POLYGON = dict(POLYGON, center=[0.3, -0.2], rotation=0.4)
+GON1000 = {"type": "rounded_polygon", "sides": 1000, "side_length": 0.2,
+           "corner_radius": 0.05}
+POLYGONS = {"polygon": POLYGON, "moved_polygon": MOVED_POLYGON,
+            "gon1000": GON1000}
 
 
-@pytest.mark.parametrize("name", SHAPES + ("moved_polygon",))
+@pytest.mark.parametrize("name", SHAPES + tuple(POLYGONS))
 def test_per_class_evaluation_matches_per_arc_reference(curves, name):
     # several arcs of one kind evaluate at once (Arc.stacked); the moved
-    # polygon's arcs are TransformedArcs over segments and circular arcs
-    curve = (from_spec(MOVED_POLYGON) if name == "moved_polygon"
+    # polygon's arcs are TransformedArcs over segments and circular arcs.
+    # A one-arc curve's 65 537 table nodes and the union's 32 769 per arc
+    # are built in runs of _BLOCK_NODES, the running sums carried across
+    curve = (from_spec(POLYGONS[name]) if name in POLYGONS
              else curves(name))
     m = 1000
     poll, p_tabs, s_tabs, cum, sites, poly = _per_arc_reference(curve, m)
@@ -429,3 +437,61 @@ def test_per_class_evaluation_matches_per_arc_reference(curves, name):
             v = arc.velocity(t)[0]
             tangent = v / np.linalg.norm(v[None, :], axis=1)
             assert np.array_equal(nu[j], [tangent[1], -tangent[0]])
+
+
+@pytest.mark.parametrize("endpoint, offset",
+                         [(True, 0.0), (False, 0.0), (False, 0.5)])
+def test_arc_blocks_are_bounded_and_keep_short_arcs_whole(endpoint, offset):
+    curve = from_spec(SPECS["union"])
+    t0, t1 = curve._param_range
+    counts = np.array([3 * _BLOCK_NODES + 5, 40])
+    blocks = list(curve._arc_blocks(counts, endpoint, offset))
+    assert [t.size for _, t in blocks] == [_BLOCK_NODES] * 3 + [45]
+    which = np.concatenate([w for w, _ in blocks])
+    t = np.concatenate([t for _, t in blocks])
+    for a, c in enumerate(counts):
+        j = np.arange(c) + offset
+        step = (t1[a] - t0[a]) / (c - 1 if endpoint else c)
+        want = (np.linspace(t0[a], t1[a], c, endpoint=endpoint)
+                if offset == 0.0 else t0[a] + j * step)
+        assert np.array_equal(t[which == a], want)
+    # short arcs: whole, as many as fit in a block
+    blocks = list(curve._arc_blocks(np.array([_BLOCK_NODES // 2 + 1] * 2),
+                                    endpoint, offset))
+    assert [np.unique(w).tolist() for w, _ in blocks] == [[0], [1]]
+
+
+@pytest.mark.parametrize("name", ["circle", "ellipse", "fourier", "union"])
+def test_table_build_memory_is_bounded(name):
+    # the tables hold 1 MB, and the build adds one block's temporaries;
+    # a one-arc table built in one piece holds 5 MB
+    curve = from_spec(SPECS[name])
+    assert traced_peak_mb(curve._ensure_tables) <= 2.5
+
+
+def test_validation_memory_is_bounded_by_the_pair_budget():
+    # the square's crossing test has 17 404 segment pairs
+    assert traced_peak_mb(from_spec, SPECS["square"]) <= 1.5
+
+
+@pytest.mark.parametrize("name", ["ellipse", "moved_polygon"])
+def test_geometry_memory_is_bounded(name):
+    # 100 000 rows: the nine output columns take 6.9 MB, and the
+    # evaluation runs in row blocks on top of them
+    curve = (from_spec(MOVED_POLYGON) if name == "moved_polygon"
+             else from_spec(SPECS[name]))
+    curve._ensure_tables()
+    rng = np.random.default_rng(4)
+    arc_index = rng.integers(0, len(curve.arcs), 100_000)
+    t0, t1 = (np.array([getattr(arc, e) for arc in curve.arcs])[arc_index]
+              for e in ("t0", "t1"))
+    param = t0 + rng.uniform(0.0, 1.0, arc_index.size) * (t1 - t0)
+    assert traced_peak_mb(curve.geometry, arc_index, param) <= 9.0
+    # rows do not depend on their block
+    g = curve.geometry(arc_index, param)
+    for i in rng.integers(0, arc_index.size, 20):
+        one = curve.geometry(arc_index[i:i + 1], param[i:i + 1])
+        for field in ("s", "position", "tangent", "normal", "curvature",
+                      "speed"):
+            assert np.array_equal(getattr(one, field)[0],
+                                  getattr(g, field)[i])

@@ -233,6 +233,44 @@ def test_report_many_arcs_bounded_memory(tmp_path):
     assert usage.ru_maxrss < 400 * 1024  # KiB on Linux
 
 
+# Runs argv[1:] and prints its ru_maxrss.  Linux carries a process's peak
+# resident size across exec, so a child forked from the test process would
+# report at least this process's size; the launcher is small.
+_MAXRSS_LAUNCHER = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdin=subprocess.DEVNULL,
+                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+err = child.stderr.read()
+_, status, usage = os.wait4(child.pid, 0)
+if os.waitstatus_to_exitcode(status):
+    sys.exit(err.decode())
+print(usage.ru_maxrss)
+"""
+
+
+def _child_maxrss_mb(args):
+    """Peak RSS of a fresh Python child running args, in MB."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run(
+        [sys.executable, "-c", _MAXRSS_LAUNCHER, sys.executable] + args,
+        stdin=subprocess.DEVNULL, capture_output=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr.decode()
+    return int(done.stdout) / 1024  # KiB on Linux
+
+
+def test_report_memory_above_import_is_bounded():
+    # the ellipse's report holds its arclength tables, site table and cut
+    # table (a few MB); a transient that grows with the 65 537-node table
+    # or the grid shows here first.  Both children compile the package
+    # alike, so the difference is the run's own
+    bare = _child_maxrss_mb(["-c", "import cutloc.cli"])
+    run = _child_maxrss_mb(["-m", "cutloc", "report", "--shape",
+                            '{"type": "ellipse", "a": 2.0, "b": 1.0}',
+                            "--samples", "384"])
+    assert run - bare <= 5.0
+
+
 def test_web_lambda_at_y0_uses_tol(capsys):
     argv = ["--shape", UNION, "--samples", "384", "--tol", "5e-3"]
     _, report, _ = _run(capsys, ["report"] + argv)

@@ -3,10 +3,11 @@ import pytest
 
 from cutloc import (FormulaOutOfScopeError, InapplicableError, abs2, area,
                     constant, corner_sum, cov_integral, cov_residual,
-                    divergence_area_residual, mean_value_residual,
+                    divergence_area_residual, from_spec, mean_value_residual,
                     minkowski_residual, minkowski_residual_corners, perimeter)
 from cutloc.distfield import GridSpec
 from cutloc.fields import parse_field
+from cutloc.quadrature import simpson_doubling_vec
 
 
 def test_circle_perimeter_area(curves):
@@ -116,3 +117,55 @@ def test_parse_field():
     assert g(np.zeros(2)) == pytest.approx(2.5)
     x = parse_field("x")
     assert x(np.array([1.5, 7.0])) == pytest.approx(1.5)
+
+
+def _per_arc_integral(curve, rowfun, tol):
+    """The doubling-Simpson sum with each arc's rows evaluated through
+    that arc alone, one arc at a time."""
+    arcs = curve.arcs
+
+    def f(tmat):
+        return np.stack([rowfun(arc, t) for arc, t in zip(arcs, tmat)])
+
+    a = np.array([arc.t0 for arc in arcs])
+    b = np.array([arc.t1 for arc in arcs])
+    return float(np.sum(simpson_doubling_vec(f, a, b, tol=tol)))
+
+
+def _support(arc, t):
+    p, v = arc.point(t), arc.velocity(t)
+    return p[:, 0] * v[:, 1] - p[:, 1] * v[:, 0]
+
+
+def _curvature_support(arc, t):
+    v, acc = arc.velocity(t), arc.acceleration(t)
+    speed2 = v[:, 0] ** 2 + v[:, 1] ** 2
+    kappa_speed = (v[:, 0] * acc[:, 1] - v[:, 1] * acc[:, 0]) / speed2
+    return kappa_speed * _support(arc, t) / np.sqrt(speed2)
+
+
+@pytest.mark.parametrize("name", ["circle", "ellipse", "fourier", "square",
+                                  "stadium", "union", "polygon"])
+def test_arc_quadrature_matches_one_arc_at_a_time(curves, name):
+    # every doubling level evaluates all arcs through one per_arc grouping;
+    # a row's values are its arc's own, so each sum keeps its bits
+    curve = (from_spec({"type": "rounded_polygon", "sides": 96,
+                        "side_length": 0.2, "corner_radius": 0.05})
+             if name == "polygon" else curves(name))
+    tol = 1e-10 * max(1.0, curve.extent)
+    speed = _per_arc_integral(
+        curve, lambda arc, t: np.linalg.norm(arc.velocity(t), axis=-1), tol)
+    assert perimeter(curve) == speed
+    assert area(curve) == 0.5 * _per_arc_integral(
+        curve, _support, 1e-10 * max(1.0, curve.extent) ** 2)
+    corners = curve.detect_corners()
+    if any(not c.convex for c in corners):
+        return  # the curvature identity is out of scope
+    smooth = _per_arc_integral(curve, _curvature_support, tol)
+    if corners:
+        report = minkowski_residual_corners(curve)
+        assert report.lhs == smooth - corner_sum(curve)
+    else:
+        report = minkowski_residual(curve)
+        assert report.lhs == smooth
+    assert report.rhs == speed

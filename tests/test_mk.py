@@ -6,7 +6,7 @@ from cutloc import (HypothesisViolationError, build_distance_field,
                     mk_verdict, residual_summary, singular_measure, vf_at,
                     vf_boundary, vf_field, weak_form_check)
 from cutloc.distfield import GridSpec
-from cutloc.mk import export_mk_csv
+from cutloc.mk import _median, export_mk_csv
 
 
 def _solve(domains, fields, name, h):
@@ -175,3 +175,14 @@ def test_singular_measure_shrinks(curves, domains, fields):
         fine = singular_measure(vf_field(domains(name), fine_field))
         assert lo <= fine / coarse <= hi, name
 
+
+
+def test_median_matches_numpy():
+    rng = np.random.default_rng(8)
+    for n in list(range(1, 12)) + [1000, 1001]:
+        for _ in range(10):
+            r = np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-9, 4)
+            r[rng.integers(0, n, n // 3)] = r[0]
+            assert _median(r) == np.median(r)
+        r[rng.integers(0, n)] = np.nan
+        assert np.isnan(_median(r)) and np.isnan(np.median(r))
