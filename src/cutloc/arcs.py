@@ -126,6 +126,9 @@ class Arc:
     def acceleration(self, t):
         raise NotImplementedError
 
+    # |Y'| where it is the same at every parameter, else None
+    constant_speed = None
+
     # the attributes that hold an arc's coefficients, when its evaluators
     # are closed forms in them; empty: each arc evaluates its own rows
     _ROW_COEFFICIENTS = ()
@@ -195,6 +198,10 @@ class CircleArc(Arc):
         self.t0 = float(t0)
         self.t1 = float(t1)
 
+    @property
+    def constant_speed(self):
+        return self.radius
+
     def point(self, t):
         t = _col(t)
         return self.center + self.radius * np.stack([np.cos(t), np.sin(t)], axis=-1)
@@ -238,6 +245,10 @@ class SegmentArc(Arc):
             raise ValueError("degenerate segment")
         self.t0 = 0.0
         self.t1 = 1.0
+
+    @property
+    def constant_speed(self):
+        return float(np.hypot(*(self.p1 - self.p0)))
 
     def point(self, t):
         t = _col(t)
@@ -407,6 +418,11 @@ class TransformedArc(Arc):
         self._cos, self._sin = np.cos(self.rotation), np.sin(self.rotation)
         self.t0 = base.t0
         self.t1 = base.t1
+
+    @property
+    def constant_speed(self):
+        base = self.base.constant_speed
+        return None if base is None else self.scale * base
 
     @property
     def kind(self):

@@ -143,7 +143,8 @@ class BoundaryCurve:
         the endpoint.  A block holds at most _BLOCK_NODES parameters: it
         ends at the last arc end within them, or after all of them when no
         arc ends there, so an arc with more parameters comes out in
-        consecutive runs, and one with fewer always in a single block.
+        consecutive runs, and one with fewer always in a single block.  An
+        arc with no parameters is skipped.
         """
         t0, t1 = self._param_range
         counts = np.broadcast_to(counts, t0.shape)
@@ -160,7 +161,7 @@ class BoundaryCurve:
             t *= step[which]
             t += t0[which]
             if endpoint:
-                last = np.flatnonzero((end > lo) & (end <= hi))
+                last = np.flatnonzero((end > lo) & (end <= hi) & (counts > 0))
                 t[end[last] - 1 - lo] = t1[last]
             yield which, t
             lo = hi
@@ -208,29 +209,48 @@ class BoundaryCurve:
     # --------------------------------------------------------------- tables
 
     def _ensure_tables(self):
+        """Per-arc tables of arclength against parameter, for np.interp.
+
+        An arc of constant speed (Arc.constant_speed) has arclength linear
+        in its parameter: its table is its two ends with its closed-form
+        length, and interpolation on it is exact.  Every other arc gets a
+        composite Simpson table on k >= 32 intervals, k its share of
+        _TABLE_NODES by a chord poll of all the arcs.
+        """
         if self._tables is not None:
             return
         t0, t1 = self._param_range
-        # bootstrap length fractions from a chord poll
-        frac = []
-        for which, t in self._arc_blocks(257, endpoint=True):
-            p = per_arc(self.arcs, which, "point")(t)[0].reshape(-1, 257, 2)
-            frac.append(np.sum(np.linalg.norm(np.diff(p, axis=1), axis=2),
-                               axis=1))
-        frac = np.concatenate(frac)
-        frac = frac / frac.sum()
+        speed = [arc.constant_speed for arc in self.arcs]
+        simpson = np.array([v is None for v in speed])
+        k = np.zeros(len(self.arcs), dtype=int)
+        if np.any(simpson):
+            frac = []
+            for which, t in self._arc_blocks(257, endpoint=True):
+                p = per_arc(self.arcs, which, "point")(t)[0]
+                p = p.reshape(-1, 257, 2)
+                frac.append(np.sum(np.linalg.norm(np.diff(p, axis=1),
+                                                  axis=2), axis=1))
+            frac = np.concatenate(frac)
+            frac = frac / frac.sum()
+            k[simpson] = np.maximum(
+                32, np.ceil(_TABLE_NODES * frac[simpson]).astype(int))
+        p_tabs, s_tabs = [], []
+        for a, (n, v) in enumerate(zip(k, speed)):
+            if n:
+                p_tabs.append(np.empty(n + 1))
+                s_tabs.append(np.empty(n + 1))
+            else:
+                p_tabs.append(np.array([t0[a], t1[a]]))
+                s_tabs.append(np.array([0.0, v * (t1[a] - t0[a])]))
 
-        # composite Simpson on k intervals per arc, written block by block
-        # into preallocated tables: node i of the blocks' layout is node
-        # i - first[a] of its arc a
-        k = np.maximum(32, np.ceil(_TABLE_NODES * frac).astype(int))
-        sixth = (t1 - t0) / k / 6.0
-        end = np.cumsum(k + 1)
-        first = end - (k + 1)
-        p_tabs = [np.empty(n) for n in k + 1]
-        s_tabs = [np.empty(n) for n in k + 1]
+        # the Simpson tables are written block by block: node i of the
+        # blocks' layout is node i - first[a] of its arc a
+        counts = np.where(simpson, k + 1, 0)
+        sixth = (t1 - t0) / np.maximum(k, 1) / 6.0
+        end = np.cumsum(counts)
+        first = end - counts
         lo, last_p, last_sp = 0, 0.0, 0.0
-        for which, t in self._arc_blocks(k + 1, endpoint=True):
+        for which, t in self._arc_blocks(counts, endpoint=True):
             hi = lo + t.size
             # node i's Simpson term is the interval [p[i - 1], p[i]]'s: the
             # block's first node takes the last block's last node and its
@@ -249,6 +269,8 @@ class BoundaryCurve:
             seg *= sixth[which]
             seg[starts] = 0.0
             for a in range(which[0], which[-1] + 1):
+                if not simpson[a]:
+                    continue
                 i, j = max(first[a], lo), min(end[a], hi)
                 rows = slice(i - first[a], j - first[a])
                 p_tabs[a][rows] = t[i - lo:j - lo]

@@ -130,14 +130,20 @@ def _load_curve(spec_arg):
         f"shape {spec_arg!r} is neither a file nor inline JSON")
 
 
-def _domain(cfg):
-    """Load the shape and wrap its uniform cut table in a Domain.
+def _curve_and_tol(cfg):
+    """Load the shape; returns it with its absolute cut-value tolerance.
 
     --tol is relative to the curve's extent; the library's tolerances are
     absolute, and this is the one place the two meet.
     """
     curve = _load_curve(cfg.shape)
-    return Domain(cut_table(curve, n=cfg.samples, tol=cfg.tol * curve.extent))
+    return curve, cfg.tol * curve.extent
+
+
+def _domain(cfg):
+    """Load the shape and wrap its uniform cut table in a Domain."""
+    curve, tol = _curve_and_tol(cfg)
+    return Domain(cut_table(curve, n=cfg.samples, tol=tol))
 
 
 def _config_from(args):
@@ -164,7 +170,7 @@ def _point_dict(y):
             "kappa": float(y.curvature)}
 
 
-def _report_dict(rep):
+def _report_dict(rep, diameter):
     return {
         "verdict": rep.verdict,
         "y0": _point_dict(rep.y0),
@@ -179,7 +185,7 @@ def _report_dict(rep):
         "corner_status": rep.corner_status,
         "starshaped": rep.starshaped,
         "note": rep.note,
-        "diameter": rep.diameter,
+        "diameter": diameter,
         "phi_slack": rep.phi_slack,
         "constancy_tol": rep.constancy_tol,
         "samples_used": rep.samples_used,
@@ -217,7 +223,7 @@ def cmd_report(args):
         "basic_bound_ok": bool(rep.corner_status == "concave-present"
                                or rep.basic_bound_max <= 0.5 + 1e-6),
     }
-    doc = _report_dict(rep)
+    doc = _report_dict(rep, dom.diameter)
     doc["assertions"] = assertions
     _emit(doc, cfg, "report.json",
           csv=(lambda p: export_cut_csv(table, p), "samples.csv"))
@@ -239,9 +245,12 @@ def _ireport_fields(r):
 
 
 def cmd_verify(args):
+    """The identity suite, on one cut table: the midpoint table that the
+    ray integrals need, which also seeds y0 and carries kappa*lambda."""
     cfg = _config_from(args)
-    dom = _domain(cfg)
-    curve, corners = dom.curve, dom.corners
+    curve, tol = _curve_and_tol(cfg)
+    dom = Domain.at_midpoints(curve, cfg.samples, tol)
+    corners = dom.corners
     concave = dom.corner_status == "concave-present"
     records = []
 
@@ -292,7 +301,7 @@ def cmd_verify(args):
         records.append(_record("focal", "skipped",
                                reason="curvature argmax may sit at a corner"))
     else:
-        fc = focal_check(dom.table)
+        fc = focal_check(dom)
         records.append(_record("focal",
                                "pass" if fc <= 1e-3 else "fail",
                                tolerance=1e-3, residual=fc))

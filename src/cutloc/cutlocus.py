@@ -376,19 +376,19 @@ def max_lambda_kappa(table):
     return float(np.max(vals)) if vals.size else 0.0
 
 
-def focal_check(table):
-    """|kappa*lambda - 1| at the table's maximal-curvature sample.
+def focal_check(dom):
+    """|H_max lambda(y0) - 1| at a Domain's refined curvature maximum y0.
 
-    At the curvature maximum the cut value equals the focal depth 1/kappa,
+    At the curvature maximum of a smooth curve the cut value equals the
+    focal depth 1/kappa (the inscribed disk of radius 1/H_max touches y0),
     so the product is 1 there.  Cornered curves have no smooth maximum to
     test against.
     """
-    if table.curve.detect_corners():
+    if dom.corners:
         raise InapplicableError("focal identity needs a smooth curve")
-    i = int(np.argmax(table.kappa))
-    if table.kappa[i] <= 0:
+    if dom.H_max <= 0:
         raise InapplicableError("focal identity needs positive curvature")
-    return abs(float(table.lambda_kappa[i]) - 1.0)
+    return abs(dom.H_max * dom.lambda_y0 - 1.0)
 
 
 def lambda_lipschitz(table):

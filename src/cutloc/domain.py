@@ -3,10 +3,11 @@
 The criterion and its two PDE applications read the same few quantities
 of one domain: the cut values over the boundary, the curvature maximum y0
 with its cut value, the corners with the cut values along the fan of
-each concave one, and |Omega| / |boundary|.  A Domain wraps
-the uniform cut table that a run builds first and computes each of the
-other quantities at most once, when it is first read.  Every cut value it
-computes uses the table's projector and its absolute tolerance.
+each concave one, and |Omega| / |boundary|.  A Domain wraps the one cut
+table a run reads first, uniform or at composite-midpoint nodes, and
+computes each of the other quantities at most once, when it is first
+read.  Every cut value it computes uses the table's projector and its
+absolute tolerance.
 """
 
 from functools import cached_property
@@ -15,6 +16,7 @@ import numpy as np
 
 from .cutlocus import corner_fans, cut_table, cut_value
 from .integrals import area, perimeter
+from .projector import CurveProjector
 from .symmetry import diameter, refine_max_curvature
 
 __all__ = ["Domain"]
@@ -24,10 +26,24 @@ _MIDPOINT_MIN = 2048
 
 
 class Domain:
-    """Lazily cached analysis quantities of the curve of a uniform CutTable."""
+    """Lazily cached analysis quantities of the curve of a CutTable.
+
+    The table seeds y0 and corner_fans; the ray integrals read the
+    midpoint table, which is the table itself for a Domain.at_midpoints.
+    """
 
     def __init__(self, table):
         self.table = table
+
+    @classmethod
+    def at_midpoints(cls, curve, n, tol):
+        """A Domain whose one table is the midpoint table of max(n, 2048)
+        nodes, with a fresh projector and absolute tolerance tol."""
+        table, weight = _midpoint_table(curve, max(n, _MIDPOINT_MIN),
+                                        CurveProjector(curve), tol)
+        dom = cls(table)
+        dom._midpoint = table, weight
+        return dom
 
     @property
     def curve(self):
@@ -60,22 +76,8 @@ class Domain:
 
     @cached_property
     def _midpoint(self):
-        curve = self.curve
-        n = max(len(self.table), _MIDPOINT_MIN)
-        lengths = curve.arc_lengths
-        share = n * lengths / np.sum(lengths)
-        k = np.maximum(1, np.floor(share).astype(int))
-        short = n - int(np.sum(k))
-        if short > 0:
-            k[np.argsort(k - share, kind="stable")[:short]] += 1
-        arc = np.repeat(np.arange(k.size), k)
-        j = np.arange(arc.size) - np.repeat(np.cumsum(k) - k, k)
-        start = np.cumsum(lengths) - lengths
-        weight = (lengths / k)[arc]
-        s = start[arc] + (j + 0.5) * weight
-        table = cut_table(curve, projector=self.projector, tol=self.tol,
-                          samples=curve.geometry_at_s(s))
-        return table, weight
+        return _midpoint_table(self.curve, max(len(self.table), _MIDPOINT_MIN),
+                               self.projector, self.tol)
 
     @property
     def corners(self):
@@ -142,3 +144,21 @@ class Domain:
     @cached_property
     def diameter(self):
         return diameter(self.curve)
+
+
+def _midpoint_table(curve, n, projector, tol):
+    """(cut table, weights) at n composite-midpoint nodes on the arcs."""
+    lengths = curve.arc_lengths
+    share = n * lengths / np.sum(lengths)
+    k = np.maximum(1, np.floor(share).astype(int))
+    short = n - int(np.sum(k))
+    if short > 0:
+        k[np.argsort(k - share, kind="stable")[:short]] += 1
+    arc = np.repeat(np.arange(k.size), k)
+    j = np.arange(arc.size) - np.repeat(np.cumsum(k) - k, k)
+    start = np.cumsum(lengths) - lengths
+    weight = (lengths / k)[arc]
+    s = start[arc] + (j + 0.5) * weight
+    table = cut_table(curve, projector=projector, tol=tol,
+                      samples=curve.geometry_at_s(s))
+    return table, weight

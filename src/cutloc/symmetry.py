@@ -74,7 +74,6 @@ class SymmetryReport:
     starshaped: bool
     verdict: str              # ball | hypotheses-not-met | inapplicable
     note: str
-    diameter: float
     phi_slack: float
     constancy_tol: float
     samples_used: int
@@ -109,15 +108,17 @@ def _convex_hull(pts):
     about the square of the sample spacing, and is never the farthest.
     """
     order = np.lexsort((pts[:, 1], pts[:, 0]))
-    xy = pts[order].tolist()
+    # memoryviews hand out Python floats one at a time: lists of the
+    # whole sampling would hold 32 bytes per coordinate
+    xs, ys = memoryview(pts[order, 0]), memoryview(pts[order, 1])
 
     def chain(ks):
         h = []
         for k in ks:
-            x, y = xy[k]
+            x, y = xs[k], ys[k]
             while len(h) >= 2:
-                x0, y0 = xy[h[-2]]
-                x1, y1 = xy[h[-1]]
+                i, j = h[-2], h[-1]
+                x0, y0, x1, y1 = xs[i], ys[i], xs[j], ys[j]
                 ux, uy, vx, vy = x1 - x0, y1 - y0, x - x0, y - y0
                 cross = ux * vy - uy * vx
                 if cross > _STRAIGHT * math.hypot(ux, uy) * math.hypot(vx, vy):
@@ -126,7 +127,7 @@ def _convex_hull(pts):
             h.append(k)
         return h[:-1]
 
-    ks = range(len(xy))
+    ks = range(len(xs))
     hull = chain(ks) + chain(reversed(ks))
     return order[hull] if len(hull) > 1 else order[:1]
 
@@ -256,7 +257,7 @@ def criterion_report(dom):
         hypothesis_H=hyp_H, hypothesis_phi=hyp_phi, phi_constancy=constancy,
         basic_bound_max=basic, corner_status=corner_status,
         starshaped=bool(starshaped), verdict=verdict, note="; ".join(notes),
-        diameter=dom.diameter, phi_slack=dom.phi_slack,
+        phi_slack=dom.phi_slack,
         constancy_tol=_CONSTANCY_TOL, samples_used=len(table))
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from cutloc import corner_sum, from_spec
 from cutloc._kernels import inside_polygon
-from cutloc.arcs import SegmentArc, per_arc
+from cutloc.arcs import CircleArc, SegmentArc, per_arc
 from cutloc.boundary import (_BLOCK_NODES, DEFAULT_ANGLE_TOL, BoundaryCurve,
                              _polyline_self_intersects)
 from cutloc.errors import ConstructionError
@@ -75,6 +75,46 @@ def test_arclength_roundtrip(curves):
     g = curve.geometry_at_s(s)
     again = curve.param_to_s(g.arc_index, g.param)
     assert np.allclose(again, s, atol=1e-8 * curve.length)
+
+
+def _closed_form_arclength(arc, t):
+    """r (t - t0) on a circular arc, |p1 - p0| t on a segment, times the
+    scale of a moved copy."""
+    scale = getattr(arc, "scale", 1.0)
+    base = getattr(arc, "base", arc)
+    if isinstance(base, CircleArc):
+        return scale * base.radius * (t - base.t0)
+    return scale * np.hypot(*(base.p1 - base.p0)) * t
+
+
+@pytest.mark.parametrize("name", ["circle", "stadium", "moved_polygon"])
+def test_constant_speed_arcs_hold_two_node_tables(curves, name):
+    # arclength is linear in the parameter on these arcs, so interpolating
+    # between the two ends is exact up to rounding
+    curve = (from_spec(MOVED_POLYGON) if name == "moved_polygon"
+             else curves(name))
+    curve._ensure_tables()
+    assert all(p.size == s.size == 2 for p, s in
+               zip(curve._tables["p"], curve._tables["s"]))
+    arcs = curve.arcs
+    lengths = [_closed_form_arclength(arc, arc.t1) for arc in arcs]
+    start = np.concatenate([[0.0], np.cumsum(lengths)])
+    L = start[-1]
+    ulp = np.finfo(float).eps * L
+    assert abs(curve.length - L) <= 4 * ulp
+    rng = np.random.default_rng(5)
+    arc_index = rng.integers(0, len(arcs), 2000)
+    t0, t1 = (np.array([getattr(arc, e) for arc in arcs])[arc_index]
+              for e in ("t0", "t1"))
+    param = t0 + rng.uniform(0.0, 1.0, arc_index.size) * (t1 - t0)
+    want = start[arc_index] + np.array(
+        [_closed_form_arclength(arcs[a], t) for a, t in zip(arc_index, param)])
+    assert np.max(np.abs(curve.param_to_s(arc_index, param) - want)) <= 4 * ulp
+    aidx, back = curve.s_to_param(want)
+    inner = (param - t0 > 1e-9) & (t1 - param > 1e-9)
+    assert np.array_equal(aidx[inner], arc_index[inner])
+    speed = np.array([arc.constant_speed for arc in arcs])[arc_index]
+    assert np.max(np.abs(back - param)[inner] * speed[inner]) <= 4 * ulp
 
 
 def test_square_corners(curves):
@@ -359,6 +399,12 @@ def _per_arc_reference(curve, m):
     frac = frac / frac.sum()
     p_tabs, s_tabs = [], []
     for arc, f in zip(arcs, frac):
+        if arc.constant_speed is not None:
+            # arclength is linear in the parameter: the two ends suffice
+            p_tabs.append(np.array([arc.t0, arc.t1]))
+            s_tabs.append(np.array([0.0, arc.constant_speed
+                                    * (arc.t1 - arc.t0)]))
+            continue
         k = max(32, int(np.ceil(65536 * f)))
         p = np.linspace(arc.t0, arc.t1, k + 1)
         mid = 0.5 * (p[:-1] + p[1:])
@@ -394,8 +440,9 @@ POLYGONS = {"polygon": POLYGON, "moved_polygon": MOVED_POLYGON,
 def test_per_class_evaluation_matches_per_arc_reference(curves, name):
     # several arcs of one kind evaluate at once (Arc.stacked); the moved
     # polygon's arcs are TransformedArcs over segments and circular arcs.
-    # A one-arc curve's 65 537 table nodes and the union's 32 769 per arc
-    # are built in runs of _BLOCK_NODES, the running sums carried across
+    # The ellipse's, superellipse's and Fourier shape's 65 537 table nodes
+    # are built in runs of _BLOCK_NODES, the running sums carried across;
+    # circular arcs and segments hold their two ends
     curve = (from_spec(POLYGONS[name]) if name in POLYGONS
              else curves(name))
     m = 1000

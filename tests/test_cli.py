@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from cutloc import cutlocus
 from cutloc.cli import main, render_json
 from cutloc.shapes import MAX_FOURIER_MODES, MAX_SIDES
 
@@ -95,6 +96,52 @@ def test_verify_builds_no_distance_field(capsys, monkeypatch):
     assert code == 0
     recs = {r["name"]: r for r in json.loads(out)}
     assert recs["chv-grid"]["status"] == "pass"
+
+
+ELLIPSE = '{"type": "ellipse", "a": 2.0, "b": 1.0}'
+
+
+@pytest.mark.parametrize("shape", [STADIUM, UNION, ELLIPSE],
+                         ids=["stadium", "union", "ellipse"])
+def test_verify_builds_one_cut_table(capsys, monkeypatch, shape):
+    # the midpoint table is verify's one ball pass over many samples; the
+    # cut value at y0 is a one-sample pass
+    ball_cut = cutlocus._ball_cut
+    sizes = []
+
+    def counted(sites, pos, *args):
+        sizes.append(len(pos))
+        return ball_cut(sites, pos, *args)
+    monkeypatch.setattr(cutlocus, "_ball_cut", counted)
+    code, _, _ = _run(capsys, ["verify", "--shape", shape, "--samples",
+                               "512", "--grid-nx", "32", "--grid-ny", "32"])
+    assert code == 0
+    assert [n for n in sizes if n > 1] == [2048]
+
+
+# the benchmark's seed-1 and seed-7 Fourier shapes
+FOURIER_SEED_1 = ('{"type": "fourier", "a0": 1.0, '
+                  '"cos": [0.0, -0.003802, 0.002743, -4.7e-05, 0.001576], '
+                  '"sin": [0.0, 0.003613, -0.002547, -0.000525, 0.003003]}')
+FOURIER_SEED_7 = ('{"type": "fourier", "a0": 1.0, '
+                  '"cos": [0.0, -0.00159, 0.001362, 0.000324, -0.003989], '
+                  '"sin": [0.0, -0.003151, -0.003859, -0.001212, 6.7e-05]}')
+
+
+@pytest.mark.parametrize("shape", [
+    ELLIPSE, '{"type": "superellipse", "a": 1.0, "b": 1.0, "p": 4.0}',
+    FOURIER_SEED_1, FOURIER_SEED_7],
+    ids=["ellipse", "superellipse", "fourier-seed-1", "fourier-seed-7"])
+def test_verify_focal_identity_at_refined_y0(capsys, shape):
+    # at the refined curvature maximum the cut value is the focal cap
+    # 1/H_max itself; the best sample of a table can sit next to it
+    code, out, _ = _run(capsys, ["verify", "--shape", shape, "--samples",
+                                 "2048", "--grid-nx", "32", "--grid-ny",
+                                 "32"])
+    assert code == 0
+    recs = {r["name"]: r for r in json.loads(out)}
+    assert recs["focal"]["status"] == "pass"
+    assert recs["focal"]["residual"] <= 1e-12
 
 
 def test_verify_union_out_of_scope(capsys):
@@ -261,14 +308,24 @@ def _child_maxrss_mb(args):
 
 def test_report_memory_above_import_is_bounded():
     # the ellipse's report holds its arclength tables, site table and cut
-    # table (a few MB); a transient that grows with the 65 537-node table
-    # or the grid shows here first.  Both children compile the package
-    # alike, so the difference is the run's own
+    # table (a few MB); a transient that grows with the ellipse's 65 537
+    # arclength nodes or the grid shows here first.  Both children compile
+    # the package alike, so the difference is the run's own
     bare = _child_maxrss_mb(["-c", "import cutloc.cli"])
     run = _child_maxrss_mb(["-m", "cutloc", "report", "--shape",
                             '{"type": "ellipse", "a": 2.0, "b": 1.0}',
                             "--samples", "384"])
     assert run - bare <= 5.0
+
+
+def test_verify_memory_above_import_is_bounded():
+    # the benchmark's stadium: one 2048-sample cut table, two-node
+    # arclength tables on its arcs, and Gauss nodes without an eigensolve
+    bare = _child_maxrss_mb(["-c", "import cutloc.cli"])
+    run = _child_maxrss_mb(["-m", "cutloc", "verify", "--shape", STADIUM,
+                            "--samples", "2048", "--grid-nx", "96",
+                            "--grid-ny", "96"])
+    assert run - bare <= 3.5
 
 
 def test_web_lambda_at_y0_uses_tol(capsys):

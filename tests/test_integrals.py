@@ -1,13 +1,17 @@
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
-from cutloc import (FormulaOutOfScopeError, InapplicableError, abs2, area,
-                    constant, corner_sum, cov_integral, cov_residual,
-                    divergence_area_residual, from_spec, mean_value_residual,
-                    minkowski_residual, minkowski_residual_corners, perimeter)
+from cutloc import (Domain, FormulaOutOfScopeError, InapplicableError, abs2,
+                    area, constant, corner_sum, cov_integral, cov_residual,
+                    cut_table, divergence_area_residual, from_spec,
+                    mean_value_residual, minkowski_residual,
+                    minkowski_residual_corners, perimeter)
 from cutloc.distfield import GridSpec
 from cutloc.fields import parse_field
-from cutloc.quadrature import simpson_doubling_vec
+from cutloc.quadrature import gauss_legendre, simpson_doubling_vec
 
 
 def test_circle_perimeter_area(curves):
@@ -99,6 +103,19 @@ def test_mean_value_c1_jumpy_phi(domains):
     assert r.rel_residual <= 1e-5
 
 
+def test_midpoint_domain_holds_the_same_midpoint_table(curves):
+    # verify's one table is the one a uniform domain builds second
+    curve = curves("stadium")
+    tol = 1e-6 * curve.extent
+    one = Domain.at_midpoints(curve, 512, tol)
+    two = Domain(cut_table(curve, n=512, tol=tol))
+    assert one.table is one.midpoint_table
+    assert np.array_equal(one.midpoint_weight, two.midpoint_weight)
+    for field in ("s", "kappa", "lam", "phi"):
+        assert np.array_equal(getattr(one.table, field),
+                              getattr(two.midpoint_table, field))
+
+
 def test_mean_value_rejects_concave(domains):
     with pytest.raises(InapplicableError):
         mean_value_residual(domains("union"))
@@ -169,3 +186,35 @@ def test_arc_quadrature_matches_one_arc_at_a_time(curves, name):
         report = minkowski_residual(curve)
         assert report.lhs == smooth
     assert report.rhs == speed
+
+
+def _gauss_legendre_weights_decimal(m):
+    """Weights of the m-point rule by Newton steps in 40-digit decimal
+    arithmetic, rounded to floats."""
+    weights = []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for k in range(m):
+            x = Decimal(-math.cos(math.pi * (k + 0.75) / (m + 0.5)))
+            for step in range(8):
+                p0, p1 = Decimal(1), x
+                for j in range(2, m + 1):
+                    p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+                dp = m * (x * p1 - p0) / (x * x - 1)
+                if step < 7:
+                    x -= p1 / dp
+            weights.append(float(2 / ((1 - x * x) * dp * dp)))
+    return np.array(weights)
+
+
+def test_gauss_legendre_nodes_and_weights():
+    # nodes within 2 ulp of numpy's leggauss; weights within 2 eps of the
+    # 40-digit rule (leggauss's own weights are off by up to 3.6 eps)
+    eps = np.finfo(float).eps
+    for m in range(2, 17):
+        x, w = gauss_legendre(m)
+        u, _ = np.polynomial.legendre.leggauss(m)
+        assert np.all(np.abs(x - u) <= 2 * np.spacing(np.abs(u)))
+        exact = _gauss_legendre_weights_decimal(m)
+        assert np.max(np.abs(w - exact)) <= 2 * eps
+        assert not x.flags.writeable and not w.flags.writeable

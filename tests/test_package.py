@@ -85,3 +85,21 @@ def test_cli_loads_every_layer_the_benchmark_tracer_wraps():
         "print(json.dumps([m for m in tracer.MODULES\n"
         "                  if 'cutloc.' + m not in sys.modules]))\n")
     assert missing == []
+
+
+@pytest.mark.parametrize("command", ["report", "web", "verify", "mk"])
+def test_cli_run_imports_neither_numpy_polynomial_nor_numpy_ma(command):
+    # leggauss imports numpy.polynomial and runs an eigensolve, and
+    # np.median and a plain np.unique import numpy.ma: 1.3-1.9 MB
+    # resident each, which a run's peak RSS would carry
+    argv = [command, "--shape", '{"type": "ellipse", "a": 2.0, "b": 1.0}',
+            "--samples", "256", "--grid-nx", "32", "--grid-ny", "32"]
+    doc = _child(
+        "import contextlib, io, json, sys\n"
+        "import cutloc.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cutloc.cli.main({argv!r})\n"
+        "heavy = ('numpy.polynomial', 'numpy.ma')\n"
+        "loaded = [m for m in heavy if m in sys.modules]\n"
+        "print(json.dumps({'code': code, 'loaded': loaded}))\n")
+    assert doc == {"code": 0, "loaded": []}
