@@ -10,10 +10,9 @@ site along its arc to the foot of the ball centre y - lambda nu, which
 removes the site-spacing error.  The depth is capped at 1/kappa(y) for
 convex samples (the curvature bound makes the cap a valid upper end, and
 returning the cap when no site beats y before it gives the focal identity
-kappa lambda = 1 exactly).  Projectors without a site table (the
-grid-backed FieldProjector) bisect on the predicate instead.  phi(y) is
-the depth integral of (1 - t kappa) over [0, lambda]; in the plane it has
-the closed form lambda - lambda^2 kappa / 2.
+kappa lambda = 1 exactly).  phi(y) is the depth integral of
+(1 - t kappa) over [0, lambda]; in the plane it has the closed form
+lambda - lambda^2 kappa / 2.
 """
 
 import csv
@@ -29,18 +28,15 @@ from .projector import CurveProjector, cyclic_dist, refine_on_arcs
 __all__ = [
     "CornerFan",
     "CutTable",
-    "cut_predicate",
     "cut_table",
     "cut_value",
     "corner_fans",
     "phi",
     "max_lambda_kappa",
     "focal_check",
-    "lambda_lipschitz",
     "export_cut_csv",
 ]
 
-_MAX_BISECT = 64
 # shrinking steps after the site pass; one leaves up to 4e-7 next to the
 # square's corners, two reach rounding level
 _SHRINK_STEPS = 2
@@ -67,7 +63,7 @@ class CutTable:
     focal_capped: np.ndarray  # (n,) bool, lambda = cap: nothing beats y sooner
     tol: float
     accept: float
-    projector: object        # the projector the cut values came from
+    projector: CurveProjector  # whose site table the cut values came from
 
     def __len__(self):
         return self.s.size
@@ -90,20 +86,6 @@ def phi(lam, kappa):
     lam = np.asarray(lam, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
     return lam - 0.5 * lam * lam * kappa
-
-
-def cut_predicate(projector, position, normal, s, t, accept, length):
-    """P(t): the nearest boundary point of y - t nu(y) is y itself.
-
-    Acceptance is an arclength ball of radius `accept` around s; exact
-    equality is unattainable on a sampled boundary.
-    """
-    position = np.atleast_2d(position)
-    normal = np.atleast_2d(normal)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    x = position - t[:, None] * normal
-    s_near = projector.project(x).s
-    return cyclic_dist(s_near, s, length) <= accept
 
 
 def _ball_cut(sites, pos, nrm, s, accept, length):
@@ -196,34 +178,6 @@ def _shrink_ball(curve, projector, pos, nrm, s, depth, arg, accept):
         param[keep] = foot[keep]
 
 
-def _bisect_cut(projector, pos, nrm, s, cap, tol, accept, length):
-    """Bisection on cut_predicate, for projectors without a site table.
-
-    Returns the depth where the predicate turns false, or inf for samples
-    where it still holds at `cap`.
-    """
-    n = s.size
-    ok0 = cut_predicate(projector, pos, nrm, s, np.full(n, tol), accept,
-                        length)
-    depth = np.where(ok0, np.inf, 0.0)
-    ok_cap = cut_predicate(projector, pos, nrm, s, cap, accept, length)
-    solve = ok0 & ~ok_cap
-    lo = np.full(n, tol)
-    hi = cap.copy()
-    for _ in range(_MAX_BISECT):
-        gap = hi[solve] - lo[solve]
-        if gap.size == 0 or gap.max() <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        ok = cut_predicate(projector, pos[solve], nrm[solve], s[solve],
-                           mid[solve], accept, length)
-        sub = np.where(solve)[0]
-        lo[sub[ok]] = mid[sub[ok]]
-        hi[sub[~ok]] = mid[sub[~ok]]
-    depth[solve] = 0.5 * (lo[solve] + hi[solve])
-    return depth
-
-
 def _corner_zone(curve, s, tol):
     """Mask of arclengths within 10*tol of a corner (lambda -> 0 there)."""
     corner_s = curve.corner_arclengths()
@@ -238,8 +192,7 @@ def _cut_values(curve, geom, projector, tol, accept, active):
     """Cut values of a sampled geometry struct: (lam, focal_capped).
 
     lam = min(depth, cap) with cap = min(1/kappa+, extent), where depth is
-    the shrinking-ball depth against the projector's site table, or a
-    bisection on cut_predicate when the projector has none.  `active`
+    the shrinking-ball depth against the projector's site table.  `active`
     masks samples to solve; inactive rows come back 0.  An active sample
     whose depth is below tol raises ConfigurationError on a curve without
     corners (the absolute tolerance exceeds a cut value: the shape is too
@@ -258,13 +211,9 @@ def _cut_values(curve, geom, projector, tol, accept, active):
         cap = np.where(kplus > 0, 1.0 / np.maximum(kplus, 1e-300), np.inf)
     cap = np.minimum(cap, curve.extent)
 
-    sites = getattr(projector, "sites", None)
-    if sites is not None:
-        depth, arg = _ball_cut(sites, pos, nrm, s, accept, curve.length)
-        _shrink_ball(curve, projector, pos, nrm, s, depth, arg, accept)
-    else:
-        depth = _bisect_cut(projector, pos, nrm, s, cap, tol, accept,
-                            curve.length)
+    depth, arg = _ball_cut(projector.sites, pos, nrm, s, accept,
+                           curve.length)
+    _shrink_ball(curve, projector, pos, nrm, s, depth, arg, accept)
     bad = depth < tol
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -389,22 +338,6 @@ def focal_check(dom):
     if dom.H_max <= 0:
         raise InapplicableError("focal identity needs positive curvature")
     return abs(dom.H_max * dom.lambda_y0 - 1.0)
-
-
-def lambda_lipschitz(table):
-    """Empirical Lipschitz constant of lambda along arclength (diagnostic)."""
-    m = table.smooth()
-    s, lam = table.s[m], table.lam[m]
-    if s.size < 3:
-        return 0.0
-    ds = cyclic_dist(np.roll(s, -1), s, table.curve.length)
-    dlam = np.abs(np.roll(lam, -1) - lam)
-    keep = ds > 0
-    # skip pairs that straddle an excluded corner zone
-    if np.any(~m):
-        gap_jump = ds > 2.5 * table.curve.length / max(len(table), 1)
-        keep &= ~gap_jump
-    return float(np.max(dlam[keep] / ds[keep])) if np.any(keep) else 0.0
 
 
 def export_cut_csv(table, path):

