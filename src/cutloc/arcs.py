@@ -3,10 +3,11 @@
 All evaluators accept scalar or (n,) parameter arrays and return (n, 2).
 Arcs are immutable; a curve chains them end to start, counterclockwise.
 
-Each class also finds feet (nearest points) for a batch of rows on arcs
-of that class, within a parameter bracket per row: segments and circular
-arcs in closed form, every other class by safeguarded Newton steps on
-<Y(p) - x, Y'(p)> = 0.
+A curve's ArcTable stacks the coefficients of its arcs once, one stack
+per arc kind, and evaluates (arc, parameter) rows kind by kind.  The rows
+of one kind also find their feet (nearest points), within a parameter
+bracket per row: segments and circular arcs in closed form, every other
+class by safeguarded Newton steps on <Y(p) - x, Y'(p)> = 0.
 """
 
 import numpy as np
@@ -38,16 +39,15 @@ def _dot(u, v):
     return u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1]
 
 
-def _nearest_of(arcs, which, x, candidates):
-    """Per row, the candidate parameter whose point on arcs[which[i]] is
-    nearest x.
+def _nearest_of(rows, x, candidates):
+    """Per row, the candidate parameter whose point on its row of rows (an
+    ArcTable.rows evaluator) is nearest x.
 
     Ties go to the earliest candidate.
     """
-    point = per_arc(arcs, which, "point")
     dist2 = []
     for p in candidates:
-        d = point(p)[0] - x
+        d = rows.point(p) - x
         dist2.append(_dot(d, d))
     return np.choose(np.argmin(dist2, axis=0), candidates)
 
@@ -69,46 +69,64 @@ def arc_runs(index):
         yield int(index[rows[0]]), rows
 
 
-def per_arc(arcs, which, *evaluators):
-    """Callable t -> one (n, 2) array per named evaluator ("point", ...).
+class ArcTable:
+    """A curve's arcs as arrays, built once per curve.
 
-    Row i comes from arcs[which[i]].  Rows are grouped once by arc kind
-    (Arc.kind), with arc_runs: the rows of a kind on one arc evaluate
-    through that arc, and those on several arcs through Arc.stacked, all
-    at once.  Either way a row's value is the arc's own, bit for bit.
+    t0, t1: (number of arcs,) parameter ranges.  kind: each arc's kind
+    index; arcs of one Arc.kind share one kind, and an arc whose kind is
+    None is a kind of its own.  slot: each arc's row in its kind's stack
+    (Arc.stack; the arc itself when its kind is None).
     """
-    which = np.asarray(which)
-    kinds = {}
-    kind_of = np.array([kinds.setdefault(a if k is None else k, len(kinds))
-                        for a, k in enumerate(arc.kind for arc in arcs)],
-                       dtype=np.intp)
-    groups = []
-    for _, rows in arc_runs(kind_of[which]):
-        own = which[rows]
-        present = np.bincount(own, minlength=len(arcs)) > 0
-        used = np.flatnonzero(present)
-        if used.size == 1:
-            groups.append((arcs[used[0]], rows))
-        else:
-            slot = np.cumsum(present) - 1
-            groups.append((type(arcs[used[0]]).stacked(
-                [arcs[a] for a in used], slot[own]), rows))
-    # each evaluator's rows come out grouped; back puts them in input order
-    order = np.concatenate([rows for _, rows in groups]
-                           or [np.zeros(0, dtype=np.intp)])
-    back = np.empty(order.size, dtype=np.intp)
-    back[order] = np.arange(order.size)
 
-    def evaluate(t):
-        t_rows = [t[rows] for _, rows in groups]
-        out = []
-        for name in evaluators:
-            grouped = [getattr(arc, name)(tr)
-                       for (arc, _), tr in zip(groups, t_rows)]
-            out.append(np.take(np.concatenate(grouped or [np.empty((0, 2))]),
-                               back, axis=0))
-        return out
-    return evaluate
+    def __init__(self, arcs):
+        self.t0 = np.array([arc.t0 for arc in arcs])
+        self.t1 = np.array([arc.t1 for arc in arcs])
+        index, members, kind, slot = {}, [], [], []
+        for a, arc in enumerate(arcs):
+            key = arc.kind
+            k = index.setdefault(a if key is None else key, len(members))
+            if k == len(members):
+                members.append((key, []))
+            kind.append(k)
+            slot.append(len(members[k][1]))
+            members[k][1].append(arc)
+        self.kind = np.array(kind, dtype=np.intp)
+        self.slot = np.array(slot, dtype=np.intp)
+        self._stacks = [(group[0], False) if key is None
+                        else (type(group[0]).stack(group), True)
+                        for key, group in members]
+
+    def rows(self, kind, which):
+        """Evaluator whose row i is arc which[i]'s, the arcs of one kind."""
+        stack, stacked = self._stacks[kind]
+        return stack.take(self.slot[which]) if stacked else stack
+
+    def evaluate(self, which, *names):
+        """Callable t -> one (n, 2) array per named evaluator ("point", ...).
+
+        Row i comes from arc which[i].  Rows are grouped once by kind with
+        arc_runs, and each kind's rows evaluate at once through its stack:
+        a row's value is its arc's own, bit for bit.
+        """
+        which = np.asarray(which)
+        groups = [(self.rows(k, which[rows]), rows)
+                  for k, rows in arc_runs(self.kind[which])]
+        # each evaluator's rows come out grouped; back puts them in order
+        order = np.concatenate([rows for _, rows in groups]
+                               or [np.zeros(0, dtype=np.intp)])
+        back = np.empty(order.size, dtype=np.intp)
+        back[order] = np.arange(order.size)
+
+        def evaluate(t):
+            t_rows = [t[rows] for _, rows in groups]
+            out = []
+            for name in names:
+                grouped = [getattr(arc, name)(tr)
+                           for (arc, _), tr in zip(groups, t_rows)]
+                out.append(np.take(np.concatenate(
+                    grouped or [np.empty((0, 2))]), back, axis=0))
+            return out
+        return evaluate
 
 
 class Arc:
@@ -135,54 +153,59 @@ class Arc:
 
     @property
     def kind(self):
-        """Key under which per_arc evaluates arcs together: the class, when
-        it stacks (_ROW_COEFFICIENTS), else None (this arc alone)."""
+        """Key under which an ArcTable stacks arcs: the class, when it
+        stacks (_ROW_COEFFICIENTS), else None (this arc alone)."""
         return type(self) if self._ROW_COEFFICIENTS else None
 
     @classmethod
-    def stacked(cls, arcs, which):
-        """An instance of cls whose evaluators give row i on arcs[which[i]].
+    def stack(cls, arcs):
+        """An instance of cls holding arcs' coefficients, one row per arc.
 
-        Each coefficient holds one row per point, (n, 1) for a number and
-        (n, 2) for a vector, so the class's own evaluators run once on all
-        rows with the same elementwise arithmetic as each arc's.  arcs are
-        of one kind (Arc.kind is not None).
+        arcs are of one kind (Arc.kind is not None).  Each coefficient is
+        an (n, 1) array for a number and (n, 2) for a vector.
         """
-        rows = object.__new__(cls)
+        stack = object.__new__(cls)
         for name in cls._ROW_COEFFICIENTS:
             value = np.array([getattr(arc, name) for arc in arcs])
-            setattr(rows, name,
-                    np.take(value, which, axis=0).reshape(which.size, -1))
+            setattr(stack, name, value.reshape(len(arcs), -1))
+        return stack
+
+    def take(self, slots):
+        """Rows of this stack (Arc.stack), row i its row slots[i]: the
+        class's own evaluators run once on all of them, with the same
+        elementwise arithmetic as each arc's."""
+        rows = object.__new__(type(self))
+        for name in self._ROW_COEFFICIENTS:
+            setattr(rows, name, getattr(self, name)[slots])
         return rows
 
-    @classmethod
-    def batch_foot(cls, arcs, which, x, seed, lo, hi):
-        """Parameter in [lo, hi] of the point of arcs[which[i]] nearest x[i].
+    def batch_foot(self, x, seed, lo, hi):
+        """Parameter in [lo, hi] of the point of row i nearest x[i].
 
-        Safeguarded Newton on g(p) = <Y(p) - x, Y'(p)>, the derivative of
-        |Y(p) - x|^2 / 2, from the seed: the sign of g keeps a bracket
-        around the minimum, and a step that leaves it, or one taken where
+        self is an ArcTable.rows evaluator.  Safeguarded Newton on
+        g(p) = <Y(p) - x, Y'(p)>, the derivative of |Y(p) - x|^2 / 2, from
+        the seed: the sign of g keeps a bracket around the minimum, and a
+        step that leaves it, or one taken where
         g' = |Y'|^2 + <Y - x, Y''> <= 0 (at and beyond focal points),
         bisects it instead.  The answer is the nearest of the Newton
         point and the two ends of [lo, hi].  x is (n, 2); seed, lo, hi
         are (n,).
         """
-        evaluate = per_arc(arcs, which, "point", "velocity", "acceleration")
         p = np.clip(seed, lo, hi)
         a, b = lo, hi
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(_NEWTON_STEPS):
-                y, v, acc = evaluate(p)
-                d = y - x
+                d = self.point(p) - x
+                v = self.velocity(p)
                 g = _dot(d, v)
-                dg = _dot(v, v) + _dot(d, acc)
+                dg = _dot(v, v) + _dot(d, self.acceleration(p))
                 # the distance grows at p where g > 0: the minimum is left
                 a = np.where(g > 0, a, p)
                 b = np.where(g > 0, p, b)
                 step = p - g / dg
                 newton = (dg > 0) & (step >= a) & (step <= b)
                 p = np.where(newton, step, 0.5 * (a + b))
-        return _nearest_of(arcs, which, x, (p, lo, hi))
+        return _nearest_of(self, x, (p, lo, hi))
 
 
 class CircleArc(Arc):
@@ -206,21 +229,19 @@ class CircleArc(Arc):
         t = _col(t)
         return self.center + self.radius * np.stack([np.cos(t), np.sin(t)], axis=-1)
 
-    @classmethod
-    def batch_foot(cls, arcs, which, x, seed, lo, hi):
+    def batch_foot(self, x, seed, lo, hi):
         """The polar angle of x about the centre, in closed form.
 
         The angle is shifted by whole turns to its first value >= lo; when
         that is past hi, the nearer end of the bracket wins (the distance
         grows with the angle to the foot, either way round).
         """
-        center = np.array([arc.center for arc in arcs])[which]
-        rel = x - center
+        rel = x - self.center
         theta = np.arctan2(rel[:, 1], rel[:, 0])
         theta = theta + 2.0 * np.pi * np.ceil((lo - theta) / (2.0 * np.pi))
         far = theta > hi
         if np.any(far):
-            theta[far] = _nearest_of(arcs, which[far], x[far],
+            theta[far] = _nearest_of(self.take(far), x[far],
                                      (hi[far], lo[far]))
         return theta
 
@@ -254,16 +275,14 @@ class SegmentArc(Arc):
         t = _col(t)
         return self.p0 + t[:, None] * (self.p1 - self.p0)
 
-    @classmethod
-    def batch_foot(cls, arcs, which, x, seed, lo, hi):
+    def batch_foot(self, x, seed, lo, hi):
         """The clamped projection parameter <x - p0, p1 - p0> / |p1 - p0|^2.
 
         |Y(t) - x|^2 is a convex quadratic in t, so clamping its minimizer
         to [lo, hi] gives the minimizer over the bracket.
         """
-        p0 = np.array([arc.p0 for arc in arcs])[which]
-        step = np.array([arc.p1 - arc.p0 for arc in arcs])[which]
-        return np.clip(_dot(x - p0, step) / _dot(step, step), lo, hi)
+        step = self.p1 - self.p0
+        return np.clip(_dot(x - self.p0, step) / _dot(step, step), lo, hi)
 
     def velocity(self, t):
         t = _col(t)
@@ -431,11 +450,16 @@ class TransformedArc(Arc):
         return None if base is None else (TransformedArc, base)
 
     @classmethod
-    def stacked(cls, arcs, which):
-        """Arc.stacked, with the bases stacked too (one kind, as ours)."""
-        rows = super().stacked(arcs, which)
-        bases = [arc.base for arc in arcs]
-        rows.base = type(bases[0]).stacked(bases, which)
+    def stack(cls, arcs):
+        """Arc.stack, with the bases stacked too (one kind, as ours)."""
+        stack = super().stack(arcs)
+        stack.base = type(arcs[0].base).stack([arc.base for arc in arcs])
+        return stack
+
+    def take(self, slots):
+        """Arc.take, with the bases' rows too."""
+        rows = super().take(slots)
+        rows.base = self.base.take(slots)
         return rows
 
     def _apply(self, xy, translate):

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arcs import TransformedArc, arc_runs, per_arc
+from .arcs import ArcTable, TransformedArc, arc_runs
 from .errors import ConstructionError
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "DenseSites",
     "Junctions",
     "BoundaryCurve",
+    "cyclic_dist",
 ]
 
 DEFAULT_ANGLE_TOL = 1e-7   # radians; junctions turning less are treated as C1
@@ -114,6 +115,7 @@ class BoundaryCurve:
         if not arcs:
             raise ConstructionError("need at least one arc")
         self.arcs = list(arcs)
+        self.arc_table = ArcTable(self.arcs)
         self._tables = None
         self._sites_cache = {}
 
@@ -128,12 +130,6 @@ class BoundaryCurve:
 
     # ------------------------------------------------------------ validation
 
-    @cached_property
-    def _param_range(self):
-        """(t0, t1): (number of arcs,) parameter ranges of the arcs."""
-        return (np.array([arc.t0 for arc in self.arcs]),
-                np.array([arc.t1 for arc in self.arcs]))
-
     def _arc_blocks(self, counts, endpoint, offset=0.0):
         """counts[a] parameters on each arc a, in blocks of consecutive ones.
 
@@ -146,7 +142,7 @@ class BoundaryCurve:
         consecutive runs, and one with fewer always in a single block.  An
         arc with no parameters is skipped.
         """
-        t0, t1 = self._param_range
+        t0, t1 = self.arc_table.t0, self.arc_table.t1
         counts = np.broadcast_to(counts, t0.shape)
         step = (t1 - t0) / (counts - 1 if endpoint else counts)
         end = np.cumsum(counts)
@@ -167,23 +163,20 @@ class BoundaryCurve:
             lo = hi
 
     def _speed(self, which, t):
-        """|Y'| at parameters t of arcs which, _BLOCK_NODES rows at a time."""
-        return np.concatenate([np.linalg.norm(per_arc(
-            self.arcs, which[i:i + _BLOCK_NODES], "velocity")(
-                t[i:i + _BLOCK_NODES])[0], axis=1)
-            for i in range(0, t.size, _BLOCK_NODES)])
+        """|Y'| at parameters t of arcs which."""
+        (vel,) = self.arc_table.evaluate(which, "velocity")(t)
+        return np.linalg.norm(vel, axis=1)
 
     def _sample(self, counts, endpoint):
         """(nodes, 2) points at the parameters of _arc_blocks."""
         blocks = self._arc_blocks(counts, endpoint)
-        return np.concatenate([per_arc(self.arcs, which, "point")(t)[0]
+        return np.concatenate([self.arc_table.evaluate(which, "point")(t)[0]
                                for which, t in blocks])
 
     def _validate(self):
         n = len(self.arcs)
-        t0, t1 = self._param_range
-        point = per_arc(self.arcs, np.arange(n), "point")
-        (end,), (start,) = point(t1), point(t0)
+        point = self.arc_table.evaluate(np.arange(n), "point")
+        (end,), (start,) = point(self.arc_table.t1), point(self.arc_table.t0)
         miss = np.linalg.norm(end - np.roll(start, -1, axis=0), axis=1)
         gap = np.flatnonzero(miss > 1e-9 * self._extent)
         if gap.size:
@@ -219,14 +212,14 @@ class BoundaryCurve:
         """
         if self._tables is not None:
             return
-        t0, t1 = self._param_range
+        t0, t1 = self.arc_table.t0, self.arc_table.t1
         speed = [arc.constant_speed for arc in self.arcs]
         simpson = np.array([v is None for v in speed])
         k = np.zeros(len(self.arcs), dtype=int)
         if np.any(simpson):
             frac = []
             for which, t in self._arc_blocks(257, endpoint=True):
-                p = per_arc(self.arcs, which, "point")(t)[0]
+                (p,) = self.arc_table.evaluate(which, "point")(t)
                 p = p.reshape(-1, 257, 2)
                 frac.append(np.sum(np.linalg.norm(np.diff(p, axis=1),
                                                   axis=2), axis=1))
@@ -333,8 +326,8 @@ class BoundaryCurve:
     def geometry(self, arc_index, param):
         """Vectorized point data at (arc_index, param) pairs.
 
-        Evaluated _BLOCK_NODES rows at a time, as _speed does: a row's
-        values do not depend on its batch.
+        Evaluated _BLOCK_NODES rows at a time: a row's values do not
+        depend on its batch.
         """
         arc_index = np.atleast_1d(np.asarray(arc_index, dtype=int))
         param = np.atleast_1d(np.asarray(param, dtype=float))
@@ -344,8 +337,8 @@ class BoundaryCurve:
         for i in range(0, n, _BLOCK_NODES):
             rows = slice(i, i + _BLOCK_NODES)
             s[rows] = self.param_to_s(arc_index[rows], param[rows])
-            pos[rows], vel, acc = per_arc(
-                self.arcs, arc_index[rows], "point", "velocity",
+            pos[rows], vel, acc = self.arc_table.evaluate(
+                arc_index[rows], "point", "velocity",
                 "acceleration")(param[rows])
             speed[rows], kappa[rows] = _speed_curvature(vel, acc)
             np.divide(vel, speed[rows, None], out=tangent[rows])
@@ -359,8 +352,8 @@ class BoundaryCurve:
         geometry's, from velocity and acceleration only."""
         arc_index = np.atleast_1d(np.asarray(arc_index, dtype=int))
         param = np.atleast_1d(np.asarray(param, dtype=float))
-        vel, acc = per_arc(self.arcs, arc_index, "velocity",
-                           "acceleration")(param)
+        vel, acc = self.arc_table.evaluate(arc_index, "velocity",
+                                           "acceleration")(param)
         return _speed_curvature(vel, acc)[1]
 
     def geometry_at_s(self, s):
@@ -379,10 +372,11 @@ class BoundaryCurve:
         corner_s = self.corner_arclengths()
         if corner_s.size:
             tol_hit = 1e-9 * L
-            if _min_cyclic_dist(nodes, corner_s, L) < tol_hit:
+            if np.min(cyclic_dist(nodes[:, None], corner_s, L)) < tol_hit:
                 nodes = nodes + L / (2 * n)
             # last resort: nudge individual offenders
-            bad = _cyclic_dist_to_set(nodes, corner_s, L) < tol_hit
+            near = np.min(cyclic_dist(nodes[:, None], corner_s, L), axis=1)
+            bad = near < tol_hit
             if np.any(bad):
                 nodes[bad] += 16 * tol_hit
         return self.geometry_at_s(nodes)
@@ -403,7 +397,7 @@ class BoundaryCurve:
         blocks = list(self._arc_blocks(counts, endpoint=False, offset=0.5))
         arc_index = np.concatenate([which for which, _ in blocks])
         params = np.concatenate([t for _, t in blocks])
-        points = np.concatenate([per_arc(self.arcs, which, "point")(t)[0]
+        points = np.concatenate([self.arc_table.evaluate(which, "point")(t)[0]
                                  for which, t in blocks])
         s = self.param_to_s(arc_index, params)
         # every arc holds at least 8 consecutive sites
@@ -416,8 +410,7 @@ class BoundaryCurve:
 
     def winding_polygon(self, m):
         """Per-arc sampling that keeps arc start points (corners included)."""
-        t0, t1 = self._param_range
-        span = t1 - t0
+        span = self.arc_table.t1 - self.arc_table.t0
         # np.cumsum adds in order, as a running sum over the arcs does
         counts = np.maximum(8, np.round(m * span / np.cumsum(span)[-1]))
         return self._sample(counts.astype(int), endpoint=False)
@@ -431,8 +424,8 @@ class BoundaryCurve:
         cum = self._tables["cum"]
         n = len(self.arcs)
         nxt = np.roll(np.arange(n), -1)
-        ends = self.geometry(np.arange(n), [arc.t1 for arc in self.arcs])
-        starts = self.geometry(nxt, [self.arcs[a].t0 for a in nxt])
+        ends = self.geometry(np.arange(n), self.arc_table.t1)
+        starts = self.geometry(nxt, self.arc_table.t0[nxt])
         nu_m, nu_p = ends.normal, starts.normal
         cross = nu_m[:, 0] * nu_p[:, 1] - nu_m[:, 1] * nu_p[:, 0]
         dot = nu_m[:, 0] * nu_p[:, 0] + nu_m[:, 1] * nu_p[:, 1]
@@ -440,8 +433,8 @@ class BoundaryCurve:
                          nu_minus=nu_m, nu_plus=nu_p,
                          angle=np.arctan2(cross, dot), convex=cross > 0)
 
-    def detect_corners(self, angle_tol=DEFAULT_ANGLE_TOL):
-        """Junctions where the outward normal turns by more than angle_tol."""
+    def detect_corners(self):
+        """Junctions where the normal turns by more than DEFAULT_ANGLE_TOL."""
         jt = self.junctions
         return [CornerInfo(junction=int(j), s=float(jt.s[j]),
                            position=jt.position[j].copy(),
@@ -449,7 +442,7 @@ class BoundaryCurve:
                            nu_plus=jt.nu_plus[j].copy(),
                            delta_nu=jt.nu_plus[j] - jt.nu_minus[j],
                            angle=float(jt.angle[j]), convex=bool(jt.convex[j]))
-                for j in np.flatnonzero(np.abs(jt.angle) > angle_tol)]
+                for j in np.flatnonzero(np.abs(jt.angle) > DEFAULT_ANGLE_TOL)]
 
     def corner_arclengths(self):
         jt = self.junctions
@@ -477,14 +470,10 @@ def _speed_curvature(vel, acc):
     return speed, kappa
 
 
-def _min_cyclic_dist(nodes, targets, L):
-    return float(np.min(_cyclic_dist_to_set(nodes, targets, L)))
-
-
-def _cyclic_dist_to_set(nodes, targets, L):
-    d = np.abs(nodes[:, None] - targets[None, :])
-    d = np.minimum(d, L - d)
-    return d.min(axis=1)
+def cyclic_dist(s1, s2, length):
+    """Cyclic arclength distance."""
+    d = np.abs(np.asarray(s1, dtype=float) - np.asarray(s2, dtype=float))
+    return np.minimum(d, length - d)
 
 
 def _polyline_self_intersects(poly):

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import _PAIR_BUDGET, BoundaryPoint
+from .boundary import _PAIR_BUDGET, BoundaryPoint, cyclic_dist
 from .errors import (ConfigurationError, DegenerateRayError,
                      InapplicableError)
-from .projector import CurveProjector, cyclic_dist, refine_on_arcs
+from .projector import CurveProjector, refine_on_arcs
 
 __all__ = [
     "CornerFan",

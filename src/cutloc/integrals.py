@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arcs import per_arc
 from .boundary import _BLOCK_NODES
 from .distfield import inside_mask
 from .errors import FormulaOutOfScopeError, InapplicableError
@@ -53,29 +52,27 @@ class IntegralReport:
 def _arc_batch_integral(curve, rowfun, evaluators, tol):
     """Sum over arcs of the doubling-Simpson integral of a row function.
 
-    rowfun maps the named arcs.per_arc evaluators' (k, 2) values at k
-    nodes to (k,) values.  Each doubling level evaluates every arc's
-    nodes through one per_arc grouping, _BLOCK_NODES rows at a time; a
-    row's values are its arc's own, bit for bit.  Returns (value,
+    rowfun maps the named evaluators' (k, 2) values at k nodes to (k,)
+    values.  Each doubling level evaluates every arc's nodes through the
+    curve's ArcTable, one stack per arc kind, _BLOCK_NODES rows at a time;
+    a row's values are its arc's own, bit for bit.  Returns (value,
     node_count).
     """
-    arcs = curve.arcs
-    a = np.array([arc.t0 for arc in arcs], dtype=float)
-    b = np.array([arc.t1 for arc in arcs], dtype=float)
+    table = curve.arc_table
     count = [0]
 
     def f(tmat):
         count[0] += tmat.size
-        which = np.repeat(np.arange(len(arcs)), tmat.shape[1])
+        which = np.repeat(np.arange(table.t0.size), tmat.shape[1])
         t = tmat.ravel()
         out = np.empty(t.size)
         for i in range(0, t.size, _BLOCK_NODES):
             rows = slice(i, i + _BLOCK_NODES)
-            out[rows] = rowfun(*per_arc(arcs, which[rows],
-                                        *evaluators)(t[rows]))
+            out[rows] = rowfun(*table.evaluate(which[rows],
+                                               *evaluators)(t[rows]))
         return out.reshape(tmat.shape)
 
-    vals = simpson_doubling_vec(f, a, b, tol=tol)
+    vals = simpson_doubling_vec(f, table.t0, table.t1, tol=tol)
     return float(np.sum(vals)), count[0]
 
 

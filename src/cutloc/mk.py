@@ -172,13 +172,13 @@ def vf_field(dom, field, f=None):
     s_foot = curve.param_to_s(field.nearest_arc.ravel(),
                               field.nearest_param.ravel()).reshape(d.shape)
     lam = _lambda_interp(table, s_foot)
-    arcs = curve.arcs
+    t0, t1 = curve.arc_table.t0, curve.arc_table.t1
     for fan in dom.corner_fans:
-        j, k = fan.junction, (fan.junction + 1) % len(arcs)
+        j, k = fan.junction, (fan.junction + 1) % t0.size
         at = inside & (((field.nearest_arc == j)
-                        & (field.nearest_param == arcs[j].t1))
+                        & (field.nearest_param == t1[j]))
                        | ((field.nearest_arc == k)
-                          & (field.nearest_param == arcs[k].t0)))
+                          & (field.nearest_param == t0[k])))
         lam[at] = fan.cut(grid.centers()[at.ravel()])
     tau = np.where(inside, np.maximum(lam - d, 0.0), 0.0)
 

@@ -4,9 +4,10 @@ CurveProjector runs the exact block-pruned nearest-site scan of a dense
 midpoint site table (_kernels.nearest_site), then finds the foot on the
 owning arc within a bracket of one site step: in closed form on segments
 and circular arcs, by safeguarded Newton steps on every other class
-(Arc.batch_foot).  Rows are refined per arc class, not per arc: one
-vectorized search runs over every row whose arc has the same class
-(segments, circular arcs, ...).  project() returns a Projection struct.
+(Arc.batch_foot).  Rows are refined per arc kind, not per arc: one
+vectorized search runs over every row whose arc has the same kind
+(segments, circular arcs, ...), through the curve's ArcTable.  project()
+returns a Projection struct.
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .arcs import arc_runs
+from .boundary import cyclic_dist
 
 __all__ = ["Projection", "CurveProjector", "cyclic_dist"]
 
@@ -32,12 +34,6 @@ class Projection:
     arc_index: np.ndarray  # (n,) int
     param: np.ndarray      # (n,)
     kappa: np.ndarray      # (n,) boundary curvature at the nearest point
-
-
-def cyclic_dist(s1, s2, length):
-    """Cyclic arclength distance."""
-    d = np.abs(np.asarray(s1, dtype=float) - np.asarray(s2, dtype=float))
-    return np.minimum(d, length - d)
 
 
 class CurveProjector:
@@ -73,24 +69,18 @@ def refine_on_arcs(curve, points, arc_index, seed_param, dparam):
     The bracket of row i is [seed - half, seed + half] cut to its arc's
     parameter range, with half the site-table parameter step of the
     owning arc (dparam: (number of arcs,) steps), and the foot is the
-    bracket's point nearest points[i].  The search runs per arc class,
-    through the class's Arc.batch_foot, on at most _FOOT_ROWS rows at a
-    time.
+    bracket's point nearest points[i].  The search runs per arc kind,
+    through the batch_foot of the kind's rows (ArcTable.rows), on at most
+    _FOOT_ROWS rows at a time.
     """
-    arcs = curve.arcs
-    t0 = np.array([arc.t0 for arc in arcs])
-    t1 = np.array([arc.t1 for arc in arcs])
+    table = curve.arc_table
     half = dparam[arc_index]
-    lo = np.maximum(seed_param - half, t0[arc_index])
-    hi = np.minimum(seed_param + half, t1[arc_index])
-    classes = list(dict.fromkeys(type(arc) for arc in arcs))
-    arc_class = np.array([classes.index(type(arc)) for arc in arcs])
+    lo = np.maximum(seed_param - half, table.t0[arc_index])
+    hi = np.minimum(seed_param + half, table.t1[arc_index])
     param = np.empty(seed_param.size)
-    for c, rows in arc_runs(arc_class[arc_index]):
+    for k, rows in arc_runs(table.kind[arc_index]):
         # a row's foot does not depend on the rows searched with it
         for part in np.split(rows, range(_FOOT_ROWS, rows.size, _FOOT_ROWS)):
-            used, which = np.unique(arc_index[part], return_inverse=True)
-            param[part] = classes[c].batch_foot(
-                [arcs[a] for a in used], which, points[part],
-                seed_param[part], lo[part], hi[part])
+            param[part] = table.rows(k, arc_index[part]).batch_foot(
+                points[part], seed_param[part], lo[part], hi[part])
     return param

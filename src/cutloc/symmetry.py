@@ -172,8 +172,8 @@ def refine_max_curvature(table):
     idx = np.flatnonzero(smooth)
     i = idx[int(np.argmax(table.kappa[idx]))]
     a, t = int(table.arc_index[i]), float(table.param[i])
-    arc = curve.arcs[a]
-    speed = max(float(np.linalg.norm(arc.velocity(np.array([t]))[0])), 1e-30)
+    (vel,) = curve.arc_table.evaluate([a], "velocity")(np.array([t]))
+    speed = max(float(np.linalg.norm(vel[0])), 1e-30)
     dp = (curve.length / len(table)) / speed
     sites = table.projector.sites
     kappa = curve.curvature(sites.arc_index, sites.params)
@@ -181,10 +181,9 @@ def refine_max_curvature(table):
     j = int(np.argmax(kappa))
     if kappa[j] > table.kappa[i]:
         a, t = int(sites.arc_index[j]), float(sites.params[j])
-        arc = curve.arcs[a]
         dp = sites.dparam[a]
-    lo = np.array([max(arc.t0, t - 2.0 * dp)])
-    hi = np.array([min(arc.t1, t + 2.0 * dp)])
+    lo = np.array([max(curve.arc_table.t0[a], t - 2.0 * dp)])
+    hi = np.array([min(curve.arc_table.t1[a], t + 2.0 * dp)])
 
     def neg_kappa(p):
         return -curve.curvature(np.full(p.shape, a), p)

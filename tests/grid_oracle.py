@@ -19,21 +19,16 @@ def refine_in_brackets(curve, points, arc_index, seed_param, half_width):
     """Foot parameters of points on their arcs within [seed -+ half_width].
 
     The bracket is cut to the arc's parameter range; the foot is the
-    bracket's point nearest points[i], from the class's Arc.batch_foot.
+    bracket's point nearest points[i], from the batch_foot of the rows of
+    the arc's kind (ArcTable.rows).
     """
-    arcs = curve.arcs
-    t0 = np.array([arc.t0 for arc in arcs])
-    t1 = np.array([arc.t1 for arc in arcs])
-    lo = np.maximum(seed_param - half_width, t0[arc_index])
-    hi = np.minimum(seed_param + half_width, t1[arc_index])
-    classes = list(dict.fromkeys(type(arc) for arc in arcs))
-    arc_class = np.array([classes.index(type(arc)) for arc in arcs])
+    table = curve.arc_table
+    lo = np.maximum(seed_param - half_width, table.t0[arc_index])
+    hi = np.minimum(seed_param + half_width, table.t1[arc_index])
     param = np.empty(seed_param.size)
-    for c, rows in arc_runs(arc_class[arc_index]):
-        used, which = np.unique(arc_index[rows], return_inverse=True)
-        param[rows] = classes[c].batch_foot(
-            [arcs[a] for a in used], which, points[rows], seed_param[rows],
-            lo[rows], hi[rows])
+    for k, rows in arc_runs(table.kind[arc_index]):
+        param[rows] = table.rows(k, arc_index[rows]).batch_foot(
+            points[rows], seed_param[rows], lo[rows], hi[rows])
     return param
 
 

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from cutloc import corner_sum, from_spec
+from cutloc import Domain, corner_sum, criterion_report, cut_table, from_spec
 from cutloc._kernels import inside_polygon
-from cutloc.arcs import CircleArc, SegmentArc, per_arc
+from cutloc.arcs import Arc, CircleArc, SegmentArc
 from cutloc.boundary import (_BLOCK_NODES, DEFAULT_ANGLE_TOL, BoundaryCurve,
                              _polyline_self_intersects)
 from cutloc.errors import ConstructionError
 from cutloc.integrals import ROT_CCW
 from cutloc.projector import CurveProjector
+from cutloc.symmetry import diameter
 
 from conftest import SPECS, traced_peak_mb
 
@@ -309,7 +310,7 @@ def test_arc_grouping_matches_row_at_a_time(name):
     assert np.array_equal(aidx, np.concatenate([o[0] for o in ones]))
     assert np.array_equal(t, np.concatenate([o[1] for o in ones]))
     evaluators = ("point", "velocity", "acceleration")
-    batch = per_arc(curve.arcs, arc_index, *evaluators)(param)
+    batch = curve.arc_table.evaluate(arc_index, *evaluators)(param)
     for evaluator, got in zip(evaluators, batch):
         assert np.array_equal(got, np.concatenate(
             [getattr(curve.arcs[arc_index[i]], evaluator)(param[r])
@@ -377,9 +378,22 @@ def test_detect_corners_evaluates_the_curve_twice():
     geometry = curve.geometry
     curve.geometry = lambda *args: calls.append(1) or geometry(*args)
     curve.detect_corners()
-    curve.detect_corners(angle_tol=1e-3)
+    curve.detect_corners()
     corner_sum(curve)
     assert len(calls) == 2
+
+
+def test_a_report_reads_arc_kinds_only_at_construction(monkeypatch):
+    # the arc table stacks the arcs by kind once per curve; every later
+    # evaluation and foot search reads the table, not the arcs
+    curve = from_spec(POLYGON)
+    reads = []
+    kind = Arc.kind
+    monkeypatch.setattr(Arc, "kind", property(
+        lambda arc: reads.append(arc) or kind.fget(arc)))
+    criterion_report(Domain(cut_table(curve, n=384)))
+    diameter(curve)
+    assert len(reads) < len(curve.arcs) == 192
 
 
 def _per_arc_reference(curve, m):
@@ -438,7 +452,7 @@ POLYGONS = {"polygon": POLYGON, "moved_polygon": MOVED_POLYGON,
 
 @pytest.mark.parametrize("name", SHAPES + tuple(POLYGONS))
 def test_per_class_evaluation_matches_per_arc_reference(curves, name):
-    # several arcs of one kind evaluate at once (Arc.stacked); the moved
+    # several arcs of one kind evaluate at once (Arc.stack); the moved
     # polygon's arcs are TransformedArcs over segments and circular arcs.
     # The ellipse's, superellipse's and Fourier shape's 65 537 table nodes
     # are built in runs of _BLOCK_NODES, the running sums carried across;
@@ -467,7 +481,7 @@ def test_per_class_evaluation_matches_per_arc_reference(curves, name):
               for e in ("t0", "t1"))
     param = t0 + rng.uniform(0.0, 1.0, arc_index.size) * (t1 - t0)
     evaluators = ("point", "velocity", "acceleration")
-    batch = per_arc(curve.arcs, arc_index, *evaluators)(param)
+    batch = curve.arc_table.evaluate(arc_index, *evaluators)(param)
     for evaluator, got in zip(evaluators, batch):
         want = np.empty_like(got)
         for a in np.unique(arc_index):
@@ -490,7 +504,7 @@ def test_per_class_evaluation_matches_per_arc_reference(curves, name):
                          [(True, 0.0), (False, 0.0), (False, 0.5)])
 def test_arc_blocks_are_bounded_and_keep_short_arcs_whole(endpoint, offset):
     curve = from_spec(SPECS["union"])
-    t0, t1 = curve._param_range
+    t0, t1 = curve.arc_table.t0, curve.arc_table.t1
     counts = np.array([3 * _BLOCK_NODES + 5, 40])
     blocks = list(curve._arc_blocks(counts, endpoint, offset))
     assert [t.size for _, t in blocks] == [_BLOCK_NODES] * 3 + [45]

@@ -164,7 +164,7 @@ def _curvature_support(arc, t):
 @pytest.mark.parametrize("name", ["circle", "ellipse", "fourier", "square",
                                   "stadium", "union", "polygon"])
 def test_arc_quadrature_matches_one_arc_at_a_time(curves, name):
-    # every doubling level evaluates all arcs through one per_arc grouping;
+    # every doubling level evaluates all arcs through the curve's ArcTable;
     # a row's values are its arc's own, so each sum keeps its bits
     curve = (from_spec({"type": "rounded_polygon", "sides": 96,
                         "side_length": 0.2, "corner_radius": 0.05})

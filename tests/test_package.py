@@ -1,9 +1,11 @@
 """The package namespace: submodules load on first use.
 
 Each check runs in a fresh interpreter, since this test session has
-imported every submodule already.
+imported every submodule already; the benchmark tracer's check runs in
+process, as the benchmark's trace mode does.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -85,6 +87,30 @@ def test_cli_loads_every_layer_the_benchmark_tracer_wraps():
         "print(json.dumps([m for m in tracer.MODULES\n"
         "                  if 'cutloc.' + m not in sys.modules]))\n")
     assert missing == []
+
+
+def test_benchmark_tracer_spans_a_many_arc_report_and_unwinds(capsys):
+    # the benchmark's trace mode rebinds cutloc's functions from outside
+    # (perfbench/tracer.py); a 96-gon report runs through it in process,
+    # its foot searches counted, and every binding comes back
+    spec = importlib.util.spec_from_file_location("tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    from cutloc import cli
+    shape = json.dumps({"type": "rounded_polygon", "sides": 96,
+                        "side_length": 0.2, "corner_radius": 0.05})
+    tr = tracer.Tracer()
+    with tr:
+        patches = tr.patches
+        code = cli.main(["report", "--shape", shape, "--samples", "384"])
+    capsys.readouterr()
+    assert code == 0
+    assert any(s["counts"].get("rows", 0) > 0 for s in tr.spans
+               if s["name"] == "projector.refine_on_arcs")
+    assert [s["name"] for s in tr.spans if s["error"] is not None] == []
+    assert patches and tr.patches == []
+    assert all(getattr(owner, attr) is original
+               for owner, attr, original in patches)
 
 
 @pytest.mark.parametrize("command", ["report", "web", "verify", "mk"])

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import traced_peak_mb
 from cutloc import _kernels, from_spec
-from cutloc.arcs import CircleArc, SegmentArc, TransformedArc, per_arc
+from cutloc.arcs import ArcTable, CircleArc, SegmentArc, TransformedArc
 from cutloc.distfield import GridSpec
 from cutloc.projector import CurveProjector, refine_on_arcs
 from cutloc.quadrature import golden_min_vec
@@ -26,8 +26,9 @@ CASES = {
 
 
 def test_per_arc_stacked_rows_match_each_arcs_rows():
-    # several arcs of one kind evaluate through Arc.stacked, on per-row
-    # coefficients; a TransformedArc stacks its bases as well
+    # several arcs of one kind evaluate through their kind's stack
+    # (Arc.stack), on per-row coefficients; a TransformedArc stacks its
+    # bases as well
     rng = np.random.default_rng(3)
     segments = [SegmentArc(rng.normal(size=2), rng.normal(size=2))
                 for _ in range(5)]
@@ -42,7 +43,7 @@ def test_per_arc_stacked_rows_match_each_arcs_rows():
     for arcs in (segments, circles, mixed, [TransformedArc(a) for a in mixed]):
         which = rng.integers(0, len(arcs), 400)
         t = rng.uniform(0.0, 1.0, 400)
-        got = per_arc(arcs, which, *evaluators)(t)
+        got = ArcTable(arcs).evaluate(which, *evaluators)(t)
         for name, rows in zip(evaluators, got):
             want = np.concatenate([getattr(arcs[k], name)(t[i:i + 1])
                                    for i, k in enumerate(which)])
