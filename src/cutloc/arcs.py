@@ -72,7 +72,8 @@ def arc_runs(index):
 class ArcTable:
     """A curve's arcs as arrays, built once per curve.
 
-    t0, t1: (number of arcs,) parameter ranges.  kind: each arc's kind
+    t0, t1: (number of arcs,) parameter ranges.  speed: each arc's
+    Arc.constant_speed, NaN where it has none.  kind: each arc's kind
     index; arcs of one Arc.kind share one kind, and an arc whose kind is
     None is a kind of its own.  slot: each arc's row in its kind's stack
     (Arc.stack; the arc itself when its kind is None).
@@ -81,6 +82,8 @@ class ArcTable:
     def __init__(self, arcs):
         self.t0 = np.array([arc.t0 for arc in arcs])
         self.t1 = np.array([arc.t1 for arc in arcs])
+        self.speed = np.array([np.nan if arc.constant_speed is None
+                               else arc.constant_speed for arc in arcs])
         index, members, kind, slot = {}, [], [], []
         for a, arc in enumerate(arcs):
             key = arc.kind

@@ -183,12 +183,16 @@ class BoundaryCurve:
             i = gap[0]
             raise ConstructionError(f"arcs {i} and {(i + 1) % n} fail to "
                                     f"chain: gap {miss[i]:.3e}")
-        slowest = []
-        for which, t in self._arc_blocks(257, endpoint=True):
-            sp = self._speed(which, t).reshape(-1, 257)
-            slowest.append(np.min(sp, axis=1))
-        slow = np.flatnonzero(
-            np.concatenate(slowest) <= 1e-12 * (self._extent + 1.0))
+        # an arc of constant speed has it in the table; the others are
+        # polled at 257 nodes
+        slowest = self.arc_table.speed.copy()
+        polled = np.isnan(slowest)
+        if np.any(polled):
+            blocks = self._arc_blocks(np.where(polled, 257, 0), endpoint=True)
+            slowest[polled] = np.concatenate([
+                np.min(self._speed(which, t).reshape(-1, 257), axis=1)
+                for which, t in blocks])
+        slow = np.flatnonzero(slowest <= 1e-12 * (self._extent + 1.0))
         if slow.size:
             raise ConstructionError(f"arc {slow[0]} is not regular (|Y'| ~ 0)")
         poly = self.winding_polygon(512)
@@ -213,8 +217,8 @@ class BoundaryCurve:
         if self._tables is not None:
             return
         t0, t1 = self.arc_table.t0, self.arc_table.t1
-        speed = [arc.constant_speed for arc in self.arcs]
-        simpson = np.array([v is None for v in speed])
+        speed = self.arc_table.speed
+        simpson = np.isnan(speed)
         k = np.zeros(len(self.arcs), dtype=int)
         if np.any(simpson):
             frac = []

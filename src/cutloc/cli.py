@@ -363,7 +363,7 @@ def cmd_web(args):
             raise ConfigurationError(
                 "--gamma-arc needs two finite start,end arclengths")
     dom = _domain(cfg)
-    rep = partial_web_report(dom, gamma_arc=gamma_arc, op=op)
+    rep = partial_web_report(dom, gamma_arc=gamma_arc)
     identity = None
     identity_status = "pass"
     if dom.corners:
@@ -375,7 +375,7 @@ def cmd_web(args):
                 identity_status = "fail"
         except HypothesisViolationError as e:
             identity_status = "hypothesis-violation: " + str(e)
-    prof = web_profile(op, rep.kappa_y0, rep.lambda_y0, origin_s=rep.s_y0)
+    prof = web_profile(op, rep.kappa_y0, rep.lambda_y0)
     doc = {
         "operator": op.name,
         "gamma_arc": list(gamma_arc) if gamma_arc else None,

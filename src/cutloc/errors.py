@@ -39,7 +39,7 @@ class HypothesisViolationError(CutlocError):
 
 
 class OperatorRangeError(CutlocError):
-    """Operator nonlinearity is not invertible over the required range."""
+    """m^-1 of an operator asked outside its range: a negative magnitude."""
 
 
 class InvalidRayError(CutlocError):

@@ -1,8 +1,8 @@
 """Ray ODE machinery for web-shaped solutions u = h(d_Omega).
 
-For an operator -div(A(|grad u|) grad u) = 1, a web ansatz reduces the
-equation along each inward normal ray to a flux balance.  With
-m(r) = A(r) r and
+For the p-Laplacian -div(A(|grad u|) grad u) = 1, A(r) = r^(p-2), a web
+ansatz reduces the equation along each inward normal ray to a flux
+balance.  With m(r) = A(r) r = r^(p-1) and
 
     g(t) = -(lambda - t) (a + b/2) / (a + b),   a = 1 - lambda kappa,
                                                 b = kappa (lambda - t),
@@ -10,13 +10,15 @@ m(r) = A(r) r and
 the profile slope is h'(t) = sign(g) m^{-1}(|g|) and the ray flux
 F(t) = A(|h'|) h' (1 - t kappa) satisfies F(t) = -int_t^lambda (1 - s k) ds
 with F(lambda) = 0.  |g(t)| equals the criterion value of the parallel
-domain at depth t, so -F(0) reproduces phi at the ray origin.
+domain at depth t, so the boundary flux c(y) = -A(|h'(0)|) h'(0) =
+m(m^{-1}(|g(0)|)) = |g(0)| = phi(y) for every p: a constant flux on the
+boundary is a constant phi.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -30,101 +32,53 @@ __all__ = [
     "flux_identity_residual", "partial_web_report",
 ]
 
-# m is checked on [0, _R_MAX], where m_inverse brackets first
-_R_MAX = 16.0
-# absolute tolerance of the m_inverse bisection
-_M_INVERSE_TOL = 1e-12
+# Largest plap exponent.  Up to p = 180, m(r) = r^(p-1) keeps slopes
+# r >= 1/64 apart from 0 in double precision (64^-(p-1) >= 2^-1074), and
+# m(m^-1(y)) rounds to within (p - 1) eps of y.  Far larger exponents round
+# every slope |g|^(1/(p-1)) to 1, and an infinite or NaN one has no m.
+_P_MAX = 180.0
 # collar depths eps of the partial web report
 _COLLAR_EPS = (0.2, 0.1, 0.05)
 
 
 @dataclass(frozen=True, eq=False)
 class DivergenceOperator:
-    """Gradient-magnitude multiplier A with m(r) = A(r) r invertible.
+    """The p-Laplacian A(r) = r^(p-2), 2 <= p <= _P_MAX; p = 2 is Laplace.
 
-    Monotonicity of m on [0, 16] is checked on a 1024-point grid at
-    construction; m_inverse is a bisection to absolute tolerance 1e-12,
-    with the bracket grown past 16 for larger magnitudes.
+    m(r) = A(r) r = r^(p-1) is strictly increasing, and its inverse is the
+    closed form m^-1(y) = y^(1/(p-1)), exact for p = 2.
     """
 
-    name: str
-    A: object
+    p: float
 
     def __post_init__(self):
-        r = np.linspace(0.0, _R_MAX, 1025)
-        m = np.asarray(self.A(r)) * r
-        if not np.all(np.isfinite(m)):
+        if not 2.0 <= self.p <= _P_MAX:
             raise ConstructionError(
-                f"A(r) r must be finite on [0, {_R_MAX:g}]")
-        if abs(float(m[0])) > 0.0:
-            raise ConstructionError("m(0) = A(0)*0 must be 0")
-        if not np.all(np.diff(m) > 0.0):
-            raise ConstructionError(
-                "m(r) = A(r) r must be strictly increasing on "
-                f"[0, {_R_MAX:g}]")
+                f"plap exponent must lie in [2, {_P_MAX:g}], got {self.p:g}")
+
+    @property
+    def name(self):
+        return "laplace" if self.p == 2.0 else f"plap:{self.p:g}"
 
     def m(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.asarray(self.A(r)) * r
+        return np.power(np.asarray(r, dtype=float), self.p - 1.0)
 
     def m_inverse(self, y):
-        """Vectorized bisection solve of m(r) = y for y >= 0.
-
-        Each row brackets in [0, 16]; a row with y above m(16) doubles
-        its upper end until m reaches y.  Raises
-        OperatorRangeError when m stops being finite or increasing there,
-        or when the bracket grows past the float resolution of the
-        bisection tolerance.
-        """
+        """r >= 0 with m(r) = y, for y >= 0; numeric dust below 0 reads 0."""
         y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 0
-        y = np.atleast_1d(y)
         if np.any(y < -1e-15):
             raise OperatorRangeError("m_inverse needs nonnegative input")
-        lo = np.zeros_like(y)
-        hi = np.full_like(y, _R_MAX)
-        r = _R_MAX
-        m_r = float(self.m(np.array([r]))[0])
-        grow = y > m_r
-        while np.any(grow):
-            if np.spacing(2.0 * r) > _M_INVERSE_TOL:
-                raise OperatorRangeError(
-                    f"magnitude {float(np.max(y)):.6g} above m({r:g}) = "
-                    f"{m_r:.6g}; bisection to {_M_INVERSE_TOL:g} cannot "
-                    "resolve larger r")
-            r *= 2.0
-            m_next = float(self.m(np.array([r]))[0])
-            if not (np.isfinite(m_next) and m_next > m_r):
-                raise OperatorRangeError(
-                    f"m(r) = A(r) r is not finite and increasing at r = {r:g}")
-            m_r = m_next
-            hi[grow] = r
-            grow &= y > m_r
-        for _ in range(200):
-            if np.max(hi - lo) <= _M_INVERSE_TOL:
-                break
-            mid = 0.5 * (lo + hi)
-            high = self.m(mid) > y
-            hi = np.where(high, mid, hi)
-            lo = np.where(high, lo, mid)
-        out = 0.5 * (lo + hi)
-        out[y <= 0.0] = 0.0
-        return float(out[0]) if scalar else out
+        r = np.power(np.where(y > 0.0, y, 0.0), 1.0 / (self.p - 1.0))
+        return float(r) if r.ndim == 0 else r
 
 
 def laplace() -> DivergenceOperator:
-    return DivergenceOperator(name="laplace", A=lambda r: np.ones_like(r))
+    return DivergenceOperator(2.0)
 
 
 def plap(p) -> DivergenceOperator:
-    """A(r) = r^(p-2); p = 2 reduces to the linear operator."""
-    p = float(p)
-    if p < 2.0:
-        raise ConstructionError("plap exponent must be >= 2")
-    if p == 2.0:
-        return laplace()
-    return DivergenceOperator(name=f"plap:{p:g}",
-                              A=lambda r: np.power(r, p - 2.0))
+    """A(r) = r^(p-2); p = 2 is the linear operator."""
+    return DivergenceOperator(float(p))
 
 
 def parse_operator(text: str) -> DivergenceOperator:
@@ -152,7 +106,6 @@ class WebProfile:
     g: np.ndarray          # signed flux magnitude candidate, <= 0
     hprime: np.ndarray     # profile slope along the outward direction, <= 0
     flux: np.ndarray       # A(|h'|) h' (1 - t kappa)
-    origin_s: Optional[float] = None
 
     @property
     def hprime0(self):
@@ -173,8 +126,8 @@ def _g_of(kappa, lam, t):
     return -(lam - t) * ratio
 
 
-def web_profile(op, kappa, lam, t=None, n=257, origin_s=None):
-    """Solve the ray flux balance for h' on [0, lambda]."""
+def web_profile(op, kappa, lam):
+    """Solve the ray flux balance for h' at 257 depths spanning [0, lambda]."""
     kappa = float(kappa)
     lam = float(lam)
     if lam <= 0.0:
@@ -182,17 +135,12 @@ def web_profile(op, kappa, lam, t=None, n=257, origin_s=None):
     if kappa * lam > 1.0 + 1e-9:
         raise InvalidRayError(
             f"kappa*lambda = {kappa * lam:.6g} exceeds 1: no valid chart")
-    if t is None:
-        t = np.linspace(0.0, lam, int(n))
-    else:
-        t = np.asarray(t, dtype=float)
-        if np.any(t < -1e-15) or np.any(t > lam * (1.0 + 1e-12)):
-            raise InvalidRayError("t samples must lie in [0, lambda]")
+    t = np.linspace(0.0, lam, 257)
     g = _g_of(kappa, lam, t)
     hprime = -op.m_inverse(np.abs(g))
-    flux = np.asarray(op.A(np.abs(hprime))) * hprime * (1.0 - t * kappa)
+    flux = -op.m(-hprime) * (1.0 - t * kappa)
     return WebProfile(op=op, kappa=kappa, lam=lam, t=t, g=g, hprime=hprime,
-                      flux=flux, origin_s=origin_s)
+                      flux=flux)
 
 
 def profile_checks(prof):
@@ -242,14 +190,11 @@ def flux_identity_residual(dom, gamma_arc=None, op=None):
             f"curvature argmax at s = {y0.s:.6g} lies outside gamma_arc")
     lam0 = dom.lambda_y0
     phi0 = float(phi_closed(lam0, kmax))
-    prof = web_profile(op, kmax, lam0, origin_s=y0.s)
-    h0 = prof.hprime0
-    return float(abs(float(op.A(np.abs(h0))) * h0 + phi0))
+    return abs(web_profile(op, kmax, lam0).flux0 + phi0)
 
 
 @dataclass(eq=False)
 class PartialWebReport:
-    operator: str
     flag_i: bool               # curvature max attained on gamma
     flag_ii_prime: bool        # flux candidate max attained on gamma
     collar: Tuple              # ((eps, defect), ...)
@@ -257,36 +202,30 @@ class PartialWebReport:
     kappa_y0: float
     lambda_y0: float
     phi_y0: float
-    c_gamma: float             # -A(|h'(0)|) h'(0) at y0
-    kappa_max_global: float
-    c_max_global: float
+    c_gamma: float             # -A(|h'(0)|) h'(0) = |g(0)| at y0
     ratio: float
     verdict: str
     note: str
     samples_used: int
 
 
-def partial_web_report(dom, gamma_arc=None, op=None):
+def partial_web_report(dom, gamma_arc=None):
     """Hypothesis record for the partially overdetermined web criterion.
 
-    Solves a profile per smooth boundary sample, compares curvature and
-    flux-candidate maxima on gamma against the whole boundary, and reports
-    the collar-inequality defect per eps in _COLLAR_EPS.  The phi
+    Reads the boundary flux c(y) = -A(|h'(0)|) h'(0) = |g_y(0)| at every
+    smooth boundary sample, the same for every operator, compares
+    curvature and flux maxima on gamma against the whole boundary, and
+    reports the collar-inequality defect per eps in _COLLAR_EPS.  The phi
     hypothesis allows the domain's phi_slack, as the criterion report
     does.  Diagnostics are produced even when hypotheses fail.
     """
-    if op is None:
-        op = laplace()
     curve, table = dom.curve, dom.table
     smooth = table.smooth()
     mask_g = _gamma_mask(table, gamma_arc) & smooth
     notes = []
 
-    # flux candidate at every smooth sample: c(y) = -A(|h'(0)|) h'(0)
-    g0 = _g_of(table.kappa[smooth], table.lam[smooth],
-               np.zeros(int(np.count_nonzero(smooth))))
-    hp0 = -op.m_inverse(np.abs(g0))
-    c_all = -np.asarray(op.A(np.abs(hp0))) * hp0
+    # flux candidate at every smooth sample: c(y) = |g_y(0)|
+    c_all = np.abs(_g_of(table.kappa[smooth], table.lam[smooth], 0.0))
     in_g = mask_g[smooth]
 
     y0g, k_global = dom.y0, dom.H_max
@@ -318,8 +257,7 @@ def partial_web_report(dom, gamma_arc=None, op=None):
         notes.append("curvature argmax lies outside gamma; anchoring at the "
                      "gamma-restricted maximum")
     phi0 = float(phi_closed(lam0, k0))
-    hp_y0 = -op.m_inverse(abs(float(_g_of(k0, lam0, np.zeros(1))[0])))
-    c_gamma = -float(op.A(np.abs(hp_y0))) * hp_y0
+    c_gamma = abs(float(_g_of(k0, lam0, 0.0)))
 
     # collar sup of -A(|h'(t)|) h'(t) = |g_y(t)| over depths t < eps
     lam_s = table.lam[smooth]
@@ -352,9 +290,7 @@ def partial_web_report(dom, gamma_arc=None, op=None):
             notes.append(f"phi(y0)={phi0:.6g} < ratio={ratio:.6g}")
 
     return PartialWebReport(
-        operator=op.name, flag_i=flag_i, flag_ii_prime=flag_iip,
-        collar=tuple(collar), s_y0=float(y0.s), kappa_y0=float(k0),
-        lambda_y0=float(lam0), phi_y0=phi0, c_gamma=c_gamma,
-        kappa_max_global=float(k_global), c_max_global=c_max_global,
-        ratio=float(ratio), verdict=verdict, note="; ".join(notes),
-        samples_used=len(table))
+        flag_i=flag_i, flag_ii_prime=flag_iip, collar=tuple(collar),
+        s_y0=float(y0.s), kappa_y0=float(k0), lambda_y0=float(lam0),
+        phi_y0=phi0, c_gamma=c_gamma, ratio=float(ratio), verdict=verdict,
+        note="; ".join(notes), samples_used=len(table))

@@ -3,7 +3,7 @@ import pytest
 
 from cutloc import Domain, corner_sum, criterion_report, cut_table, from_spec
 from cutloc._kernels import inside_polygon
-from cutloc.arcs import Arc, CircleArc, SegmentArc
+from cutloc.arcs import Arc, ArcTable, CircleArc, SegmentArc
 from cutloc.boundary import (_BLOCK_NODES, DEFAULT_ANGLE_TOL, BoundaryCurve,
                              _polyline_self_intersects)
 from cutloc.errors import ConstructionError
@@ -394,6 +394,52 @@ def test_a_report_reads_arc_kinds_only_at_construction(monkeypatch):
     criterion_report(Domain(cut_table(curve, n=384)))
     diameter(curve)
     assert len(reads) < len(curve.arcs) == 192
+
+
+def test_validation_evaluates_no_velocity_of_constant_speed_arcs(
+        monkeypatch):
+    # segments and circular arcs carry their speed in the arc table, so
+    # validating the 96-gon's 192 of them polls none
+    curve = from_spec(POLYGON)
+    names = []
+    evaluate = ArcTable.evaluate
+    monkeypatch.setattr(ArcTable, "evaluate", lambda table, which, *n:
+                        names.extend(n) or evaluate(table, which, *n))
+    curve._validate()
+    assert "point" in names and "velocity" not in names
+
+
+class _CubicSegment(Arc):
+    """p0 + t^3 (p1 - p0): a segment whose |Y'| vanishes at t = 0."""
+
+    def __init__(self, p0, p1):
+        self.p0 = np.asarray(p0, dtype=float)
+        self.p1 = np.asarray(p1, dtype=float)
+
+    def point(self, t):
+        return self.p0 + np.asarray(t)[:, None] ** 3 * (self.p1 - self.p0)
+
+    def velocity(self, t):
+        return 3.0 * np.asarray(t)[:, None] ** 2 * (self.p1 - self.p0)
+
+    def acceleration(self, t):
+        return 6.0 * np.asarray(t)[:, None] * (self.p1 - self.p0)
+
+
+@pytest.mark.parametrize("polled_first", [True, False])
+def test_irregular_arc_named_first_polled_or_not(polled_first):
+    # a polled arc (the cubic) and a table one (the 1e-13 segment) are
+    # both irregular; the message names the first, whichever it is
+    tiny = 1e-13
+    if polled_first:
+        arcs = [_CubicSegment((0, 0), (1, 0)), SegmentArc((1, 0), (0, 1)),
+                SegmentArc((0, 1), (0, tiny)), SegmentArc((0, tiny), (0, 0))]
+    else:
+        arcs = [SegmentArc((0, 0), (tiny, 0)),
+                _CubicSegment((tiny, 0), (1, 0)), SegmentArc((1, 0), (0, 1)),
+                SegmentArc((0, 1), (0, 0))]
+    with pytest.raises(ConstructionError, match="^arc 0 is not regular"):
+        BoundaryCurve(arcs)
 
 
 def _per_arc_reference(curve, m):

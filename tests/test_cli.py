@@ -184,16 +184,22 @@ def test_web_report(capsys):
     assert doc["hprime0"] == pytest.approx(-0.5 ** (1 / 3), abs=1e-9)
 
 
-@pytest.mark.parametrize("operator, expect", [("laplace", -20.0),
-                                              ("plap:4", -20.0 ** (1 / 3))])
-def test_web_large_circle(capsys, operator, expect):
-    # |g(0)| = R/2 = 20 lies above m(16): the bracket has to grow
-    code, out, _ = _run(capsys, ["web", "--shape",
-                                 '{"type": "circle", "radius": 40.0}',
-                                 "--samples", "256", "--operator", operator])
+LARGE_CIRCLES = [(operator, radius, -(radius / 2) ** (1 / (p - 1)))
+                 for radius in (1e-5, 40.0, 1e4)
+                 for operator, p in (("laplace", 2), ("plap:4", 4))]
+
+
+@pytest.mark.parametrize("operator, radius, expect", LARGE_CIRCLES,
+                         ids=[f"{op}-{expect!r}"
+                              for op, _, expect in LARGE_CIRCLES])
+def test_web_large_circle(capsys, operator, radius, expect):
+    # h'(0) = -m^-1(R/2) on a circle of radius R: the slope keeps its
+    # relative accuracy at every scale
+    shape = json.dumps({"type": "circle", "radius": radius})
+    code, out, _ = _run(capsys, ["web", "--shape", shape, "--samples", "256",
+                                 "--operator", operator])
     assert code == 0
-    assert json.loads(out)["hprime0"] == pytest.approx(expect, rel=0,
-                                                       abs=1e-9)
+    assert json.loads(out)["hprime0"] == pytest.approx(expect, rel=1e-12)
 
 
 def test_web_gamma_arc_violation(capsys):
@@ -385,6 +391,9 @@ BAD_FLAGS = {
     "gamma-arc-words": ["web", "--gamma-arc", "a,b"],
     "gamma-arc-nan": ["web", "--gamma-arc=nan,1"],
     "operator-exponent": ["web", "--operator", "plap:abc"],
+    "operator-exponent-inf": ["web", "--operator", "plap:inf"],
+    "operator-exponent-nan": ["web", "--operator", "plap:nan"],
+    "operator-exponent-181": ["web", "--operator", "plap:181"],
     "gamma-nan": ["mk", "--gamma", "nan", "--grid-nx", "32",
                   "--grid-ny", "32"],
 }

@@ -89,28 +89,49 @@ def test_cli_loads_every_layer_the_benchmark_tracer_wraps():
     assert missing == []
 
 
-def test_benchmark_tracer_spans_a_many_arc_report_and_unwinds(capsys):
-    # the benchmark's trace mode rebinds cutloc's functions from outside
-    # (perfbench/tracer.py); a 96-gon report runs through it in process,
-    # its foot searches counted, and every binding comes back
+def _traced_run(capsys, argv):
+    """cli.main(argv) under the benchmark's trace mode, which rebinds
+    cutloc's functions from outside (perfbench/tracer.py), in process.
+
+    Returns the exit code and the spans, once no span has an error and
+    every rebound attribute is back to its original.
+    """
     spec = importlib.util.spec_from_file_location("tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     from cutloc import cli
-    shape = json.dumps({"type": "rounded_polygon", "sides": 96,
-                        "side_length": 0.2, "corner_radius": 0.05})
     tr = tracer.Tracer()
     with tr:
         patches = tr.patches
-        code = cli.main(["report", "--shape", shape, "--samples", "384"])
+        code = cli.main(argv)
     capsys.readouterr()
-    assert code == 0
-    assert any(s["counts"].get("rows", 0) > 0 for s in tr.spans
-               if s["name"] == "projector.refine_on_arcs")
     assert [s["name"] for s in tr.spans if s["error"] is not None] == []
     assert patches and tr.patches == []
     assert all(getattr(owner, attr) is original
                for owner, attr, original in patches)
+    return code, tr.spans
+
+
+def test_benchmark_tracer_spans_a_many_arc_report_and_unwinds(capsys):
+    # a 96-gon report, its foot searches counted
+    shape = json.dumps({"type": "rounded_polygon", "sides": 96,
+                        "side_length": 0.2, "corner_radius": 0.05})
+    code, spans = _traced_run(capsys, ["report", "--shape", shape,
+                                       "--samples", "384"])
+    assert code == 0
+    assert any(s["counts"].get("rows", 0) > 0 for s in spans
+               if s["name"] == "projector.refine_on_arcs")
+
+
+def test_benchmark_tracer_spans_a_web_report_and_unwinds(capsys):
+    # the benchmark's web invocation on the ellipse
+    shape = json.dumps({"type": "ellipse", "a": 2.0, "b": 1.0})
+    code, spans = _traced_run(capsys, [
+        "web", "--shape", shape, "--samples", "384", "--operator", "plap:4",
+        "--gamma-arc=-0.5,0.5"])
+    assert code == 0
+    names = {s["name"] for s in spans}
+    assert {"web.partial_web_report", "web.flux_identity_residual"} <= names
 
 
 @pytest.mark.parametrize("command", ["report", "web", "verify", "mk"])
