@@ -26,8 +26,7 @@ _EXPORTS = {
                "DegenerateRayError", "FormulaOutOfScopeError",
                "HypothesisViolationError", "InapplicableError",
                "InvalidRayError", "OperatorRangeError", "ShapeParseError"),
-    "fields": ("ScalarField", "abs2", "constant", "coordinate",
-               "parse_field"),
+    "fields": ("ScalarField", "abs2", "constant"),
     "integrals": ("IntegralReport", "area", "corner_sum", "cov_integral",
                   "cov_residual", "divergence_area_residual",
                   "mean_value_residual", "minkowski_residual",

@@ -341,7 +341,7 @@ def cmd_mk(args):
         "eikonal_max_deviation": eik,
         "complementarity_max": comp,
         "complementarity_bound": 5.0 * grid.h * float(np.max(sol.v)),
-        "weak_form": weak_form_check(sol, f),
+        "weak_form": weak_form_check(sol),
     }
     _emit(doc, cfg, "mk_summary.json",
           csv=(lambda p: export_mk_csv(sol, p), "mk_grid.csv"))

@@ -4,8 +4,11 @@ The nearest site of every cell comes from one exact block-pruned scan of
 the site table (``_kernels.nearest_site``), and its foot from a search on
 the site's arc; insideness from an even-odd scanline test per grid row
 (``_kernels.inside_polygon``), which ``inside_mask`` runs alone for callers
-that only count inside cells.  The singular set is not a property of the
-field: ``mk.vf_field`` reads it off the cut values at the cells' feet.
+that only count inside cells.  The field keeps the geometry of each
+cell's foot (arclength, curvature, outward normal), evaluated once with
+the foot, so that no reader evaluates the curve at the feet again.  The
+singular set is not a property of the field: ``mk.vf_field`` reads it
+off the cut values at the cells' feet.
 """
 
 from dataclasses import dataclass
@@ -88,12 +91,23 @@ class GridSpec:
 
 @dataclass(eq=False)
 class DistanceField:
+    """Distance, insideness and the foot of every cell center.
+
+    The foot of a cell is its nearest boundary point: its arc and
+    parameter, and the arclength, signed curvature and outward unit
+    normal there, each equal bit for bit to curve.geometry at
+    (nearest_arc, nearest_param).  Every array is read-only.
+    """
+
     grid: GridSpec
     curve: object
     d: np.ndarray                 # (ny, nx) distance to the curve
     inside: np.ndarray            # (ny, nx) bool
     nearest_arc: np.ndarray       # (ny, nx) int
     nearest_param: np.ndarray     # (ny, nx)
+    nearest_s: np.ndarray         # (ny, nx) arclength of the foot
+    nearest_kappa: np.ndarray     # (ny, nx) curvature at the foot
+    nearest_normal: np.ndarray    # (ny, nx, 2) outward normal at the foot
     projector: CurveProjector
 
     def signed(self):
@@ -108,7 +122,8 @@ def build_distance_field(curve, grid, m=4096):
     block-pruned scan that returns the brute scan's result bit for bit;
     then the foot on the owning arc within one site step of the nearest
     site, in closed form on segments and circular arcs and by safeguarded
-    Newton steps on every other arc class.
+    Newton steps on every other arc class, with the foot's arclength,
+    curvature and normal.
     """
     inside = inside_mask(curve, grid)
     proj = CurveProjector(curve, m=m)
@@ -119,9 +134,12 @@ def build_distance_field(curve, grid, m=4096):
     field = DistanceField(
         grid=grid, curve=curve, d=p.dist.reshape(shape), inside=inside,
         nearest_arc=p.arc_index.reshape(shape),
-        nearest_param=p.param.reshape(shape), projector=proj)
+        nearest_param=p.param.reshape(shape), nearest_s=p.s.reshape(shape),
+        nearest_kappa=p.kappa.reshape(shape),
+        nearest_normal=p.normal.reshape(shape + (2,)), projector=proj)
     for arr in (field.d, field.inside, field.nearest_arc,
-                field.nearest_param):
+                field.nearest_param, field.nearest_s, field.nearest_kappa,
+                field.nearest_normal):
         arr.setflags(write=False)
     return field
 

@@ -2,7 +2,7 @@
 
 The criterion and its two PDE applications read the same few quantities
 of one domain: the cut values over the boundary, the curvature maximum y0
-with its cut value, the corners with the cut values along the fan of
+with its cut value and phi, the corners with the cut values along the fan of
 each concave one, and |Omega| / |boundary|.  A Domain wraps the one cut
 table a run reads first, uniform or at composite-midpoint nodes, and
 computes each of the other quantities at most once, when it is first
@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cutlocus import corner_fans, cut_table, cut_value
+from .cutlocus import corner_fans, cut_table, cut_value, phi
 from .integrals import area, perimeter
 from .projector import CurveProjector
 from .symmetry import diameter, refine_max_curvature
@@ -118,6 +118,11 @@ class Domain:
     def lambda_y0(self):
         return cut_value(self.curve, self.y0, projector=self.projector,
                          tol=self.tol)
+
+    @cached_property
+    def phi_y0(self):
+        """phi(lambda(y0), H_max), the criterion's value at y0."""
+        return float(phi(self.lambda_y0, self.H_max))
 
     @cached_property
     def area(self):

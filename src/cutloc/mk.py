@@ -61,6 +61,9 @@ class MKSolution:
     inside: np.ndarray    # (ny, nx) bool
     singular: np.ndarray  # (ny, nx) bool
     valid: np.ndarray     # (ny, nx) bool, residual stencil applicable
+    gx: np.ndarray        # (ny, nx) central-difference x-derivative and
+    gy: np.ndarray        # (ny, nx) y-derivative of the signed distance
+    source: np.ndarray    # (ny, nx) f at the cell centers
     field: DistanceField
 
     @property
@@ -92,8 +95,7 @@ def vf_at(dom, x, f=None):
         return VfValue(0.0, True)
     if 1.0 - d * kap <= _DEGEN:
         raise DegenerateRayError("normal chart degenerate at the query depth")
-    g = curve.geometry(p.arc_index, p.param)
-    val = ray_quadrature(f, x[None, :], g.normal, p.dist, p.kappa,
+    val = ray_quadrature(f, x[None, :], p.normal, p.dist, p.kappa,
                          np.array([tau]))
     return VfValue(float(val[0]), False)
 
@@ -160,18 +162,20 @@ def vf_field(dom, field, f=None):
     arclength from the domain's cut table, or read off the corner's fan
     (Domain.corner_fans) where the foot is a concave corner.  Singular:
     inside cells with tau <= _SIGMA_H h, and those whose 1 - d kappa is
-    degenerate.  v is zero on singular cells and outside.
+    degenerate.  v is zero on singular cells and outside.  The feet's
+    arclength, curvature and normal come from the field; the solution
+    keeps the signed distance's gradient and the source values that its
+    checks read.
     """
     if f is None:
         f = constant(1.0)
     curve, table = dom.curve, dom.table
     grid = field.grid
+    centers = grid.centers()
 
     inside = field.inside
     d = np.where(inside, field.d, 0.0)
-    s_foot = curve.param_to_s(field.nearest_arc.ravel(),
-                              field.nearest_param.ravel()).reshape(d.shape)
-    lam = _lambda_interp(table, s_foot)
+    lam = _lambda_interp(table, field.nearest_s)
     t0, t1 = curve.arc_table.t0, curve.arc_table.t1
     for fan in dom.corner_fans:
         j, k = fan.junction, (fan.junction + 1) % t0.size
@@ -179,27 +183,22 @@ def vf_field(dom, field, f=None):
                         & (field.nearest_param == t1[j]))
                        | ((field.nearest_arc == k)
                           & (field.nearest_param == t0[k])))
-        lam[at] = fan.cut(grid.centers()[at.ravel()])
+        lam[at] = fan.cut(centers[at.ravel()])
     tau = np.where(inside, np.maximum(lam - d, 0.0), 0.0)
 
     singular = inside & (tau <= _SIGMA_H * grid.h)
     compute = inside & ~singular
-    denom_bad = compute & (1.0 - d * _kappa_grid(curve, field) <= _DEGEN)
+    denom_bad = compute & (1.0 - d * field.nearest_kappa <= _DEGEN)
     singular |= denom_bad
     compute &= ~denom_bad
 
     v = np.zeros_like(d)
     if np.any(compute):
-        idx = np.flatnonzero(compute.ravel())
-        centers = grid.centers()[idx]
-        aidx = field.nearest_arc.ravel()[idx]
-        prm = field.nearest_param.ravel()[idx]
-        g = curve.geometry(aidx, prm)
-        vals = ray_quadrature(f, centers, g.normal, field.d.ravel()[idx],
-                               g.curvature, tau.ravel()[idx])
-        v.ravel()[idx] = vals
+        v[compute] = ray_quadrature(
+            f, centers[compute.ravel()], field.nearest_normal[compute],
+            field.d[compute], field.nearest_kappa[compute], tau[compute])
 
-    fvals = np.asarray(f(grid.centers())).reshape(d.shape)
+    fvals = np.asarray(f(centers)).reshape(d.shape)
     gx, gy = _signed_gradient(field)
     flux_x = np.where(inside, v * gx, 0.0)
     flux_y = np.where(inside, v * gy, 0.0)
@@ -212,12 +211,7 @@ def vf_field(dom, field, f=None):
 
     return MKSolution(grid=grid, curve=curve, u=d, v=v, tau=tau,
                       residual=residual, inside=inside, singular=singular,
-                      valid=valid, field=field)
-
-
-def _kappa_grid(curve, field):
-    g = curve.geometry(field.nearest_arc.ravel(), field.nearest_param.ravel())
-    return g.curvature.reshape(field.d.shape)
+                      valid=valid, gx=gx, gy=gy, source=fvals, field=field)
 
 
 def residual_summary(sol):
@@ -247,8 +241,7 @@ def _median(r):
 
 def complementarity_max(sol):
     """max over valid cells of (1 - |grad u|) * v."""
-    gx, gy = _signed_gradient(sol.field)
-    mag = np.hypot(gx, gy)
+    mag = np.hypot(sol.gx, sol.gy)
     vals = (1.0 - mag[sol.valid]) * sol.v[sol.valid]
     return float(np.max(np.abs(vals))) if vals.size else 0.0
 
@@ -265,7 +258,7 @@ def eikonal_max_deviation(sol):
     elig = sol.valid & (sol.u > 2 * sol.h)
     if not np.any(elig):
         return 0.0
-    mag = np.hypot(*_signed_gradient(sol.field))
+    mag = np.hypot(sol.gx, sol.gy)
     return float(np.max(np.abs(mag[elig] - 1.0)))
 
 
@@ -274,25 +267,20 @@ def singular_measure(sol):
     return float(np.sum(sol.singular) * sol.h ** 2)
 
 
-def weak_form_check(sol, f=None):
+def weak_form_check(sol):
     """Tent test function psi = min(d/eps, 1), eps in _TENT_EPS: flux
-    integral against int f psi.  Returns a list of (eps, lhs, rhs,
-    abs_err) records."""
-    if f is None:
-        f = constant(1.0)
-    grid = sol.grid
+    integral against int f psi, with the solution's own source f.
+    Returns a list of (eps, lhs, rhs, abs_err) records."""
     h2 = sol.h ** 2
-    gx, gy = _signed_gradient(sol.field)
     d = sol.field.d
-    fvals = np.asarray(f(grid.centers())).reshape(d.shape)
     out = []
     for eps in _TENT_EPS:
         collar = sol.inside & (d < eps)
         lhs = float(np.sum(sol.v[collar]
-                           * (gx[collar] ** 2 + gy[collar] ** 2))
+                           * (sol.gx[collar] ** 2 + sol.gy[collar] ** 2))
                     * h2 / eps)
         psi = np.minimum(d / eps, 1.0)
-        rhs = float(np.sum(fvals[sol.inside] * psi[sol.inside]) * h2)
+        rhs = float(np.sum(sol.source[sol.inside] * psi[sol.inside]) * h2)
         out.append({"eps": float(eps), "lhs": lhs, "rhs": rhs,
                     "abs_err": abs(lhs - rhs)})
     return out

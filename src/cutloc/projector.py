@@ -34,6 +34,7 @@ class Projection:
     arc_index: np.ndarray  # (n,) int
     param: np.ndarray      # (n,)
     kappa: np.ndarray      # (n,) boundary curvature at the nearest point
+    normal: np.ndarray     # (n, 2) outward unit normal at the nearest point
 
 
 class CurveProjector:
@@ -60,7 +61,7 @@ class CurveProjector:
         dist = np.linalg.norm(points - g.position, axis=1)
         return Projection(point=g.position, dist=dist, s=g.s,
                           arc_index=arc_index, param=param,
-                          kappa=g.curvature)
+                          kappa=g.curvature, normal=g.normal)
 
 
 def refine_on_arcs(curve, points, arc_index, seed_param, dparam):

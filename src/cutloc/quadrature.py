@@ -62,7 +62,9 @@ def ray_quadrature(f, pos, nu, dist, kappa, tau):
     f is a polynomial ScalarField, so the integrand is a polynomial in t
     and fixed-order Gauss-Legendre is exact.  Rows are rays from depth
     dist (0 for rays from the boundary) to dist + tau; pos, nu are (n, 2),
-    the rest (n,).
+    the rest (n,).  A row's value depends on its batch: vals @ w goes
+    through BLAS, so one ray evaluated alone and among others can differ
+    in the last bits (up to 4.4e-16 on the ellipse's boundary trace).
     """
     m = max(2, (f.degree + 3) // 2 + 1)
     u, w = gauss_legendre(m)

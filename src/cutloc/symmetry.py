@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .boundary import BoundaryPoint
-from .cutlocus import _corner_zone, phi as phi_closed
+from .cutlocus import _corner_zone
 from .errors import ConfigurationError
 from .quadrature import golden_min_vec
 
@@ -210,7 +210,7 @@ def criterion_report(dom):
     ratio = dom.ratio
     y0, H_max = dom.y0, dom.H_max
     lam0 = dom.lambda_y0
-    phi0 = float(phi_closed(lam0, H_max))
+    phi0 = dom.phi_y0
 
     hyp_H = H_max > 0.0
     hyp_phi = bool(phi0 >= ratio - dom.phi_slack)

@@ -188,9 +188,7 @@ def flux_identity_residual(dom, gamma_arc=None, op=None):
             tol=1e-9 * curve.length):
         raise HypothesisViolationError(
             f"curvature argmax at s = {y0.s:.6g} lies outside gamma_arc")
-    lam0 = dom.lambda_y0
-    phi0 = float(phi_closed(lam0, kmax))
-    return abs(web_profile(op, kmax, lam0).flux0 + phi0)
+    return abs(web_profile(op, kmax, dom.lambda_y0).flux0 + dom.phi_y0)
 
 
 @dataclass(eq=False)

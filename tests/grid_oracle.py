@@ -72,7 +72,7 @@ class FieldProjector:
         dist = np.linalg.norm(points - g.position, axis=1)
         return Projection(point=g.position, dist=dist, s=g.s,
                           arc_index=arc_index, param=param,
-                          kappa=g.curvature)
+                          kappa=g.curvature, normal=g.normal)
 
 
 def cut_predicate(projector, position, normal, s, t, accept, length):

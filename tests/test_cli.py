@@ -175,6 +175,23 @@ def test_mk_benchmark_grid_exits_0(capsys, shape):
     assert doc["eikonal_max_deviation"] <= 5 * doc["grid"]["h"]
 
 
+def test_mk_computes_the_signed_gradient_once(capsys, monkeypatch):
+    # the solution keeps the gradient that its eikonal, complementarity
+    # and weak-form checks read
+    from cutloc import mk
+    signed_gradient = mk._signed_gradient
+    calls = []
+
+    def counted(field):
+        calls.append(field)
+        return signed_gradient(field)
+    monkeypatch.setattr(mk, "_signed_gradient", counted)
+    code, _, _ = _run(capsys, ["mk", "--shape", SQUARE, "--samples", "512",
+                               "--grid-nx", "64", "--grid-ny", "64"])
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_web_report(capsys):
     code, out, _ = _run(capsys, ["web", "--shape", CIRCLE, "--samples",
                                  "512", "--operator", "plap:4"])

@@ -48,6 +48,20 @@ def test_inside_mask_is_the_field_inside_test(curves, fields):
         inside_mask(curves("circle"), grid)
 
 
+def test_field_keeps_the_geometry_of_its_feet(curves, fields):
+    for name in SPECS:
+        field = fields(name, 1 / 64)
+        g = curves(name).geometry(field.nearest_arc.ravel(),
+                                  field.nearest_param.ravel())
+        shape = field.d.shape
+        assert np.array_equal(field.nearest_s, g.s.reshape(shape)), name
+        assert np.array_equal(field.nearest_kappa,
+                              g.curvature.reshape(shape)), name
+        assert np.array_equal(field.nearest_normal,
+                              g.normal.reshape(shape + (2,))), name
+        assert not field.nearest_normal.flags.writeable, name
+
+
 def test_projector_roundtrip(curves, fields):
     curve = curves("ellipse")
     field = fields("ellipse", 1 / 64)

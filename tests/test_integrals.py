@@ -10,7 +10,6 @@ from cutloc import (Domain, FormulaOutOfScopeError, InapplicableError, abs2,
                     mean_value_residual, minkowski_residual,
                     minkowski_residual_corners, perimeter)
 from cutloc.distfield import GridSpec
-from cutloc.fields import parse_field
 from cutloc.quadrature import gauss_legendre, simpson_doubling_vec
 
 
@@ -125,15 +124,6 @@ def test_divergence_area_consistency(curves):
     grid = GridSpec.with_h(curves("ellipse"), 1 / 64)
     r = divergence_area_residual(curves("ellipse"), grid)
     assert r.abs_residual <= 3 * grid.h * perimeter(curves("ellipse"))
-
-
-def test_parse_field():
-    f = parse_field("abs2")
-    assert f(np.array([0.5, -0.5])) == pytest.approx(0.5)
-    g = parse_field("2.5")
-    assert g(np.zeros(2)) == pytest.approx(2.5)
-    x = parse_field("x")
-    assert x(np.array([1.5, 7.0])) == pytest.approx(1.5)
 
 
 def _per_arc_integral(curve, rowfun, tol):

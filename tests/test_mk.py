@@ -63,6 +63,30 @@ def test_vf_field_square_tau(domains, fields):
     assert np.max(np.abs(sol.v - sol.tau)[mask]) <= 1e-6
 
 
+def test_vf_field_evaluates_no_curve_geometry(domains, fields, monkeypatch):
+    # the field holds each foot's arclength, curvature and normal; on a
+    # warmed Domain (cut table, corner fans) vf_field reads them only
+    from cutloc.boundary import BoundaryCurve
+    rows = {"geometry": 0, "param_to_s": 0}
+
+    def counted(method):
+        evaluate = getattr(BoundaryCurve, method)
+
+        def wrapper(self, arc_index, param):
+            rows[method] += np.size(param)
+            return evaluate(self, arc_index, param)
+        return wrapper
+    for name in ("ellipse", "square", "union", "fourier"):
+        dom, field = domains(name), fields(name, 1 / 64)
+        warm = vf_field(dom, field)
+        with monkeypatch.context() as m:
+            for method in rows:
+                m.setattr(BoundaryCurve, method, counted(method))
+            sol = vf_field(dom, field)
+        assert rows == {"geometry": 0, "param_to_s": 0}, name
+        assert np.array_equal(sol.v, warm.v), name
+
+
 def test_residual_and_complementarity(domains, fields):
     sol = vf_field(domains("circle"), fields("circle", 1 / 64))
     med, mx, l1 = residual_summary(sol)

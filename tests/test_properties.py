@@ -64,10 +64,27 @@ def test_phi_kappa_bounded_by_half(lam, margin):
     assert phi(lam, kappa) * kappa <= 0.5 + 1e-12
 
 
-@given(st.lists(st.floats(-3.0, 1.0), min_size=1, max_size=3))
+@st.composite
+def cone_points(draw):
+    """1 to 3 coordinates in [-3, 1] with sum >= 0 (the K half-space).
+
+    Each coordinate leaves room for the ones after it: with S the sum so
+    far and r coordinates left, this one is at least -S - (r - 1), and
+    the last one at least -S, so the sum is never negative.
+    """
+    n = draw(st.integers(1, 3))
+    xs, total = [], 0.0
+    for r in range(n, 0, -1):
+        x = draw(st.floats(max(-3.0, -total - (r - 1)), 1.0))
+        xs.append(x)
+        total += x
+    return xs
+
+
+@given(cone_points())
 def test_f_value_bounded(xs):
     x = np.array(xs)
-    hypothesis.assume(np.sum(x) >= 0.0)  # the K half-space constraint
+    assert np.sum(x) >= 0.0
     n = len(xs) + 1
     assert f_value(x) <= 1.0 / n + 1e-9
 
