@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arcs import ArcTable, TransformedArc, arc_runs
+from .arcs import ArcTable, TransformedArc
 from .errors import ConstructionError
 
 __all__ = [
@@ -86,6 +86,15 @@ class Junctions:
     convex: np.ndarray     # (n,) bool, the normal turns counterclockwise
 
 
+@dataclass(frozen=True, eq=False)
+class _Arclength:
+    """Arclength against parameter on every arc, flat over the arcs."""
+    p: np.ndarray          # parameter nodes, arc a's at first[a]:first[a+1]
+    s: np.ndarray          # arclength from each node's arc start
+    first: np.ndarray      # (number of arcs + 1,) int offsets of the arcs
+    cum: np.ndarray        # (number of arcs + 1,) arclength before each arc
+
+
 class _Geom:
     """Plain struct of vectorized point data."""
 
@@ -116,7 +125,6 @@ class BoundaryCurve:
             raise ConstructionError("need at least one arc")
         self.arcs = list(arcs)
         self.arc_table = ArcTable(self.arcs)
-        self._tables = None
         self._sites_cache = {}
 
         poll = self._sample(64, endpoint=False)
@@ -205,21 +213,24 @@ class BoundaryCurve:
 
     # --------------------------------------------------------------- tables
 
-    def _ensure_tables(self):
-        """Per-arc tables of arclength against parameter, for np.interp.
+    @cached_property
+    def _arclength(self):
+        """The curve's arclength table, flat over the arcs; built on first
+        read.
 
-        An arc of constant speed (Arc.constant_speed) has arclength linear
-        in its parameter: its table is its two ends with its closed-form
-        length, and interpolation on it is exact.  Every other arc gets a
-        composite Simpson table on k >= 32 intervals, k its share of
-        _TABLE_NODES by a chord poll of all the arcs.
+        Arc a owns nodes first[a]:first[a+1] of p (parameters, increasing)
+        and s (arclength from the arc's start), and cum[a] is the
+        arclength before the arc.  An arc of constant speed
+        (Arc.constant_speed) has arclength linear in its parameter: its
+        nodes are its two ends with its closed-form length, and
+        interpolation on them is exact.  Every other arc gets a composite
+        Simpson table on k >= 32 intervals, k its share of _TABLE_NODES by
+        a chord poll of all the arcs, written block by block in place.
         """
-        if self._tables is not None:
-            return
         t0, t1 = self.arc_table.t0, self.arc_table.t1
         speed = self.arc_table.speed
         simpson = np.isnan(speed)
-        k = np.zeros(len(self.arcs), dtype=int)
+        k = np.ones(len(self.arcs), dtype=int)
         if np.any(simpson):
             frac = []
             for which, t in self._arc_blocks(257, endpoint=True):
@@ -231,21 +242,18 @@ class BoundaryCurve:
             frac = frac / frac.sum()
             k[simpson] = np.maximum(
                 32, np.ceil(_TABLE_NODES * frac[simpson]).astype(int))
-        p_tabs, s_tabs = [], []
-        for a, (n, v) in enumerate(zip(k, speed)):
-            if n:
-                p_tabs.append(np.empty(n + 1))
-                s_tabs.append(np.empty(n + 1))
-            else:
-                p_tabs.append(np.array([t0[a], t1[a]]))
-                s_tabs.append(np.array([0.0, v * (t1[a] - t0[a])]))
+        first = np.concatenate([[0], np.cumsum(k + 1)])
+        p, s = np.empty(first[-1]), np.empty(first[-1])
+        two = first[:-1][~simpson]
+        p[two], p[two + 1] = t0[~simpson], t1[~simpson]
+        s[two], s[two + 1] = 0.0, (speed * (t1 - t0))[~simpson]
 
-        # the Simpson tables are written block by block: node i of the
-        # blocks' layout is node i - first[a] of its arc a
+        # node i of the blocks' layout, which holds the Simpson arcs only,
+        # is node i + shift[a] of the table for its arc a
         counts = np.where(simpson, k + 1, 0)
-        sixth = (t1 - t0) / np.maximum(k, 1) / 6.0
-        end = np.cumsum(counts)
-        first = end - counts
+        sixth = (t1 - t0) / k / 6.0
+        starts = np.cumsum(counts) - counts
+        shift = first[:-1] - starts
         lo, last_p, last_sp = 0, 0.0, 0.0
         for which, t in self._arc_blocks(counts, endpoint=True):
             hi = lo + t.size
@@ -253,9 +261,9 @@ class BoundaryCurve:
             # block's first node takes the last block's last node and its
             # speed; an arc's first node ends no interval, so its midpoint
             # is the node itself and its term is set to 0
-            starts = first[(first >= lo) & (first < hi)] - lo
+            start = starts[(starts >= lo) & (starts < hi)] - lo
             mid = np.concatenate([[last_p], t[:-1]])
-            mid[starts] = t[starts]
+            mid[start] = t[start]
             mid += t
             mid *= 0.5
             seg = self._speed(which, mid)
@@ -264,33 +272,25 @@ class BoundaryCurve:
             seg += np.concatenate([[last_sp], sp[:-1]])
             seg += sp
             seg *= sixth[which]
-            seg[starts] = 0.0
-            for a in range(which[0], which[-1] + 1):
-                if not simpson[a]:
-                    continue
-                i, j = max(first[a], lo), min(end[a], hi)
-                rows = slice(i - first[a], j - first[a])
-                p_tabs[a][rows] = t[i - lo:j - lo]
-                s_tabs[a][rows] = seg[i - lo:j - lo]
-                # the running sum, seeded with the sum before the block:
-                # np.cumsum adds in the order one np.cumsum over the arc does
-                run = s_tabs[a][max(rows.start - 1, 0):rows.stop]
-                np.cumsum(run, out=run)
+            seg[start] = 0.0
+            rows = np.arange(lo, hi) + shift[which]
+            p[rows], s[rows] = t, seg
             last_p, last_sp = t[-1], sp[-1]
             lo = hi
-        cum = np.concatenate([[0.0], np.cumsum([s[-1] for s in s_tabs])])
-        self._tables = {"p": p_tabs, "s": s_tabs, "cum": cum}
+        for a in np.flatnonzero(simpson):
+            run = s[first[a]:first[a + 1]]
+            np.cumsum(run, out=run)
+        cum = np.concatenate([[0.0], np.cumsum(s[first[1:] - 1])])
+        return _Arclength(p=p, s=s, first=first, cum=cum)
 
     @property
     def length(self):
-        self._ensure_tables()
-        return float(self._tables["cum"][-1])
+        return float(self._arclength.cum[-1])
 
     @property
     def arc_lengths(self):
         """(number of arcs,) arclength of each arc."""
-        self._ensure_tables()
-        return np.diff(self._tables["cum"])
+        return np.diff(self._arclength.cum)
 
     @property
     def bbox(self):
@@ -302,28 +302,40 @@ class BoundaryCurve:
         return self._extent
 
     def param_to_s(self, arc_index, param):
-        self._ensure_tables()
+        tab = self._arclength
         arc_index = np.atleast_1d(np.asarray(arc_index, dtype=int))
         param = np.atleast_1d(np.asarray(param, dtype=float))
-        out = np.empty(param.size)
-        tabs = self._tables
-        for a, rows in arc_runs(arc_index):
-            out[rows] = (np.interp(param[rows], tabs["p"][a], tabs["s"][a])
-                         + tabs["cum"][a])
-        return out
+        return (self._interp(arc_index, param, tab.p, tab.s)
+                + tab.cum[arc_index])
 
     def s_to_param(self, s):
-        self._ensure_tables()
-        tabs = self._tables
-        L = tabs["cum"][-1]
+        tab = self._arclength
+        L = tab.cum[-1]
         s = np.mod(np.atleast_1d(np.asarray(s, dtype=float)), L)
-        aidx = np.clip(np.searchsorted(tabs["cum"], s, side="right") - 1,
+        aidx = np.clip(np.searchsorted(tab.cum, s, side="right") - 1,
                        0, len(self.arcs) - 1)
-        t = np.empty(s.size)
-        for a, rows in arc_runs(aidx):
-            t[rows] = np.interp(s[rows] - tabs["cum"][a], tabs["s"][a],
-                                tabs["p"][a])
-        return aidx, t
+        return aidx, self._interp(aidx, s - tab.cum[aidx], tab.s, tab.p)
+
+    def _interp(self, arc, x, xp, fp):
+        """Row i is np.interp(x[i], xp[nodes], fp[nodes]) bit for bit, nodes
+        those of arc arc[i] in the arclength table.
+
+        Its node j is found as np.interp finds it: the arc's first on two
+        nodes, and by np.searchsorted on the arc's own nodes otherwise (an
+        arc with more is an ArcTable kind of its own).  The value is
+        np.interp's slope times (x - xp[j]) plus fp[j], with fp[j] at and
+        below node j, and the arc's last fp at and beyond its last node.
+        """
+        first = self._arclength.first
+        j = first[arc]
+        for a in np.flatnonzero(np.diff(first) > 2):
+            rows = np.flatnonzero(arc == a)
+            nodes = xp[first[a]:first[a + 1]]
+            j[rows] += np.clip(np.searchsorted(nodes, x[rows], "right") - 1,
+                               0, nodes.size - 2)
+        lo, hi = xp[j], xp[j + 1]
+        y = (fp[j + 1] - fp[j]) / (hi - lo) * (x - lo) + fp[j]
+        return np.where(x <= lo, fp[j], np.where(x >= hi, fp[j + 1], y))
 
     # ------------------------------------------------------------- geometry
 
@@ -370,7 +382,6 @@ class BoundaryCurve:
         """Uniform-arclength node struct; shifts the grid off detected corners."""
         if n < 1:
             raise ValueError("need n >= 1")
-        self._ensure_tables()
         L = self.length
         nodes = np.arange(n) * (L / n)
         corner_s = self.corner_arclengths()
@@ -394,8 +405,7 @@ class BoundaryCurve:
         key = int(m)
         if key in self._sites_cache:
             return self._sites_cache[key]
-        self._ensure_tables()
-        cum = self._tables["cum"]
+        cum = self._arclength.cum
         L = cum[-1]
         counts = np.maximum(8, np.round(m * (np.diff(cum) / L)).astype(int))
         blocks = list(self._arc_blocks(counts, endpoint=False, offset=0.5))
@@ -424,8 +434,7 @@ class BoundaryCurve:
     @cached_property
     def junctions(self):
         """Junction table: two batched evaluations, arc ends and next starts."""
-        self._ensure_tables()
-        cum = self._tables["cum"]
+        cum = self._arclength.cum
         n = len(self.arcs)
         nxt = np.roll(np.arange(n), -1)
         ends = self.geometry(np.arange(n), self.arc_table.t1)

@@ -6,15 +6,11 @@ codes: 0 all checks passed, 1 some identity or hypothesis failed, 2 bad
 configuration or shape parse error.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -35,27 +31,7 @@ from .symmetry import criterion_report
 from .web import (flux_identity_residual, parse_operator, partial_web_report,
                   profile_checks, web_profile)
 
-__all__ = ["RunConfig", "main"]
-
-
-@dataclass
-class RunConfig:
-    shape: str
-    samples: int = 2048
-    grid_nx: int = 256
-    grid_ny: int = 256
-    tol: float = 1e-6
-    out: Optional[str] = None
-    formats: Tuple[str, ...] = ("csv", "json")
-
-    def validate(self):
-        if self.samples <= 0 or self.grid_nx <= 0 or self.grid_ny <= 0:
-            raise ConfigurationError("sample and grid counts must be positive")
-        if not (0.0 < self.tol < 1e-2):
-            raise ConfigurationError("tol must lie in (0, 1e-2)")
-        bad = set(self.formats) - {"csv", "json"}
-        if bad:
-            raise ConfigurationError(f"unknown output formats: {sorted(bad)}")
+__all__ = ["main"]
 
 
 # ------------------------------------------------------- deterministic JSON
@@ -94,22 +70,23 @@ def render_json(obj, indent=0):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _emit(doc, config, filename, csv=None):
+def _emit(doc, args, filename, csv=None):
     """Write the --out files, then the JSON to stdout.
 
     csv: optional (write_fn, filename) of the run's table.  A failed write
     is a ConfigurationError, raised before anything reaches stdout.
     """
     text = render_json(doc) + "\n"
+    formats = args.format.split(",")
     try:
-        if config.out and "json" in config.formats:
-            with open(os.path.join(config.out, filename), "w") as fh:
+        if args.out and "json" in formats:
+            with open(os.path.join(args.out, filename), "w") as fh:
                 fh.write(text)
-        if csv and config.out and "csv" in config.formats:
-            csv[0](os.path.join(config.out, csv[1]))
+        if csv and args.out and "csv" in formats:
+            csv[0](os.path.join(args.out, csv[1]))
     except OSError as e:
         raise ConfigurationError(
-            f"cannot write to --out {config.out!r}: {e}") from e
+            f"cannot write to --out {args.out!r}: {e}") from e
     sys.stdout.write(text)
 
 
@@ -130,36 +107,38 @@ def _load_curve(spec_arg):
         f"shape {spec_arg!r} is neither a file nor inline JSON")
 
 
-def _curve_and_tol(cfg):
+def _curve_and_tol(args):
     """Load the shape; returns it with its absolute cut-value tolerance.
 
     --tol is relative to the curve's extent; the library's tolerances are
     absolute, and this is the one place the two meet.
     """
-    curve = _load_curve(cfg.shape)
-    return curve, cfg.tol * curve.extent
+    curve = _load_curve(args.shape)
+    return curve, args.tol * curve.extent
 
 
-def _domain(cfg):
+def _domain(args):
     """Load the shape and wrap its uniform cut table in a Domain."""
-    curve, tol = _curve_and_tol(cfg)
-    return Domain(cut_table(curve, n=cfg.samples, tol=tol))
+    curve, tol = _curve_and_tol(args)
+    return Domain(cut_table(curve, n=args.samples, tol=tol))
 
 
-def _config_from(args):
-    cfg = RunConfig(shape=args.shape, samples=args.samples,
-                    grid_nx=args.grid_nx, grid_ny=args.grid_ny, tol=args.tol,
-                    out=args.out,
-                    formats=tuple(args.format.split(",")))
-    cfg.validate()
-    if cfg.out:
+def _check_common(args):
+    """Validate the flags of _add_common; create --out."""
+    if args.samples <= 0 or args.grid_nx <= 0 or args.grid_ny <= 0:
+        raise ConfigurationError("sample and grid counts must be positive")
+    if not (0.0 < args.tol < 1e-2):
+        raise ConfigurationError("tol must lie in (0, 1e-2)")
+    bad = set(args.format.split(",")) - {"csv", "json"}
+    if bad:
+        raise ConfigurationError(f"unknown output formats: {sorted(bad)}")
+    if args.out:
         # before any work, so that a bad --out leaves stdout empty
         try:
-            os.makedirs(cfg.out, exist_ok=True)
+            os.makedirs(args.out, exist_ok=True)
         except OSError as e:
             raise ConfigurationError(
-                f"--out {cfg.out!r} is not a usable directory: {e}") from e
-    return cfg
+                f"--out {args.out!r} is not a usable directory: {e}") from e
 
 
 # ------------------------------------------------------------- subcommands
@@ -212,8 +191,8 @@ def cmd_shapes(args):
 
 
 def cmd_report(args):
-    cfg = _config_from(args)
-    dom = _domain(cfg)
+    _check_common(args)
+    dom = _domain(args)
     table = dom.table
     rep = criterion_report(dom)
     kd = max_lambda_kappa(table)
@@ -225,7 +204,7 @@ def cmd_report(args):
     }
     doc = _report_dict(rep, dom.diameter)
     doc["assertions"] = assertions
-    _emit(doc, cfg, "report.json",
+    _emit(doc, args, "report.json",
           csv=(lambda p: export_cut_csv(table, p), "samples.csv"))
     ok = assertions["kappa_lambda_bound_ok"] and assertions["basic_bound_ok"]
     return 0 if ok else 1
@@ -247,9 +226,9 @@ def _ireport_fields(r):
 def cmd_verify(args):
     """The identity suite, on one cut table: the midpoint table that the
     ray integrals need, which also seeds y0 and carries kappa*lambda."""
-    cfg = _config_from(args)
-    curve, tol = _curve_and_tol(cfg)
-    dom = Domain.at_midpoints(curve, cfg.samples, tol)
+    _check_common(args)
+    curve, tol = _curve_and_tol(args)
+    dom = Domain.at_midpoints(curve, args.samples, tol)
     corners = dom.corners
     concave = dom.corner_status == "concave-present"
     records = []
@@ -279,7 +258,7 @@ def cmd_verify(args):
         records.append(_record("mean-value", "skipped",
                                reason="concave corner present"))
     else:
-        grid = GridSpec.from_curve(curve, nx=cfg.grid_nx, ny=cfg.grid_ny)
+        grid = GridSpec.from_curve(curve, nx=args.grid_nx, ny=args.grid_ny)
         r = cov_residual(dom, constant(1.0), grid)
         tol_chv = 3.0 * grid.h * dom.perimeter / dom.area
         records.append(_record("chv-grid",
@@ -306,17 +285,17 @@ def cmd_verify(args):
                                "pass" if fc <= 1e-3 else "fail",
                                tolerance=1e-3, residual=fc))
 
-    _emit(records, cfg, "verify.json")
+    _emit(records, args, "verify.json")
     failed = any(r["status"] == "fail" for r in records)
     return 1 if failed else 0
 
 
 def cmd_mk(args):
-    cfg = _config_from(args)
+    _check_common(args)
     if not (0.0 < args.gamma < math.inf):
         raise ConfigurationError("gamma must be positive and finite")
-    dom = _domain(cfg)
-    grid = GridSpec.from_curve(dom.curve, nx=cfg.grid_nx, ny=cfg.grid_ny)
+    dom = _domain(args)
+    grid = GridSpec.from_curve(dom.curve, nx=args.grid_nx, ny=args.grid_ny)
     f = constant(args.gamma)
     sol = vf_field(dom, build_distance_field(dom.curve, grid=grid), f=f)
     med, mx, l1 = residual_summary(sol)
@@ -343,7 +322,7 @@ def cmd_mk(args):
         "complementarity_bound": 5.0 * grid.h * float(np.max(sol.v)),
         "weak_form": weak_form_check(sol),
     }
-    _emit(doc, cfg, "mk_summary.json",
+    _emit(doc, args, "mk_summary.json",
           csv=(lambda p: export_mk_csv(sol, p), "mk_grid.csv"))
     ok = (v_min >= -1e-10 and trace_err <= 1e-8 and eik <= 5.0 * grid.h
           and comp <= doc["complementarity_bound"] + 1e-12)
@@ -351,7 +330,7 @@ def cmd_mk(args):
 
 
 def cmd_web(args):
-    cfg = _config_from(args)
+    _check_common(args)
     op = parse_operator(args.operator)
     gamma_arc = None
     if args.gamma_arc:
@@ -362,7 +341,7 @@ def cmd_web(args):
         if len(gamma_arc) != 2 or not all(map(math.isfinite, gamma_arc)):
             raise ConfigurationError(
                 "--gamma-arc needs two finite start,end arclengths")
-    dom = _domain(cfg)
+    dom = _domain(args)
     rep = partial_web_report(dom, gamma_arc=gamma_arc)
     identity = None
     identity_status = "pass"
@@ -394,7 +373,7 @@ def cmd_web(args):
         "ratio": rep.ratio,
         "samples_used": rep.samples_used,
     }
-    _emit(doc, cfg, "web.json")
+    _emit(doc, args, "web.json")
     return 0 if identity_status == "pass" else 1
 
 

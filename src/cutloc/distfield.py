@@ -108,6 +108,7 @@ class DistanceField:
     nearest_s: np.ndarray         # (ny, nx) arclength of the foot
     nearest_kappa: np.ndarray     # (ny, nx) curvature at the foot
     nearest_normal: np.ndarray    # (ny, nx, 2) outward normal at the foot
+    centers: np.ndarray           # (ny*nx, 2) grid.centers()
     projector: CurveProjector
 
     def signed(self):
@@ -125,9 +126,9 @@ def build_distance_field(curve, grid, m=4096):
     Newton steps on every other arc class, with the foot's arclength,
     curvature and normal.
     """
-    inside = inside_mask(curve, grid)
-    proj = CurveProjector(curve, m=m)
     centers = grid.centers()
+    inside = _inside(curve, grid, centers)
+    proj = CurveProjector(curve, m=m)
     idx, _ = _kernels.nearest_site(centers, proj.sites.points)
     p = proj.project_from_sites(centers, idx)
     shape = (grid.ny, grid.nx)
@@ -136,10 +137,11 @@ def build_distance_field(curve, grid, m=4096):
         nearest_arc=p.arc_index.reshape(shape),
         nearest_param=p.param.reshape(shape), nearest_s=p.s.reshape(shape),
         nearest_kappa=p.kappa.reshape(shape),
-        nearest_normal=p.normal.reshape(shape + (2,)), projector=proj)
+        nearest_normal=p.normal.reshape(shape + (2,)), centers=centers,
+        projector=proj)
     for arr in (field.d, field.inside, field.nearest_arc,
                 field.nearest_param, field.nearest_s, field.nearest_kappa,
-                field.nearest_normal):
+                field.nearest_normal, field.centers):
         arr.setflags(write=False)
     return field
 
@@ -151,12 +153,16 @@ def inside_mask(curve, grid):
     winding polygon.  The grid box must hold the curve with a one-cell
     margin, else ConstructionError.
     """
+    return _inside(curve, grid, grid.centers())
+
+
+def _inside(curve, grid, centers):
+    """inside_mask on the grid's centers, built by the caller."""
     h = grid.h
     x0, x1, y0, y1 = curve.bbox
     if (x0 < grid.xmin + h or x1 > grid.xmin + grid.nx * h - h
             or y0 < grid.ymin + h or y1 > grid.ymin + grid.ny * h - h):
         raise ConstructionError(
             "grid box does not contain the curve (one-cell margin required)")
-    inside = _kernels.inside_polygon(grid.centers(),
-                                     curve.winding_polygon(2048))
+    inside = _kernels.inside_polygon(centers, curve.winding_polygon(2048))
     return inside.reshape(grid.ny, grid.nx)

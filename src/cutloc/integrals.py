@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import _BLOCK_NODES
-from .distfield import inside_mask
+from .distfield import _inside, inside_mask
 from .errors import FormulaOutOfScopeError, InapplicableError
 from .quadrature import ray_quadrature, simpson_doubling_vec
 
@@ -189,8 +189,9 @@ def cov_integral(dom, h):
 def cov_residual(dom, h, grid):
     """Ray-side integral of h against its grid quadrature over inside cells."""
     lhs, _, _ = cov_integral_detail(dom, h)
-    inside = inside_mask(dom.curve, grid)
-    vals = np.asarray(h(grid.centers())).reshape(inside.shape)
+    centers = grid.centers()
+    inside = _inside(dom.curve, grid, centers)
+    vals = np.asarray(h(centers)).reshape(inside.shape)
     rhs = float(np.sum(vals[inside]) * grid.h ** 2)
     return IntegralReport.from_pair(lhs, rhs, int(np.sum(inside)))
 

@@ -171,7 +171,7 @@ def vf_field(dom, field, f=None):
         f = constant(1.0)
     curve, table = dom.curve, dom.table
     grid = field.grid
-    centers = grid.centers()
+    centers = field.centers
 
     inside = field.inside
     d = np.where(inside, field.d, 0.0)

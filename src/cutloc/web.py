@@ -165,6 +165,13 @@ def _in_cyclic(s, lo, hi, L, tol=0.0):
     return whole | ((s - lo) % L <= span + tol)
 
 
+def _on_gamma(s, gamma_arc, L):
+    """Whether arclength s lies on gamma_arc, widened by 1e-9 L; every s
+    does when gamma_arc is None (the whole curve)."""
+    return gamma_arc is None or bool(_in_cyclic(
+        s, float(gamma_arc[0]), float(gamma_arc[1]), L, tol=1e-9 * L))
+
+
 def _gamma_mask(table, gamma_arc):
     if gamma_arc is None:
         return np.ones(len(table), dtype=bool)
@@ -183,9 +190,7 @@ def flux_identity_residual(dom, gamma_arc=None, op=None):
     if dom.corners:
         raise InapplicableError("identity requires a smooth boundary")
     y0, kmax = dom.y0, dom.H_max
-    if gamma_arc is not None and not _in_cyclic(
-            y0.s, float(gamma_arc[0]), float(gamma_arc[1]), curve.length,
-            tol=1e-9 * curve.length):
+    if not _on_gamma(y0.s, gamma_arc, curve.length):
         raise HypothesisViolationError(
             f"curvature argmax at s = {y0.s:.6g} lies outside gamma_arc")
     return abs(web_profile(op, kmax, dom.lambda_y0).flux0 + dom.phi_y0)
@@ -234,9 +239,7 @@ def partial_web_report(dom, gamma_arc=None):
     idx_g = np.flatnonzero(in_g)
     i_best = idx_g[int(np.argmax(table.kappa[smooth][idx_g]))]
     attain_tol = 1e-6 * max(1.0, abs(k_global))
-    y0_on_gamma = gamma_arc is None or bool(_in_cyclic(
-        y0g.s, float(gamma_arc[0]), float(gamma_arc[1]), curve.length,
-        tol=1e-9 * curve.length))
+    y0_on_gamma = _on_gamma(y0g.s, gamma_arc, curve.length)
     flag_i = bool(y0_on_gamma or table.kappa[smooth][i_best]
                   >= k_global - attain_tol)
     c_gamma_max = float(np.max(c_all[idx_g]))

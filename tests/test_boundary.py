@@ -78,6 +78,14 @@ def test_arclength_roundtrip(curves):
     assert np.allclose(again, s, atol=1e-8 * curve.length)
 
 
+def _arc_slices(curve):
+    """Each arc's parameter and arclength nodes, sliced from the curve's
+    flat arclength table."""
+    tab = curve._arclength
+    rows = [slice(i, j) for i, j in zip(tab.first[:-1], tab.first[1:])]
+    return [tab.p[r] for r in rows], [tab.s[r] for r in rows]
+
+
 def _closed_form_arclength(arc, t):
     """r (t - t0) on a circular arc, |p1 - p0| t on a segment, times the
     scale of a moved copy."""
@@ -94,9 +102,8 @@ def test_constant_speed_arcs_hold_two_node_tables(curves, name):
     # between the two ends is exact up to rounding
     curve = (from_spec(MOVED_POLYGON) if name == "moved_polygon"
              else curves(name))
-    curve._ensure_tables()
-    assert all(p.size == s.size == 2 for p, s in
-               zip(curve._tables["p"], curve._tables["s"]))
+    p_tabs, s_tabs = _arc_slices(curve)
+    assert all(p.size == s.size == 2 for p, s in zip(p_tabs, s_tabs))
     arcs = curve.arcs
     lengths = [_closed_form_arclength(arc, arc.t1) for arc in arcs]
     start = np.concatenate([[0.0], np.cumsum(lengths)])
@@ -501,20 +508,19 @@ def test_per_class_evaluation_matches_per_arc_reference(curves, name):
     # several arcs of one kind evaluate at once (Arc.stack); the moved
     # polygon's arcs are TransformedArcs over segments and circular arcs.
     # The ellipse's, superellipse's and Fourier shape's 65 537 table nodes
-    # are built in runs of _BLOCK_NODES, the running sums carried across;
-    # circular arcs and segments hold their two ends
+    # are written in runs of _BLOCK_NODES into the flat table; circular
+    # arcs and segments hold their two ends
     curve = (from_spec(POLYGONS[name]) if name in POLYGONS
              else curves(name))
     m = 1000
     poll, p_tabs, s_tabs, cum, sites, poly = _per_arc_reference(curve, m)
     assert curve.bbox == (poll[:, 0].min(), poll[:, 0].max(),
                           poll[:, 1].min(), poll[:, 1].max())
-    curve._ensure_tables()
-    tabs = curve._tables
-    assert len(tabs["p"]) == len(tabs["s"]) == len(curve.arcs)
-    for got, want in zip(tabs["p"] + tabs["s"], p_tabs + s_tabs):
+    got_p, got_s = _arc_slices(curve)
+    assert len(got_p) == len(got_s) == len(curve.arcs)
+    for got, want in zip(got_p + got_s, p_tabs + s_tabs):
         assert np.array_equal(got, want)
-    assert np.array_equal(tabs["cum"], cum)
+    assert np.array_equal(curve._arclength.cum, cum)
     got = curve.dense_sites(m)
     for field, want in zip(("points", "params", "arc_index"), sites):
         assert np.array_equal(getattr(got, field), want)
@@ -546,6 +552,39 @@ def test_per_class_evaluation_matches_per_arc_reference(curves, name):
             assert np.array_equal(nu[j], [tangent[1], -tangent[0]])
 
 
+@pytest.mark.parametrize("name", SHAPES + ("moved_polygon", "gon1000"))
+def test_arclength_lookup_is_np_interp_on_each_arc(curves, name):
+    # param_to_s and s_to_param read one flat table; each row must be
+    # np.interp on its own arc's slice, at the nodes and beyond the ends too
+    curve = (from_spec(POLYGONS[name]) if name in POLYGONS
+             else curves(name))
+    p_tabs, s_tabs = _arc_slices(curve)
+    cum = curve._arclength.cum
+    L = curve.length
+    n = len(curve.arcs)
+    t0, t1 = curve.arc_table.t0, curve.arc_table.t1
+    rng = np.random.default_rng(21)
+    rows = rng.integers(0, n, 3000)
+    ends = np.tile(np.arange(n), 4)
+    arc_index = np.concatenate([rows, ends])
+    param = np.concatenate([
+        t0[rows] + rng.uniform(0.0, 1.0, rows.size) * (t1 - t0)[rows],
+        t0, t1, np.nextafter(t0, -np.inf), np.nextafter(t1, np.inf)])
+    want = np.array([np.interp(t, p_tabs[a], s_tabs[a]) + cum[a]
+                     for a, t in zip(arc_index, param)])
+    assert np.array_equal(curve.param_to_s(arc_index, param), want)
+
+    s = np.concatenate([rng.uniform(0.0, L, 3000), cum, [-0.25 * L, -1e-9 * L,
+                                                         1.25 * L, L * 1.5]])
+    aidx, t = curve.s_to_param(s)
+    s = np.mod(s, L)
+    assert np.array_equal(aidx, np.clip(np.searchsorted(cum, s, side="right")
+                                        - 1, 0, n - 1))
+    want = np.array([np.interp(x - cum[a], s_tabs[a], p_tabs[a])
+                     for a, x in zip(aidx, s)])
+    assert np.array_equal(t, want)
+
+
 @pytest.mark.parametrize("endpoint, offset",
                          [(True, 0.0), (False, 0.0), (False, 0.5)])
 def test_arc_blocks_are_bounded_and_keep_short_arcs_whole(endpoint, offset):
@@ -573,7 +612,7 @@ def test_table_build_memory_is_bounded(name):
     # the tables hold 1 MB, and the build adds one block's temporaries;
     # a one-arc table built in one piece holds 5 MB
     curve = from_spec(SPECS[name])
-    assert traced_peak_mb(curve._ensure_tables) <= 2.5
+    assert traced_peak_mb(lambda: curve._arclength) <= 2.5
 
 
 def test_validation_memory_is_bounded_by_the_pair_budget():
@@ -587,7 +626,7 @@ def test_geometry_memory_is_bounded(name):
     # evaluation runs in row blocks on top of them
     curve = (from_spec(MOVED_POLYGON) if name == "moved_polygon"
              else from_spec(SPECS[name]))
-    curve._ensure_tables()
+    curve._arclength
     rng = np.random.default_rng(4)
     arc_index = rng.integers(0, len(curve.arcs), 100_000)
     t0, t1 = (np.array([getattr(arc, e) for arc in curve.arcs])[arc_index]

@@ -192,6 +192,25 @@ def test_mk_computes_the_signed_gradient_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["mk", "verify"])
+def test_grid_centers_are_built_once(capsys, monkeypatch, command):
+    # mk's field keeps the centers its inside test and vf_field read, and
+    # verify's cov_residual shares one array between the inside test and
+    # the source values
+    from cutloc.distfield import GridSpec
+    centers = GridSpec.centers
+    calls = []
+
+    def counted(grid):
+        calls.append(grid)
+        return centers(grid)
+    monkeypatch.setattr(GridSpec, "centers", counted)
+    code, _, _ = _run(capsys, [command, "--shape", CIRCLE, "--samples", "512",
+                               "--grid-nx", "64", "--grid-ny", "64"])
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_web_report(capsys):
     code, out, _ = _run(capsys, ["web", "--shape", CIRCLE, "--samples",
                                  "512", "--operator", "plap:4"])
