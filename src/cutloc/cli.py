@@ -31,7 +31,14 @@ from .symmetry import criterion_report
 from .web import (flux_identity_residual, parse_operator, partial_web_report,
                   profile_checks, web_profile)
 
-__all__ = ["main"]
+__all__ = ["main", "MAX_SAMPLES", "MAX_GRID_SIDE"]
+
+# Largest --samples and --grid-nx/--grid-ny, checked before any work.  They
+# lie far above the defaults (2048 samples, a 256² grid) and every size the
+# tests and the benchmark use; a 1024² grid holds about 0.3 GB of field and
+# solution arrays, and 65 536 samples cost a ball pass of 2.7e8 pairs.
+MAX_SAMPLES = 1 << 16
+MAX_GRID_SIDE = 1 << 10
 
 
 # ------------------------------------------------------- deterministic JSON
@@ -127,6 +134,11 @@ def _check_common(args):
     """Validate the flags of _add_common; create --out."""
     if args.samples <= 0 or args.grid_nx <= 0 or args.grid_ny <= 0:
         raise ConfigurationError("sample and grid counts must be positive")
+    if args.samples > MAX_SAMPLES:
+        raise ConfigurationError(f"--samples must be at most {MAX_SAMPLES}")
+    if max(args.grid_nx, args.grid_ny) > MAX_GRID_SIDE:
+        raise ConfigurationError(
+            f"--grid-nx and --grid-ny must be at most {MAX_GRID_SIDE}")
     if not (0.0 < args.tol < 1e-2):
         raise ConfigurationError("tol must lie in (0, 1e-2)")
     bad = set(args.format.split(",")) - {"csv", "json"}
@@ -297,7 +309,7 @@ def cmd_mk(args):
     dom = _domain(args)
     grid = GridSpec.from_curve(dom.curve, nx=args.grid_nx, ny=args.grid_ny)
     f = constant(args.gamma)
-    sol = vf_field(dom, build_distance_field(dom.curve, grid=grid), f=f)
+    sol = vf_field(dom, build_distance_field(dom, grid), f=f)
     med, mx, l1 = residual_summary(sol)
     rep, trace_err = mk_verdict(dom, gamma=args.gamma)
     table = dom.table

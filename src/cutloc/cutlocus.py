@@ -80,6 +80,15 @@ class CutTable:
         """Boolean mask of samples outside corner zones."""
         return ~self.corner_zone
 
+    def lambda_at(self, s):
+        """Cut values at arclengths s, interpolated linearly between the
+        samples, cyclically in arclength."""
+        L = self.curve.length
+        sq = np.mod(np.asarray(s, dtype=float), L)
+        xp = np.concatenate([[self.s[-1] - L], self.s, [self.s[0] + L]])
+        fp = np.concatenate([[self.lam[-1]], self.lam, [self.lam[0]]])
+        return np.interp(sq, xp, fp)
+
 
 def phi(lam, kappa):
     """Criterion function, planar closed form lambda - lambda^2 kappa / 2."""

@@ -62,22 +62,14 @@ class MKSolution:
     singular: np.ndarray  # (ny, nx) bool
     valid: np.ndarray     # (ny, nx) bool, residual stencil applicable
     gx: np.ndarray        # (ny, nx) central-difference x-derivative and
-    gy: np.ndarray        # (ny, nx) y-derivative of the signed distance
+    gy: np.ndarray        # (ny, nx) y-derivative of the signed distance,
+                          # finite on inside cells
     source: np.ndarray    # (ny, nx) f at the cell centers
     field: DistanceField
 
     @property
     def h(self):
         return self.grid.h
-
-
-def _lambda_interp(table, s):
-    """Cyclic arclength interpolation of cut values from a uniform table."""
-    L = table.curve.length
-    sq = np.mod(np.asarray(s, dtype=float), L)
-    xp = np.concatenate([[table.s[-1] - L], table.s, [table.s[0] + L]])
-    fp = np.concatenate([[table.lam[-1]], table.lam, [table.lam[0]]])
-    return np.interp(sq, xp, fp)
 
 
 def vf_at(dom, x, f=None):
@@ -158,24 +150,25 @@ def _signed_gradient(field):
 def vf_field(dom, field, f=None):
     """Assemble the grid solution on a distance field of the domain's curve.
 
-    tau = lambda(foot) - d, with lambda interpolated cyclically in
-    arclength from the domain's cut table, or read off the corner's fan
-    (Domain.corner_fans) where the foot is a concave corner.  Singular:
-    inside cells with tau <= _SIGMA_H h, and those whose 1 - d kappa is
-    degenerate.  v is zero on singular cells and outside.  The feet's
-    arclength, curvature and normal come from the field; the solution
+    tau = lambda(foot) - d, with the field's lambda at the foot
+    (interpolated from the domain's cut table), or read off the corner's
+    fan (Domain.corner_fans) where the foot is a concave corner.
+    Singular: inside cells with tau <= _SIGMA_H h, and those whose
+    1 - d kappa is degenerate.  v is zero on singular cells and outside.
+    The feet's curvature and normal come from the field; the solution
     keeps the signed distance's gradient and the source values that its
-    checks read.
+    checks read.  It reads the field on inside cells and, through the
+    gradient, on their ring only.
     """
     if f is None:
         f = constant(1.0)
-    curve, table = dom.curve, dom.table
+    curve = dom.curve
     grid = field.grid
     centers = field.centers
 
     inside = field.inside
     d = np.where(inside, field.d, 0.0)
-    lam = _lambda_interp(table, field.nearest_s)
+    tau = np.where(inside, np.maximum(field.nearest_lambda - d, 0.0), 0.0)
     t0, t1 = curve.arc_table.t0, curve.arc_table.t1
     for fan in dom.corner_fans:
         j, k = fan.junction, (fan.junction + 1) % t0.size
@@ -183,8 +176,7 @@ def vf_field(dom, field, f=None):
                         & (field.nearest_param == t1[j]))
                        | ((field.nearest_arc == k)
                           & (field.nearest_param == t0[k])))
-        lam[at] = fan.cut(centers[at.ravel()])
-    tau = np.where(inside, np.maximum(lam - d, 0.0), 0.0)
+        tau[at] = np.maximum(fan.cut(centers[at.ravel()]) - d[at], 0.0)
 
     singular = inside & (tau <= _SIGMA_H * grid.h)
     compute = inside & ~singular

@@ -104,9 +104,8 @@ def get_domain(name, n=2048):
 def get_field(name, h):
     key = (name, h)
     if key not in _fields:
-        curve = get_curve(name)
         _fields[key] = build_distance_field(
-            curve, grid=GridSpec.with_h(curve, h))
+            get_domain(name), GridSpec.with_h(get_curve(name), h))
     return _fields[key]
 
 
@@ -114,8 +113,8 @@ def get_field(name, h):
 def warm_kernels():
     # fill the circle's lazy tables once so timed assertions never pay them
     curve = get_curve("circle")
-    cut_table(curve, n=64)
-    build_distance_field(curve, grid=GridSpec.from_curve(curve, nx=24), m=512)
+    build_distance_field(Domain(cut_table(curve, n=64)),
+                         GridSpec.from_curve(curve, nx=24))
 
 
 @pytest.fixture(scope="session")

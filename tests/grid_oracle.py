@@ -2,8 +2,9 @@
 
 ``cutloc`` computes cut values by one shrinking-ball pass over a site
 table.  This helper computes them another way, from a DistanceField:
-FieldProjector seeds each query's foot from the grid cell it falls in,
-and the cut depth is a bisection on the nearest-point predicate.  The
+FieldProjector seeds each query's foot from the grid cell it falls in
+(the foot of the cell's center, projected afresh where the field holds
+none), and the cut depth is a bisection on the nearest-point predicate.  The
 tests compare the two within a multiple of the grid step.
 """
 
@@ -65,6 +66,13 @@ class FieldProjector:
         seed = field.nearest_param[iy, ix].astype(float)
         dparam = field.projector.sites.dparam
         depth = field.d[iy, ix].astype(float)
+        # a cell beyond the field's ring holds no foot: project its center
+        # with the field's projector, the scan and arithmetic of every cell
+        far = arc_index < 0
+        if np.any(far):
+            p = field.projector.project(
+                field.centers[iy[far] * grid.nx + ix[far]])
+            arc_index[far], seed[far], depth[far] = p.arc_index, p.param, p.dist
         half = _grid_half_widths(self.curve, arc_index, seed, grid.h,
                                  dparam, depth)
         param = refine_in_brackets(self.curve, points, arc_index, seed, half)

@@ -7,8 +7,8 @@ import time
 import numpy as np
 import pytest
 
-from cutloc import cutlocus
-from cutloc.cli import main, render_json
+from cutloc import _kernels, cutlocus, projector
+from cutloc.cli import MAX_GRID_SIDE, MAX_SAMPLES, main, render_json
 from cutloc.shapes import MAX_FOURIER_MODES, MAX_SIDES
 
 CIRCLE = '{"type": "circle", "radius": 1.0}'
@@ -442,6 +442,61 @@ def test_malformed_flag_exits_2(capsys, argv):
     assert code == 2
     assert any(line.startswith("error:") for line in err.splitlines())
     assert "Traceback" not in err
+
+
+SIZES_ABOVE_LIMIT = {
+    "samples": ["--samples", str(MAX_SAMPLES + 1)],
+    "grid-nx": ["--grid-nx", str(MAX_GRID_SIDE + 1)],
+    "grid-ny": ["--grid-ny", str(MAX_GRID_SIDE + 1)],
+}
+
+
+@pytest.mark.parametrize("command", ["report", "verify", "mk", "web"])
+@pytest.mark.parametrize("size", list(SIZES_ABOVE_LIMIT.values()),
+                         ids=list(SIZES_ABOVE_LIMIT))
+def test_size_above_limit_exits_2_before_any_work(capsys, monkeypatch,
+                                                   command, size):
+    # one past each documented bound; the shape is never even loaded
+    def no_work(spec):
+        raise AssertionError("work began before the size check")
+    monkeypatch.setattr("cutloc.cli._load_curve", no_work)
+    code, out, err = _run(capsys, [command, "--shape", CIRCLE] + size)
+    assert code == 2
+    assert out == ""
+    assert any(line.startswith("error:") for line in err.splitlines())
+    assert "Traceback" not in err
+
+
+# (shape, grid side) -> (nearest-site query rows, foot rows) of one mk
+# run at --samples 512, measured, plus 20 % and 5 %.  A scan of every cell
+# takes nx * ny rows of each.
+MK_WORK_BOUND = {
+    ("ellipse", 96): (700, 3356), ("ellipse", 256): (2666, 22886),
+    ("square", 96): (1531, 8963), ("square", 256): (6542, 58708),
+}
+
+
+@pytest.mark.parametrize("shape, side", list(MK_WORK_BOUND))
+def test_mk_scans_few_cells(capsys, monkeypatch, shape, side):
+    rows = {"nearest_site": 0, "refine_on_arcs": 0}
+    scan, refine = _kernels.nearest_site, projector.refine_on_arcs
+
+    def counted_scan(queries, sites):
+        rows["nearest_site"] += len(queries)
+        return scan(queries, sites)
+
+    def counted_refine(curve, points, *args):
+        rows["refine_on_arcs"] += len(points)
+        return refine(curve, points, *args)
+    monkeypatch.setattr(_kernels, "nearest_site", counted_scan)
+    monkeypatch.setattr(projector, "refine_on_arcs", counted_refine)
+    spec = {"ellipse": ELLIPSE, "square": SQUARE}[shape]
+    code, _, _ = _run(capsys, ["mk", "--shape", spec, "--samples", "512",
+                               "--grid-nx", str(side), "--grid-ny", str(side)])
+    assert code == 0
+    scan_bound, foot_bound = MK_WORK_BOUND[shape, side]
+    assert 0 < rows["nearest_site"] <= scan_bound < side * side
+    assert 0 < rows["refine_on_arcs"] <= foot_bound < side * side
 
 
 @pytest.mark.parametrize("case", ["shape-directory", "shape-not-utf8",

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import SPECS
-from cutloc import ConstructionError, build_distance_field
-from cutloc.distfield import GridSpec, inside_mask
+from cutloc import ConstructionError, _kernels, build_distance_field
+from cutloc.distfield import (GridSpec, _certified_feet, _ring, _seeds,
+                              inside_mask)
 from grid_oracle import FieldProjector
 
 
@@ -31,10 +32,10 @@ def test_inside_area(fields):
     assert np.isclose(area, 2 * np.pi, atol=3 * field.grid.h * 9.7)
 
 
-def test_grid_must_contain_curve(curves):
+def test_grid_must_contain_curve(domains):
     grid = GridSpec(xmin=-0.2, ymin=-0.2, nx=16, ny=16, h=0.025)
     with pytest.raises(ConstructionError):
-        build_distance_field(curves("circle"), grid=grid)
+        build_distance_field(domains("circle"), grid)
 
 
 def test_inside_mask_is_the_field_inside_test(curves, fields):
@@ -49,17 +50,21 @@ def test_inside_mask_is_the_field_inside_test(curves, fields):
 
 
 def test_field_keeps_the_geometry_of_its_feet(curves, fields):
+    # on the kept cells; beyond them the field holds its documented fill
     for name in SPECS:
         field = fields(name, 1 / 64)
-        g = curves(name).geometry(field.nearest_arc.ravel(),
-                                  field.nearest_param.ravel())
-        shape = field.d.shape
-        assert np.array_equal(field.nearest_s, g.s.reshape(shape)), name
-        assert np.array_equal(field.nearest_kappa,
-                              g.curvature.reshape(shape)), name
-        assert np.array_equal(field.nearest_normal,
-                              g.normal.reshape(shape + (2,))), name
+        kept = field.nearest_arc >= 0
+        g = curves(name).geometry(field.nearest_arc[kept],
+                                  field.nearest_param[kept])
+        assert np.array_equal(field.nearest_s[kept], g.s), name
+        assert np.array_equal(field.nearest_kappa[kept], g.curvature), name
+        assert np.array_equal(field.nearest_normal[kept], g.normal), name
         assert not field.nearest_normal.flags.writeable, name
+        assert np.all(field.nearest_arc[~kept] == -1), name
+        for arr in (field.d, field.nearest_param, field.nearest_s,
+                    field.nearest_kappa, field.nearest_normal,
+                    field.nearest_lambda):
+            assert np.all(np.isnan(arr[~kept])), name
 
 
 def test_projector_roundtrip(curves, fields):
@@ -88,3 +93,40 @@ def test_projection_idempotent(curves, fields):
     ds = np.abs(first.s - second.s)
     ds = np.minimum(ds, curve.length - ds)
     assert np.max(ds) <= 1e-6 * curve.length
+
+
+@pytest.mark.parametrize("h", [1 / 32, 1 / 64])
+def test_certified_sites_are_the_scan_sites(curves, domains, h):
+    # the certified path beside the full scan on the same cells: the same
+    # site for every certified cell, and most inside cells certified
+    for name in SPECS:
+        curve, dom = curves(name), domains(name)
+        grid = GridSpec.with_h(curve, h)
+        centers = grid.centers()
+        inside = inside_mask(curve, grid)
+        cells = np.flatnonzero(inside.ravel())
+        seed = _seeds(grid, centers, cells, dom.projector.sites.points)
+        rows, idx, _, _, sure = _certified_feet(dom, centers[cells], seed)
+        full, _ = _kernels.nearest_site(centers[cells[rows]],
+                                        dom.projector.sites.points)
+        assert np.array_equal(idx[sure], full[sure]), name
+        assert np.count_nonzero(sure) >= 0.5 * np.count_nonzero(inside), name
+
+
+def test_kept_cells_hold_the_full_scan_feet(domains, fields):
+    # every kept cell holds the foot of the full scan and the table's
+    # lambda there, bit for bit
+    for name in SPECS:
+        dom, field = domains(name), fields(name, 1 / 64)
+        kept = field.nearest_arc.ravel() >= 0
+        assert np.array_equal(kept, _ring(field.inside).ravel()), name
+        p = dom.projector.project(field.centers[kept])
+        assert np.array_equal(field.nearest_arc.ravel()[kept],
+                              p.arc_index), name
+        for got, want in ((field.d, p.dist), (field.nearest_param, p.param),
+                          (field.nearest_s, p.s),
+                          (field.nearest_kappa, p.kappa),
+                          (field.nearest_lambda, dom.table.lambda_at(p.s))):
+            assert np.array_equal(got.ravel()[kept], want), name
+        assert np.array_equal(field.nearest_normal.reshape(-1, 2)[kept],
+                              p.normal), name

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -195,10 +197,52 @@ def test_singular_measure_shrinks(curves, domains, fields):
         curve = curves(name)
         coarse = singular_measure(_solve(domains, fields, name, 1 / 128))
         fine_field = build_distance_field(
-            curve, grid=GridSpec.with_h(curve, 1 / 256))
+            domains(name), GridSpec.with_h(curve, 1 / 256))
         fine = singular_measure(vf_field(domains(name), fine_field))
         assert lo <= fine / coarse <= hi, name
 
+
+def _every_cell_field(dom, field):
+    """The field with a foot in every cell, from the projector's full scan."""
+    p = dom.projector.project(field.centers)
+    shape = field.d.shape
+    return dataclasses.replace(
+        field, d=p.dist.reshape(shape), nearest_arc=p.arc_index.reshape(shape),
+        nearest_param=p.param.reshape(shape), nearest_s=p.s.reshape(shape),
+        nearest_kappa=p.kappa.reshape(shape),
+        nearest_normal=p.normal.reshape(shape + (2,)),
+        nearest_lambda=dom.table.lambda_at(p.s).reshape(shape))
+
+
+def _overwrite_beyond_ring(field):
+    """The field with junk in every cell beyond its ring."""
+    far = field.nearest_arc < 0
+    junk = {}
+    for name in ("d", "nearest_param", "nearest_s", "nearest_kappa",
+                 "nearest_lambda"):
+        junk[name] = np.where(far, np.nan, getattr(field, name))
+    junk["nearest_normal"] = np.where(far[..., None], np.nan,
+                                      field.nearest_normal)
+    junk["nearest_arc"] = np.where(far, -1, field.nearest_arc)
+    return dataclasses.replace(field, **junk)
+
+
+def test_mk_reads_no_cell_beyond_the_ring(tmp_path, domains, fields):
+    for name in ("ellipse", "square", "union"):
+        dom = domains(name)
+        full = _every_cell_field(dom, fields(name, 1 / 64))
+        outputs = []
+        for i, field in enumerate((full, _overwrite_beyond_ring(full),
+                                   fields(name, 1 / 64))):
+            sol = vf_field(dom, field)
+            path = tmp_path / f"{name}-{i}.csv"
+            export_mk_csv(sol, str(path))
+            outputs.append((path.read_bytes(), residual_summary(sol),
+                            complementarity_max(sol),
+                            eikonal_max_deviation(sol), weak_form_check(sol),
+                            singular_measure(sol), float(np.max(sol.v))))
+        assert outputs[1] == outputs[0], name
+        assert outputs[2] == outputs[0], name
 
 
 def test_median_matches_numpy():
