@@ -379,21 +379,17 @@ class BoundaryCurve:
     # ------------------------------------------------------------- sampling
 
     def resample_struct(self, n):
-        """Uniform-arclength node struct; shifts the grid off detected corners."""
+        """Uniform-arclength node struct at k L / n; shifted by half a step
+        when a node lies within 1e-9 L of a corner, and a node still that
+        near one nudged 16e-9 L forward."""
         if n < 1:
             raise ValueError("need n >= 1")
         L = self.length
         nodes = np.arange(n) * (L / n)
-        corner_s = self.corner_arclengths()
-        if corner_s.size:
-            tol_hit = 1e-9 * L
-            if np.min(cyclic_dist(nodes[:, None], corner_s, L)) < tol_hit:
-                nodes = nodes + L / (2 * n)
-            # last resort: nudge individual offenders
-            near = np.min(cyclic_dist(nodes[:, None], corner_s, L), axis=1)
-            bad = near < tol_hit
-            if np.any(bad):
-                nodes[bad] += 16 * tol_hit
+        tol_hit = 1e-9 * L
+        if np.min(self.corner_distance(nodes)) < tol_hit:
+            nodes = nodes + L / (2 * n)
+            nodes[self.corner_distance(nodes) < tol_hit] += 16 * tol_hit
         return self.geometry_at_s(nodes)
 
     def dense_sites(self, m):
@@ -446,20 +442,44 @@ class BoundaryCurve:
                          nu_minus=nu_m, nu_plus=nu_p,
                          angle=np.arctan2(cross, dot), convex=cross > 0)
 
-    def detect_corners(self):
-        """Junctions where the normal turns by more than DEFAULT_ANGLE_TOL."""
+    @cached_property
+    def corners(self):
+        """CornerInfo of each junction turning by more than DEFAULT_ANGLE_TOL.
+
+        Built once per curve and shared by every reader, so its arrays
+        must not be written to."""
         jt = self.junctions
-        return [CornerInfo(junction=int(j), s=float(jt.s[j]),
-                           position=jt.position[j].copy(),
-                           nu_minus=jt.nu_minus[j].copy(),
-                           nu_plus=jt.nu_plus[j].copy(),
-                           delta_nu=jt.nu_plus[j] - jt.nu_minus[j],
-                           angle=float(jt.angle[j]), convex=bool(jt.convex[j]))
-                for j in np.flatnonzero(np.abs(jt.angle) > DEFAULT_ANGLE_TOL)]
+        return tuple(
+            CornerInfo(junction=int(j), s=float(jt.s[j]),
+                       position=jt.position[j].copy(),
+                       nu_minus=jt.nu_minus[j].copy(),
+                       nu_plus=jt.nu_plus[j].copy(),
+                       delta_nu=jt.nu_plus[j] - jt.nu_minus[j],
+                       angle=float(jt.angle[j]), convex=bool(jt.convex[j]))
+            for j in np.flatnonzero(np.abs(jt.angle) > DEFAULT_ANGLE_TOL))
+
+    @cached_property
+    def corner_status(self):
+        """none | convex-only | concave-present."""
+        convex = [c.convex for c in self.corners]
+        return ("none" if not convex else
+                "convex-only" if all(convex) else "concave-present")
 
     def corner_arclengths(self):
-        jt = self.junctions
-        return jt.s[np.abs(jt.angle) > DEFAULT_ANGLE_TOL]
+        """(corners,) arclength of each corner, in junction order."""
+        return np.array([c.s for c in self.corners])
+
+    def corner_distance(self, s):
+        """Cyclic arclength from each s to the nearest corner (inf if none):
+        the nearer of the two corners around s in sorted order, which is
+        the minimum of cyclic_dist over all corners."""
+        corners = np.sort(self.corner_arclengths())
+        if not corners.size:
+            return np.full(np.shape(s), np.inf)
+        k = np.searchsorted(corners, s)
+        return np.minimum(cyclic_dist(s, corners[k - 1], self.length),
+                          cyclic_dist(s, corners[k % corners.size],
+                                      self.length))
 
     def check_starshaped(self):
         """(flag, min <y, nu>) over 2048 arclength samples; origin-dependent."""

@@ -241,8 +241,8 @@ def cmd_verify(args):
     _check_common(args)
     curve, tol = _curve_and_tol(args)
     dom = Domain.at_midpoints(curve, args.samples, tol)
-    corners = dom.corners
-    concave = dom.corner_status == "concave-present"
+    corners = curve.corners
+    concave = curve.corner_status == "concave-present"
     records = []
 
     if corners:
@@ -357,7 +357,7 @@ def cmd_web(args):
     rep = partial_web_report(dom, gamma_arc=gamma_arc)
     identity = None
     identity_status = "pass"
-    if dom.corners:
+    if dom.curve.corners:
         identity_status = "skipped: identity requires a smooth boundary"
     else:
         try:

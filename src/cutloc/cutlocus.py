@@ -31,6 +31,7 @@ __all__ = [
     "cut_table",
     "cut_value",
     "corner_fans",
+    "corner_zone",
     "phi",
     "max_lambda_kappa",
     "focal_check",
@@ -187,14 +188,11 @@ def _shrink_ball(curve, projector, pos, nrm, s, depth, arg, accept):
         param[keep] = foot[keep]
 
 
-def _corner_zone(curve, s, tol):
-    """Mask of arclengths within 10*tol of a corner (lambda -> 0 there)."""
-    corner_s = curve.corner_arclengths()
-    if not corner_s.size:
-        return np.zeros(np.size(s), dtype=bool)
-    dmin = np.min(cyclic_dist(np.reshape(s, (-1, 1)), corner_s[None, :],
-                              curve.length), axis=1)
-    return dmin <= 10.0 * tol
+def corner_zone(curve, s, tol):
+    """Mask of arclengths s within 10*tol of a corner, where lambda -> 0:
+    cut_table gives them lambda = phi = 0, and y0 and v_f's boundary trace
+    are not taken there."""
+    return curve.corner_distance(np.ravel(s)) <= 10.0 * tol
 
 
 def _cut_values(curve, geom, projector, tol, accept, active):
@@ -228,7 +226,7 @@ def _cut_values(curve, geom, projector, tol, accept, active):
         i = int(np.argmax(bad))
         where = (f"inward ray at s={s[i]:.6g} loses its base point at depth "
                  f"{depth[i]:.6g}, below the absolute tolerance tol={tol:.6g}")
-        if not curve.corner_arclengths().size:
+        if not curve.corners:
             raise ConfigurationError(
                 f"{where}; the shape is too thin for this tolerance")
         raise DegenerateRayError(
@@ -242,9 +240,9 @@ def _cut_values(curve, geom, projector, tol, accept, active):
 def cut_table(curve, n=2048, projector=None, tol=None, samples=None):
     """Cut values, phi, and kappa*lambda over a uniform boundary sampling.
 
-    Samples within arclength 10*tol of a corner are excluded from the ray
-    computation (lambda -> 0 at convex corners); they carry lambda = phi = 0
-    and corner_zone = True.
+    Samples in the corner zone (corner_zone: within arclength 10*tol of a
+    corner, where lambda -> 0 at convex corners) are excluded from the ray
+    computation; they carry lambda = phi = 0 and corner_zone = True.
     """
     if projector is None:
         projector = CurveProjector(curve)
@@ -252,17 +250,17 @@ def cut_table(curve, n=2048, projector=None, tol=None, samples=None):
         tol = 1e-6 * curve.extent
     accept = max(5.0 * tol, 3.0 * projector.spacing)
     geom = samples if samples is not None else curve.resample_struct(n)
-    corner_zone = _corner_zone(curve, geom.s, tol)
+    zone = corner_zone(curve, geom.s, tol)
     lam, focal = _cut_values(curve, geom, projector, tol, accept,
-                              active=~corner_zone)
-    phival = np.where(corner_zone, 0.0, phi(lam, geom.curvature))
+                              active=~zone)
+    phival = np.where(zone, 0.0, phi(lam, geom.curvature))
     return CutTable(
         curve=curve, s=geom.s.copy(), position=geom.position.copy(),
         tangent=geom.tangent.copy(),
         normal=geom.normal.copy(), kappa=geom.curvature.copy(),
         arc_index=geom.arc_index.copy(), param=geom.param.copy(),
         lam=lam, phi=phival, lambda_kappa=lam * geom.curvature,
-        corner_zone=corner_zone, focal_capped=focal, tol=tol, accept=accept,
+        corner_zone=zone, focal_capped=focal, tol=tol, accept=accept,
         projector=projector)
 
 
@@ -310,7 +308,7 @@ def corner_fans(table):
     """
     curve = table.curve
     fans = []
-    for c in curve.detect_corners():
+    for c in curve.corners:
         if c.convex:
             continue
         angle = np.linspace(0.0, c.angle, _FAN_RAYS)
@@ -342,7 +340,7 @@ def focal_check(dom):
     so the product is 1 there.  Cornered curves have no smooth maximum to
     test against.
     """
-    if dom.corners:
+    if dom.curve.corners:
         raise InapplicableError("focal identity needs a smooth curve")
     if dom.H_max <= 0:
         raise InapplicableError("focal identity needs positive curvature")

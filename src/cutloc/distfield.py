@@ -200,11 +200,12 @@ def build_distance_field(dom, grid):
     value against those is a minimum of smooth depths: interpolating it
     between two samples of one smooth piece overestimates it by second
     order in the sample spacing, which accept in lambda* covers with the
-    depth's rounding.  A foot within gap of a corner (its two samples lie
-    on two pieces) is not certified, nor is a foot off its normal, as in
-    a concave corner's fan (a large eta).  The site spacing enters
-    through r, which the window measures; r carries a slack of 1e-9
-    (1 + the largest site coordinate + the extent) for rounding.
+    depth's rounding.  A foot within arclength gap of a corner
+    (BoundaryCurve.corner_distance; its two samples lie on two pieces) is
+    not certified, nor is a foot off its normal, as in a concave corner's
+    fan (a large eta).  The site spacing enters through r, which the
+    window measures; r carries a slack of 1e-9 (1 + the largest site
+    coordinate + the extent) for rounding.
     """
     curve, proj = dom.curve, dom.projector
     centers = grid.centers()
@@ -311,7 +312,7 @@ def _certified_feet(dom, q, seed):
                      cyclic_dist(p.s, sites.s[(j + _WINDOW + 1) % m], L))
     sure = ((d >= 0.0) & (tau > 0.0) & (out > table.accept + gap)
             & (4.0 * lam_lo * delta < out * out * tau)
-            & (_corner_sep(dom.curve, p.s) > gap))
+            & (dom.curve.corner_distance(p.s) > gap))
     return rows, idx, p, lam, sure
 
 
@@ -375,16 +376,6 @@ def _seeds(grid, centers, cells, sites):
             + np.minimum(bx * stride + stride // 2, grid.nx - 1))
     seed, _ = _kernels.nearest_site(centers[reps], sites)
     return seed[(np.cumsum(used) - 1)[block]]
-
-
-def _corner_sep(curve, s):
-    """Cyclic arclength from each s to the nearest corner (inf if none)."""
-    corners = np.sort(np.mod(curve.corner_arclengths(), curve.length))
-    if not corners.size:
-        return np.full(np.size(s), np.inf)
-    k = np.searchsorted(corners, s)
-    return np.minimum(cyclic_dist(s, corners[k - 1], curve.length),
-                      cyclic_dist(s, corners[k % corners.size], curve.length))
 
 
 def inside_mask(curve, grid):

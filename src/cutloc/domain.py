@@ -2,8 +2,9 @@
 
 The criterion and its two PDE applications read the same few quantities
 of one domain: the cut values over the boundary, the curvature maximum y0
-with its cut value and phi, the corners with the cut values along the fan of
-each concave one, and |Omega| / |boundary|.  A Domain wraps the one cut
+with its cut value and phi, the cut values along the fan of each concave
+corner, and |Omega| / |boundary|.  The corners themselves are the curve's
+(BoundaryCurve.corners, corner_status).  A Domain wraps the one cut
 table a run reads first, uniform or at composite-midpoint nodes, and
 computes each of the other quantities at most once, when it is first
 read.  Every cut value it computes uses the table's projector and its
@@ -78,19 +79,6 @@ class Domain:
     def _midpoint(self):
         return _midpoint_table(self.curve, max(len(self.table), _MIDPOINT_MIN),
                                self.projector, self.tol)
-
-    @property
-    def corners(self):
-        return self.curve.detect_corners()
-
-    @cached_property
-    def corner_status(self):
-        """none | convex-only | concave-present."""
-        if not self.corners:
-            return "none"
-        if all(c.convex for c in self.corners):
-            return "convex-only"
-        return "concave-present"
 
     @cached_property
     def corner_fans(self):

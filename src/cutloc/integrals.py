@@ -120,7 +120,7 @@ def area(curve):
 
 def minkowski_residual(curve):
     """Report for oint kappa <y, nu> ds = |boundary| on smooth curves."""
-    if curve.detect_corners():
+    if curve.corners:
         raise InapplicableError(
             "curve has corners; use minkowski_residual_corners")
     tol = _length_tol(curve)
@@ -142,8 +142,7 @@ def corner_sum(curve):
 
 def minkowski_residual_corners(curve):
     """Cornered identity: |boundary| = oint kappa <y,nu> ds - corner sum."""
-    corners = curve.detect_corners()
-    if any(not c.convex for c in corners):
+    if curve.corner_status == "concave-present":
         raise FormulaOutOfScopeError(
             "concave corner present; the cornered identity is out of scope")
     tol = _length_tol(curve)
@@ -156,7 +155,7 @@ def minkowski_residual_corners(curve):
 # --------------------------------------------------- normal-ray bulk integral
 
 def _require_no_concave(dom):
-    if dom.corner_status == "concave-present":
+    if dom.curve.corner_status == "concave-present":
         raise FormulaOutOfScopeError(
             "concave corner present; the ray change of variables is not "
             "available")

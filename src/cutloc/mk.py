@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .boundary import BoundaryPoint
-from .cutlocus import _corner_zone, cut_value
+from .cutlocus import corner_zone, cut_value
 from .distfield import DistanceField
 from .errors import DegenerateRayError, HypothesisViolationError
 from .fields import constant
@@ -95,8 +95,8 @@ def vf_at(dom, x, f=None):
 def vf_boundary(dom, y, f=None, lam=None):
     """Boundary restriction of v_f; for constant gamma equals gamma phi(y).
 
-    y is a BoundaryPoint or an arclength.  At corner points the returned
-    value is the corner limit 0, flagged.
+    y is a BoundaryPoint or an arclength.  In the corner zone (corner_zone)
+    the returned value is the corner limit 0, flagged.
     """
     if f is None:
         f = constant(1.0)
@@ -105,7 +105,7 @@ def vf_boundary(dom, y, f=None, lam=None):
         geom = curve.geometry([y.arc_index], [y.param])
     else:
         geom = curve.geometry_at_s([float(y)])
-    if _corner_zone(curve, geom.s, dom.tol)[0]:
+    if corner_zone(curve, geom.s, dom.tol)[0]:
         return VfValue(0.0, True)
     if lam is None:
         lam = cut_value(curve, float(geom.s[0]), projector=dom.projector,
@@ -282,7 +282,8 @@ def mk_verdict(dom, gamma=1.0):
     """Ball verdict from the boundary trace of v_f with constant source.
 
     The trace is gamma phi, so the decision delegates to the criterion
-    report; the trace identity itself is spot-checked by quadrature.
+    report; the trace identity is spot-checked at 16 smooth table rows, one
+    ray_quadrature call per row (a row's value depends on its batch).
     Returns (SymmetryReport, max trace deviation / gamma).
     """
     if gamma <= 0.0:
@@ -294,10 +295,10 @@ def mk_verdict(dom, gamma=1.0):
     picks = smooth[:: max(1, smooth.size // 16)][:16]
     err = 0.0
     for i in picks:
-        val, flagged = vf_boundary(dom, table.point(int(i)), f,
-                                   lam=float(table.lam[i]))
-        if not flagged:
-            err = max(err, abs(val - gamma * float(table.phi[i])))
+        row = slice(i, i + 1)
+        val = ray_quadrature(f, table.position[row], table.normal[row],
+                             np.zeros(1), table.kappa[row], table.lam[row])
+        err = max(err, abs(float(val[0]) - gamma * float(table.phi[i])))
     return report, err / gamma
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .boundary import BoundaryPoint
-from .cutlocus import _corner_zone
+from .cutlocus import corner_zone
 from .errors import ConfigurationError
 from .quadrature import golden_min_vec
 
@@ -177,7 +177,7 @@ def refine_max_curvature(table):
     dp = (curve.length / len(table)) / speed
     sites = table.projector.sites
     kappa = curve.curvature(sites.arc_index, sites.params)
-    kappa[_corner_zone(curve, sites.s, table.tol)] = -np.inf
+    kappa[corner_zone(curve, sites.s, table.tol)] = -np.inf
     j = int(np.argmax(kappa))
     if kappa[j] > table.kappa[i]:
         a, t = int(sites.arc_index[j]), float(sites.params[j])
@@ -218,7 +218,7 @@ def criterion_report(dom):
     mean_phi = float(np.mean(ph))
     constancy = float((np.max(ph) - np.min(ph)) / max(abs(mean_phi), 1e-300))
     basic = float(np.max(ph * table.kappa[smooth]))
-    corner_status = dom.corner_status
+    corner_status = dom.curve.corner_status
     starshaped = dom.starshaped
 
     notes = []

@@ -187,7 +187,7 @@ def flux_identity_residual(dom, gamma_arc=None, op=None):
     if op is None:
         op = laplace()
     curve = dom.curve
-    if dom.corners:
+    if curve.corners:
         raise InapplicableError("identity requires a smooth boundary")
     y0, kmax = dom.y0, dom.H_max
     if not _on_gamma(y0.s, gamma_arc, curve.length):
@@ -272,10 +272,10 @@ def partial_web_report(dom, gamma_arc=None):
         collar.append((float(eps), defect))
 
     ratio = dom.ratio
-    if dom.corner_status == "concave-present":
+    if dom.curve.corner_status == "concave-present":
         verdict = "inapplicable"
         notes.append("concave corners present")
-    elif dom.corners:
+    elif dom.curve.corners:
         verdict = "inapplicable"
         notes.append("corners present; the web criterion needs a C2 boundary")
     elif not dom.starshaped:

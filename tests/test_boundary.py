@@ -5,7 +5,7 @@ from cutloc import Domain, corner_sum, criterion_report, cut_table, from_spec
 from cutloc._kernels import inside_polygon
 from cutloc.arcs import Arc, ArcTable, CircleArc, SegmentArc
 from cutloc.boundary import (_BLOCK_NODES, DEFAULT_ANGLE_TOL, BoundaryCurve,
-                             _polyline_self_intersects)
+                             _polyline_self_intersects, cyclic_dist)
 from cutloc.errors import ConstructionError
 from cutloc.integrals import ROT_CCW
 from cutloc.projector import CurveProjector
@@ -127,7 +127,7 @@ def test_constant_speed_arcs_hold_two_node_tables(curves, name):
 
 def test_square_corners(curves):
     curve = curves("square")
-    corners = curve.detect_corners()
+    corners = curve.corners
     assert len(corners) == 4
     assert all(c.convex for c in corners)
     for c in corners:
@@ -136,12 +136,12 @@ def test_square_corners(curves):
 
 
 def test_c1_junctions_are_not_corners(curves):
-    assert curves("stadium").detect_corners() == []
-    assert curves("rounded").detect_corners() == []
+    assert curves("stadium").corners == ()
+    assert curves("rounded").corners == ()
 
 
 def test_union_has_concave_corners(curves):
-    corners = curves("union").detect_corners()
+    corners = curves("union").corners
     assert len(corners) == 2
     assert all(not c.convex for c in corners)
 
@@ -365,7 +365,7 @@ def test_junction_table_matches_per_junction(curves, name):
     else:
         curve = curves(name)
     ref_corners, ref_sum = _per_junction(curve)
-    got = curve.detect_corners()
+    got = curve.corners
     assert len(got) == len(ref_corners)
     for c, (j, ang, convex, pos, nu_m, nu_p) in zip(got, ref_corners):
         assert (c.junction, c.angle, c.convex) == (j, ang, convex)
@@ -379,15 +379,50 @@ def test_junction_table_matches_per_junction(curves, name):
         assert corner_sum(curve) == ref_sum
 
 
-def test_detect_corners_evaluates_the_curve_twice():
+def test_corner_table_evaluates_the_curve_twice():
     curve = from_spec(POLYGON)
     calls = []
     geometry = curve.geometry
     curve.geometry = lambda *args: calls.append(1) or geometry(*args)
-    curve.detect_corners()
-    curve.detect_corners()
+    curve.corners
+    curve.corners
     corner_sum(curve)
     assert len(calls) == 2
+
+
+# an irregular pentagon of segments, its chain started mid-edge: the
+# straight junction at s = 0 is no corner, so s near 0 and L sees corners
+# on both sides of the cyclic seam
+PENTAGON = [(0.1, -0.6), (1.0, -0.2), (1.3, 0.9), (0.1, 1.4), (-1.1, 0.6),
+            (-0.8, -1.0)]
+
+
+@pytest.mark.parametrize("name", SHAPES + ("polygon", "moved_square",
+                                           "pentagon"))
+def test_corner_distance_is_the_nearest_corner(curves, name):
+    if name == "polygon":
+        curve = from_spec(POLYGON)
+    elif name == "moved_square":
+        curve = from_spec({"type": "square", "side": 2.0,
+                           "center": [0.3, -0.2]})
+    elif name == "pentagon":
+        curve = BoundaryCurve([SegmentArc(PENTAGON[i], PENTAGON[(i + 1) % 6])
+                               for i in range(6)])
+    else:
+        curve = curves(name)
+    assert curve.corners is curve.corners
+    L = curve.length
+    corners = curve.corner_arclengths()
+    rng = np.random.default_rng(11)
+    s = np.concatenate([rng.uniform(-0.1 * L, 1.1 * L, 20000), corners,
+                        np.nextafter(corners, -np.inf),
+                        np.nextafter(corners, np.inf), [0.0, L]])
+    got = curve.corner_distance(s)
+    if not corners.size:
+        assert np.all(got == np.inf)
+        return
+    want = np.min(cyclic_dist(s[:, None], corners[None, :], L), axis=1)
+    assert np.array_equal(got, want)
 
 
 def test_a_report_reads_arc_kinds_only_at_construction(monkeypatch):

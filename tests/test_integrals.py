@@ -165,7 +165,7 @@ def test_arc_quadrature_matches_one_arc_at_a_time(curves, name):
     assert perimeter(curve) == speed
     assert area(curve) == 0.5 * _per_arc_integral(
         curve, _support, 1e-10 * max(1.0, curve.extent) ** 2)
-    corners = curve.detect_corners()
+    corners = curve.corners
     if any(not c.convex for c in corners):
         return  # the curvature identity is out of scope
     smooth = _per_arc_integral(curve, _curvature_support, tol)

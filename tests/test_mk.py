@@ -7,6 +7,7 @@ from cutloc import (HypothesisViolationError, build_distance_field,
                     complementarity_max, constant, eikonal_max_deviation,
                     mk_verdict, residual_summary, singular_measure, vf_at,
                     vf_boundary, vf_field, weak_form_check)
+from cutloc.boundary import BoundaryCurve
 from cutloc.distfield import GridSpec
 from cutloc.mk import _median, export_mk_csv
 
@@ -111,6 +112,30 @@ def test_mk_verdicts(domains):
     assert rep.verdict == "hypotheses-not-met"
     rep, _ = mk_verdict(domains("union"))
     assert rep.verdict == "inapplicable"
+
+
+@pytest.mark.parametrize("name", ["ellipse", "square", "union"])
+def test_mk_verdict_reads_the_table_rows(monkeypatch, domains, name):
+    # on a warmed Domain the trace spot-checks read the cut table's rows:
+    # no curve evaluation and no corner-zone test, with vf_boundary's values
+    dom = domains(name)
+    table, gamma = dom.table, 2.5
+    mk_verdict(dom, gamma)
+    smooth = np.flatnonzero(table.smooth())
+    want = max(abs(vf_boundary(dom, table.point(int(i)), constant(gamma),
+                               lam=float(table.lam[i])).value
+                   - gamma * float(table.phi[i]))
+               for i in smooth[:: max(1, smooth.size // 16)][:16]) / gamma
+    rows, searches = [], []
+    geometry = BoundaryCurve.geometry
+    corner_distance = BoundaryCurve.corner_distance
+    monkeypatch.setattr(BoundaryCurve, "geometry", lambda self, a, p: (
+        rows.append(np.size(p)) or geometry(self, a, p)))
+    monkeypatch.setattr(BoundaryCurve, "corner_distance", lambda self, s: (
+        searches.append(np.size(s)) or corner_distance(self, s)))
+    _, err = mk_verdict(dom, gamma)
+    assert sum(rows) == 0 and searches == []
+    assert err == want
 
 
 def test_mk_gamma_must_be_positive(domains):

@@ -5,6 +5,8 @@ imported every submodule already; the benchmark tracer's check runs in
 process, as the benchmark's trace mode does.
 """
 
+import ast
+import glob
 import importlib.util
 import json
 import os
@@ -75,6 +77,33 @@ def test_unknown_name_raises_attribute_error(name):
         "except AttributeError as e:\n"
         "    print(json.dumps(str(e)))\n")
     assert name in doc
+
+
+# (module, name) of every underscore name that one cutloc module may import
+# from another; everything else private stays in its module
+PRIVATE_IMPORTS = {
+    # the pair budget and block size live in boundary, so that
+    # `import cutloc` does not load _kernels
+    ("boundary", "_PAIR_BUDGET"),
+    ("boundary", "_BLOCK_NODES"),
+    # inside_mask on centers the caller built: cov_residual evaluates its
+    # integrand on the same centers
+    ("distfield", "_inside"),
+    # the kernel module: nearest-site scans and the inside-polygon test
+    (None, "_kernels"),
+}
+
+
+def test_private_names_cross_modules_only_on_the_allowlist():
+    found = set()
+    for path in glob.glob(os.path.join(SRC, "cutloc", "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found |= {(node.module, alias.name) for alias in node.names
+                          if alias.name.startswith("_")}
+    assert found == PRIVATE_IMPORTS
 
 
 def test_cli_loads_every_layer_the_benchmark_tracer_wraps():
