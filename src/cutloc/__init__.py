@@ -30,7 +30,7 @@ _EXPORTS = {
     "integrals": ("IntegralReport", "area", "corner_sum", "cov_integral",
                   "cov_residual", "divergence_area_residual",
                   "mean_value_residual", "minkowski_residual",
-                  "minkowski_residual_corners", "perimeter"),
+                  "minkowski_residual_corners"),
     "mk": ("MKSolution", "complementarity_max", "eikonal_max_deviation",
            "mk_verdict", "residual_summary", "singular_measure", "vf_at",
            "vf_boundary", "vf_field", "weak_form_check"),

@@ -272,7 +272,7 @@ def cmd_verify(args):
     else:
         grid = GridSpec.from_curve(curve, nx=args.grid_nx, ny=args.grid_ny)
         r = cov_residual(dom, constant(1.0), grid)
-        tol_chv = 3.0 * grid.h * dom.perimeter / dom.area
+        tol_chv = 3.0 * grid.h * curve.length / dom.area
         records.append(_record("chv-grid",
                                "pass" if r.rel_residual <= tol_chv else "fail",
                                tolerance=tol_chv, grid_h=grid.h,

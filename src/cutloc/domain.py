@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .cutlocus import corner_fans, cut_table, cut_value, phi
-from .integrals import area, perimeter
+from .integrals import area
 from .projector import CurveProjector
 from .symmetry import diameter, refine_max_curvature
 
@@ -116,14 +116,10 @@ class Domain:
     def area(self):
         return area(self.curve)
 
-    @cached_property
-    def perimeter(self):
-        return perimeter(self.curve)
-
     @property
     def ratio(self):
-        """|Omega| / |boundary|."""
-        return self.area / self.perimeter
+        """|Omega| / |boundary|, the boundary length being curve.length."""
+        return self.area / self.curve.length
 
     @property
     def phi_slack(self):

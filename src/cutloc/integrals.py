@@ -1,8 +1,9 @@
 """Boundary and bulk integral identities.
 
-Perimeter and area by adaptive quadrature, the curvature integral identity
-(smooth and cornered forms), the change of variables over inward normal
-rays, and the mean-value identity for the criterion function phi.
+Area by adaptive quadrature, the curvature integral identity (smooth and
+cornered forms), the change of variables over inward normal rays, and the
+mean-value identity for the criterion function phi.  The boundary length
+is the curve's own, the total of its arclength table (BoundaryCurve.length).
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from .errors import FormulaOutOfScopeError, InapplicableError
 from .quadrature import ray_quadrature, simpson_doubling_vec
 
 __all__ = [
-    "IntegralReport", "ROT_CCW", "perimeter", "area", "minkowski_residual",
+    "IntegralReport", "ROT_CCW", "area", "minkowski_residual",
     "minkowski_residual_corners", "corner_sum", "cov_integral",
-    "cov_integral_detail", "cov_residual", "mean_value_residual",
-    "divergence_area_residual",
+    "cov_residual", "mean_value_residual", "divergence_area_residual",
 ]
 
 _EPS_REL = 1e-14
@@ -76,10 +76,6 @@ def _arc_batch_integral(curve, rowfun, evaluators, tol):
     return float(np.sum(vals)), count[0]
 
 
-def _speed_row(v):
-    return np.linalg.norm(v, axis=-1)
-
-
 def _shoelace_row(p, v):
     # <y, nu> ds = (x y' - y x') dt for a CCW curve
     return p[:, 0] * v[:, 1] - p[:, 1] * v[:, 0]
@@ -92,7 +88,6 @@ def _curvature_support_row(p, v, acc):
 
 
 # each row function with the evaluators it reads, in its argument order
-_SPEED = (_speed_row, ("velocity",))
 _SHOELACE = (_shoelace_row, ("point", "velocity"))
 _CURVATURE_SUPPORT = (_curvature_support_row,
                       ("point", "velocity", "acceleration"))
@@ -101,12 +96,6 @@ _CURVATURE_SUPPORT = (_curvature_support_row,
 def _length_tol(curve):
     """Absolute quadrature tolerance of a length-dimensioned integral."""
     return 1e-10 * max(1.0, curve.extent)
-
-
-def perimeter(curve):
-    """Boundary length by per-arc adaptive quadrature of |Y'|."""
-    val, _ = _arc_batch_integral(curve, *_SPEED, _length_tol(curve))
-    return val
 
 
 def area(curve):
@@ -119,14 +108,17 @@ def area(curve):
 # -------------------------------------------------------- curvature integral
 
 def minkowski_residual(curve):
-    """Report for oint kappa <y, nu> ds = |boundary| on smooth curves."""
+    """Report for oint kappa <y, nu> ds = |boundary| on smooth curves.
+
+    The right-hand side is curve.length; samples_used counts the nodes of
+    the curvature integral's quadrature.
+    """
     if curve.corners:
         raise InapplicableError(
             "curve has corners; use minkowski_residual_corners")
-    tol = _length_tol(curve)
-    lhs, n1 = _arc_batch_integral(curve, *_CURVATURE_SUPPORT, tol)
-    rhs, n2 = _arc_batch_integral(curve, *_SPEED, tol)
-    return IntegralReport.from_pair(lhs, rhs, n1 + n2)
+    lhs, n = _arc_batch_integral(curve, *_CURVATURE_SUPPORT,
+                                 _length_tol(curve))
+    return IntegralReport.from_pair(lhs, curve.length, n)
 
 
 def corner_sum(curve):
@@ -141,15 +133,18 @@ def corner_sum(curve):
 
 
 def minkowski_residual_corners(curve):
-    """Cornered identity: |boundary| = oint kappa <y,nu> ds - corner sum."""
+    """Cornered identity: |boundary| = oint kappa <y,nu> ds - corner sum.
+
+    The right-hand side is curve.length; samples_used counts the nodes of
+    the curvature integral's quadrature.
+    """
     if curve.corner_status == "concave-present":
         raise FormulaOutOfScopeError(
             "concave corner present; the cornered identity is out of scope")
-    tol = _length_tol(curve)
-    smooth_part, n1 = _arc_batch_integral(curve, *_CURVATURE_SUPPORT, tol)
-    lhs = smooth_part - corner_sum(curve)
-    rhs, n2 = _arc_batch_integral(curve, *_SPEED, tol)
-    return IntegralReport.from_pair(lhs, rhs, n1 + n2)
+    smooth_part, n = _arc_batch_integral(curve, *_CURVATURE_SUPPORT,
+                                         _length_tol(curve))
+    return IntegralReport.from_pair(smooth_part - corner_sum(curve),
+                                    curve.length, n)
 
 
 # --------------------------------------------------- normal-ray bulk integral
@@ -161,33 +156,24 @@ def _require_no_concave(dom):
             "available")
 
 
-def cov_integral_detail(dom, h):
-    """(value, coverage_deficit, samples) for int_Omega h over normal rays.
+def cov_integral(dom, h):
+    """int_Omega h via the normal-ray change of variables.
 
     Outer composite midpoint in arclength on each arc (the domain's
     midpoint table), inner Gauss-Legendre in t with the 1 - t kappa
-    Jacobian weight, exact for a polynomial h.  Rays in corner zones are
-    skipped; the deficit reports their arclength fraction.
+    Jacobian weight, exact for a polynomial h.  Rays in corner zones have
+    lambda = 0 and add nothing.
     """
     _require_no_concave(dom)
-    table, weight = dom.midpoint_table, dom.midpoint_weight
-    n = len(table)
-    inner = ray_quadrature(h, table.position, table.normal, np.zeros(n),
-                           table.kappa, table.lam)
-    value = float(np.sum(inner * weight))
-    deficit = float(np.sum(weight[table.corner_zone]) / np.sum(weight))
-    return value, deficit, n
-
-
-def cov_integral(dom, h):
-    """int_Omega h via the normal-ray change of variables (value only)."""
-    value, _, _ = cov_integral_detail(dom, h)
-    return value
+    table = dom.midpoint_table
+    inner = ray_quadrature(h, table.position, table.normal,
+                           np.zeros(len(table)), table.kappa, table.lam)
+    return float(np.sum(inner * dom.midpoint_weight))
 
 
 def cov_residual(dom, h, grid):
     """Ray-side integral of h against its grid quadrature over inside cells."""
-    lhs, _, _ = cov_integral_detail(dom, h)
+    lhs = cov_integral(dom, h)
     centers = grid.centers()
     inside = _inside(dom.curve, grid, centers)
     vals = np.asarray(h(centers)).reshape(inside.shape)

@@ -92,7 +92,7 @@ def vf_at(dom, x, f=None):
     return VfValue(float(val[0]), False)
 
 
-def vf_boundary(dom, y, f=None, lam=None):
+def vf_boundary(dom, y, f=None):
     """Boundary restriction of v_f; for constant gamma equals gamma phi(y).
 
     y is a BoundaryPoint or an arclength.  In the corner zone (corner_zone)
@@ -107,9 +107,8 @@ def vf_boundary(dom, y, f=None, lam=None):
         geom = curve.geometry_at_s([float(y)])
     if corner_zone(curve, geom.s, dom.tol)[0]:
         return VfValue(0.0, True)
-    if lam is None:
-        lam = cut_value(curve, float(geom.s[0]), projector=dom.projector,
-                        tol=dom.tol)
+    lam = cut_value(curve, float(geom.s[0]), projector=dom.projector,
+                    tol=dom.tol)
     val = ray_quadrature(f, geom.position, geom.normal, np.zeros(1),
                          geom.curvature, np.array([float(lam)]))
     return VfValue(float(val[0]), False)

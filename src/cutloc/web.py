@@ -205,7 +205,7 @@ class PartialWebReport:
     kappa_y0: float
     lambda_y0: float
     phi_y0: float
-    c_gamma: float             # -A(|h'(0)|) h'(0) = |g(0)| at y0
+    c_gamma: float             # -A(|h'(0)|) h'(0) = phi(y0)
     ratio: float
     verdict: str
     note: str
@@ -215,8 +215,9 @@ class PartialWebReport:
 def partial_web_report(dom, gamma_arc=None):
     """Hypothesis record for the partially overdetermined web criterion.
 
-    Reads the boundary flux c(y) = -A(|h'(0)|) h'(0) = |g_y(0)| at every
-    smooth boundary sample, the same for every operator, compares
+    Reads the boundary flux c(y) = -A(|h'(0)|) h'(0) = |g_y(0)| = phi(y)
+    at every smooth boundary sample as the cut table's phi, the same for
+    every operator (see the module docstring), compares
     curvature and flux maxima on gamma against the whole boundary, and
     reports the collar-inequality defect per eps in _COLLAR_EPS.  The phi
     hypothesis allows the domain's phi_slack, as the criterion report
@@ -227,8 +228,8 @@ def partial_web_report(dom, gamma_arc=None):
     mask_g = _gamma_mask(table, gamma_arc) & smooth
     notes = []
 
-    # flux candidate at every smooth sample: c(y) = |g_y(0)|
-    c_all = np.abs(_g_of(table.kappa[smooth], table.lam[smooth], 0.0))
+    # flux candidate at every smooth sample: c(y) = phi(y)
+    c_all = table.phi[smooth]
     in_g = mask_g[smooth]
 
     y0g, k_global = dom.y0, dom.H_max
@@ -258,7 +259,6 @@ def partial_web_report(dom, gamma_arc=None):
         notes.append("curvature argmax lies outside gamma; anchoring at the "
                      "gamma-restricted maximum")
     phi0 = float(phi_closed(lam0, k0))
-    c_gamma = abs(float(_g_of(k0, lam0, 0.0)))
 
     # collar sup of -A(|h'(t)|) h'(t) = |g_y(t)| over depths t < eps
     lam_s = table.lam[smooth]
@@ -268,7 +268,7 @@ def partial_web_report(dom, gamma_arc=None):
         tmax = np.minimum(float(eps), lam_s)
         tt = tmax[:, None] * np.linspace(0.0, 1.0, 17)[None, :]
         gg = np.abs(_g_of(kap_s[:, None], lam_s[:, None], tt))
-        defect = float(np.max(gg) - c_gamma)
+        defect = float(np.max(gg) - phi0)
         collar.append((float(eps), defect))
 
     ratio = dom.ratio
@@ -293,5 +293,5 @@ def partial_web_report(dom, gamma_arc=None):
     return PartialWebReport(
         flag_i=flag_i, flag_ii_prime=flag_iip, collar=tuple(collar),
         s_y0=float(y0.s), kappa_y0=float(k0), lambda_y0=float(lam0),
-        phi_y0=phi0, c_gamma=c_gamma, ratio=float(ratio), verdict=verdict,
+        phi_y0=phi0, c_gamma=phi0, ratio=float(ratio), verdict=verdict,
         note="; ".join(notes), samples_used=len(table))

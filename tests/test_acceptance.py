@@ -16,7 +16,7 @@ from cutloc import (Domain, area, complementarity_max, constant,
                     cut_table, flux_identity_residual,
                     laplace, max_lambda_kappa, mean_value_residual,
                     minkowski_residual, minkowski_residual_corners, mk_verdict,
-                    perimeter, phi, plap, residual_summary, vf_boundary,
+                    phi, plap, residual_summary, vf_boundary,
                     vf_field, web_profile)
 from cutloc.cli import main as cli_main
 from cutloc.distfield import GridSpec

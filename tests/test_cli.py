@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from cutloc import _kernels, cutlocus, projector
+from cutloc import _kernels, cutlocus, integrals, projector
 from cutloc.cli import MAX_GRID_SIDE, MAX_SAMPLES, main, render_json
 from cutloc.shapes import MAX_FOURIER_MODES, MAX_SIDES
 
@@ -99,6 +99,27 @@ def test_verify_builds_no_distance_field(capsys, monkeypatch):
 
 
 ELLIPSE = '{"type": "ellipse", "a": 2.0, "b": 1.0}'
+
+
+@pytest.mark.parametrize("command, shape, runs", [
+    ("report", ELLIPSE, 1), ("web", ELLIPSE, 1), ("mk", ELLIPSE, 1),
+    ("verify", STADIUM, 3), ("verify", UNION, 0)],
+    ids=["report", "web", "mk", "verify-stadium", "verify-union"])
+def test_boundary_quadratures_per_run(capsys, monkeypatch, command, shape,
+                                      runs):
+    # the boundary length is the arclength table's; the doubling-Simpson
+    # quadrature runs only for the area and the curvature integrals
+    # (verify on the stadium: both Minkowski records and the area)
+    simpson = integrals.simpson_doubling_vec
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return simpson(*args, **kwargs)
+    monkeypatch.setattr(integrals, "simpson_doubling_vec", counted)
+    _run(capsys, [command, "--shape", shape, "--samples", "256",
+                  "--grid-nx", "32", "--grid-ny", "32"])
+    assert len(calls) == runs
 
 
 @pytest.mark.parametrize("shape", [STADIUM, UNION, ELLIPSE],

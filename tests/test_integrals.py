@@ -8,20 +8,20 @@ from cutloc import (Domain, FormulaOutOfScopeError, InapplicableError, abs2,
                     area, constant, corner_sum, cov_integral, cov_residual,
                     cut_table, divergence_area_residual, from_spec,
                     mean_value_residual, minkowski_residual,
-                    minkowski_residual_corners, perimeter)
+                    minkowski_residual_corners)
 from cutloc.distfield import GridSpec
 from cutloc.quadrature import gauss_legendre, simpson_doubling_vec
 
 
 def test_circle_perimeter_area(curves):
     curve = curves("circle")
-    assert perimeter(curve) == pytest.approx(2 * np.pi, rel=1e-12)
+    assert curve.length == pytest.approx(2 * np.pi, rel=1e-12)
     assert area(curve) == pytest.approx(np.pi, rel=1e-12)
 
 
 def test_square_perimeter_area(curves):
     curve = curves("square")
-    assert perimeter(curve) == pytest.approx(8.0, rel=1e-12)
+    assert curve.length == pytest.approx(8.0, rel=1e-12)
     assert area(curve) == pytest.approx(4.0, rel=1e-12)
 
 
@@ -30,7 +30,7 @@ def test_ellipse_perimeter_oracle(curves):
     # complete elliptic integral: P = 4 a E(e^2)
     e2 = 1.0 - 0.25
     expect = 4 * 2.0 * scipy_special.ellipe(e2)
-    assert perimeter(curves("ellipse")) == pytest.approx(expect, rel=1e-10)
+    assert curves("ellipse").length == pytest.approx(expect, rel=1e-10)
     assert area(curves("ellipse")) == pytest.approx(2 * np.pi, rel=1e-10)
 
 
@@ -123,7 +123,7 @@ def test_mean_value_rejects_concave(domains):
 def test_divergence_area_consistency(curves):
     grid = GridSpec.with_h(curves("ellipse"), 1 / 64)
     r = divergence_area_residual(curves("ellipse"), grid)
-    assert r.abs_residual <= 3 * grid.h * perimeter(curves("ellipse"))
+    assert r.abs_residual <= 3 * grid.h * curves("ellipse").length
 
 
 def _per_arc_integral(curve, rowfun, tol):
@@ -155,14 +155,15 @@ def _curvature_support(arc, t):
                                   "stadium", "union", "polygon"])
 def test_arc_quadrature_matches_one_arc_at_a_time(curves, name):
     # every doubling level evaluates all arcs through the curve's ArcTable;
-    # a row's values are its arc's own, so each sum keeps its bits
+    # a row's values are its arc's own, so each sum keeps its bits.  The
+    # per-arc |Y'| quadrature is a reference for the arclength table.
     curve = (from_spec({"type": "rounded_polygon", "sides": 96,
                         "side_length": 0.2, "corner_radius": 0.05})
              if name == "polygon" else curves(name))
     tol = 1e-10 * max(1.0, curve.extent)
     speed = _per_arc_integral(
         curve, lambda arc, t: np.linalg.norm(arc.velocity(t), axis=-1), tol)
-    assert perimeter(curve) == speed
+    assert curve.length == pytest.approx(speed, rel=1e-13)
     assert area(curve) == 0.5 * _per_arc_integral(
         curve, _support, 1e-10 * max(1.0, curve.extent) ** 2)
     corners = curve.corners
@@ -175,7 +176,7 @@ def test_arc_quadrature_matches_one_arc_at_a_time(curves, name):
     else:
         report = minkowski_residual(curve)
         assert report.lhs == smooth
-    assert report.rhs == speed
+    assert report.rhs == curve.length
 
 
 def _gauss_legendre_weights_decimal(m):

@@ -118,12 +118,13 @@ def test_mk_verdicts(domains):
 def test_mk_verdict_reads_the_table_rows(monkeypatch, domains, name):
     # on a warmed Domain the trace spot-checks read the cut table's rows:
     # no curve evaluation and no corner-zone test, with vf_boundary's values
+    # (whose fresh cut values are the table's)
     dom = domains(name)
     table, gamma = dom.table, 2.5
     mk_verdict(dom, gamma)
     smooth = np.flatnonzero(table.smooth())
-    want = max(abs(vf_boundary(dom, table.point(int(i)), constant(gamma),
-                               lam=float(table.lam[i])).value
+    want = max(abs(vf_boundary(dom, table.point(int(i)),
+                               constant(gamma)).value
                    - gamma * float(table.phi[i]))
                for i in smooth[:: max(1, smooth.size // 16)][:16]) / gamma
     rows, searches = [], []

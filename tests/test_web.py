@@ -5,7 +5,8 @@ from cutloc import (ConstructionError, HypothesisViolationError,
                     InapplicableError, InvalidRayError, OperatorRangeError,
                     flux_identity_residual, laplace, parse_operator,
                     partial_web_report, plap, profile_checks, web_profile)
-from cutloc.web import DivergenceOperator
+from cutloc.web import DivergenceOperator, _g_of
+from conftest import SPECS
 
 
 def test_laplace_m_inverse_roundtrip():
@@ -123,6 +124,17 @@ def test_partial_report_ellipse_major_window(domains):
     # the collar defect equals max phi - phi(y0), independent of eps
     defects = [d for _, d in rep.collar]
     assert np.allclose(defects, 0.625, atol=1e-3)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_boundary_flux_is_the_tables_phi(tables, name):
+    # c(y) = |g_y(0)| = phi(y): the partial web report reads its flux
+    # candidates as the cut table's phi column
+    table = tables(name)
+    smooth = table.smooth()
+    lam = table.lam[smooth]
+    flux = np.abs(_g_of(table.kappa[smooth], lam, 0.0))
+    assert np.all(np.abs(flux - table.phi[smooth]) <= 2 * np.spacing(lam))
 
 
 def test_partial_report_square_inapplicable(domains):
