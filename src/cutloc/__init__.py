@@ -26,18 +26,15 @@ _EXPORTS = {
                "DegenerateRayError", "FormulaOutOfScopeError",
                "HypothesisViolationError", "InapplicableError",
                "InvalidRayError", "OperatorRangeError", "ShapeParseError"),
-    "fields": ("ScalarField", "abs2", "constant"),
+    "fields": ("ScalarField", "constant"),
     "integrals": ("IntegralReport", "area", "corner_sum", "cov_integral",
-                  "cov_residual", "divergence_area_residual",
-                  "mean_value_residual", "minkowski_residual",
+                  "cov_residual", "mean_value_residual", "minkowski_residual",
                   "minkowski_residual_corners"),
     "mk": ("MKSolution", "complementarity_max", "eikonal_max_deviation",
-           "mk_verdict", "residual_summary", "singular_measure", "vf_at",
-           "vf_boundary", "vf_field", "weak_form_check"),
+           "mk_verdict", "residual_summary", "vf_field", "weak_form_check"),
     "projector": ("CurveProjector", "Projection"),
     "shapes": ("from_spec", "load_shape"),
-    "symmetry": ("SymmetryReport", "criterion_report", "f_value",
-                 "inequality_chain_check"),
+    "symmetry": ("SymmetryReport", "criterion_report"),
     "web": ("DivergenceOperator", "PartialWebReport", "WebProfile",
             "flux_identity_residual", "laplace", "parse_operator",
             "partial_web_report", "plap", "profile_checks", "web_profile"),

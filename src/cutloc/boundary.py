@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arcs import ArcTable, TransformedArc
+from .arcs import ArcTable
 from .errors import ConstructionError
 
 __all__ = [
@@ -104,10 +104,6 @@ class _Geom:
     def __init__(self, **kw):
         for k in self.__slots__:
             setattr(self, k, kw[k])
-
-    @property
-    def n(self):
-        return self.s.size
 
     def point(self, i):
         return BoundaryPoint(
@@ -487,13 +483,6 @@ class BoundaryCurve:
         support = np.sum(g.position * g.normal, axis=1)
         m = float(np.min(support))
         return bool(m > 0.0), m
-
-    # ------------------------------------------------------------ transform
-
-    def transformed(self, scale=1.0, rotation=0.0):
-        """Dilated/rotated copy about the origin."""
-        return BoundaryCurve(
-            [TransformedArc(a, scale=scale, rotation=rotation) for a in self.arcs])
 
 
 def _speed_curvature(vel, acc):

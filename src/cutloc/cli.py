@@ -377,7 +377,7 @@ def cmd_web(args):
         "collar_defects": [{"eps": e, "defect": d} for e, d in rep.collar],
         "y0": {"s": rep.s_y0, "kappa": rep.kappa_y0,
                "lambda": rep.lambda_y0, "phi": rep.phi_y0},
-        "flux_candidate_at_y0": rep.c_gamma,
+        "flux_candidate_at_y0": rep.phi_y0,
         "hprime0": prof.hprime0,
         "identity_residual": identity,
         "identity_status": identity_status,

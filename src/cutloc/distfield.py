@@ -5,12 +5,12 @@ and their ring.  The nearest site of such a cell is the one a dense
 argmin over the site table returns: found among a few sites around a
 local foot where a cut value certifies it, and by one exact block-pruned
 scan (``_kernels.nearest_site``) elsewhere.  Its foot comes from a search
-on the site's arc; insideness from an even-odd scanline test per grid row
-(``_kernels.inside_polygon``), which ``inside_mask`` runs alone for callers
-that only count inside cells.  The field keeps the geometry of each
-cell's foot (arclength, curvature, outward normal) and the cut value
-there, evaluated once with the foot, so that no reader evaluates the
-curve at the feet again.  The singular set is not a property of the
+on the site's arc; insideness from ``inside_mask``, an even-odd scanline
+test per grid row (``_kernels.inside_polygon``) and the package's one
+inside test, which ``integrals.cov_residual`` runs too.  The field keeps
+the geometry of each cell's foot (arclength, curvature, outward normal)
+and the cut value there, evaluated once with the foot, so that no reader
+evaluates the curve at the feet again.  The singular set is not a property of the
 field: ``mk.vf_field`` reads it off the cut values at the cells' feet.
 """
 
@@ -93,18 +93,6 @@ class GridSpec:
         if min(0.5 * (nx * h - w), 0.5 * (ny * h - ht)) < 2 * h:
             raise ConfigurationError("margin below 2h; enlarge margin or grid")
         return spec
-
-    @staticmethod
-    def with_h(curve, h):
-        """Box = curve bbox + margin at an exact cell size h."""
-        x0, x1, y0, y1 = curve.bbox
-        w, ht = x1 - x0, y1 - y0
-        margin = max(0.05 * max(w, ht), 3.0 * h)
-        nx = max(int(np.ceil((w + 2 * margin) / h)), 16)
-        ny = max(int(np.ceil((ht + 2 * margin) / h)), 16)
-        cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        return GridSpec(xmin=cx - 0.5 * nx * h, ymin=cy - 0.5 * ny * h,
-                        nx=nx, ny=ny, h=h)
 
 
 @dataclass(eq=False)
@@ -209,7 +197,7 @@ def build_distance_field(dom, grid):
     """
     curve, proj = dom.curve, dom.projector
     centers = grid.centers()
-    inside = _inside(curve, grid, centers)
+    inside = inside_mask(curve, grid, centers)
     n = centers.shape[0]
     d, param, s, kappa, lam = (np.full(n, np.nan) for _ in range(5))
     normal = np.full((n, 2), np.nan)
@@ -378,18 +366,14 @@ def _seeds(grid, centers, cells, sites):
     return seed[(np.cumsum(used) - 1)[block]]
 
 
-def inside_mask(curve, grid):
-    """(ny, nx) bool: cell centers inside the curve.
+def inside_mask(curve, grid, centers):
+    """(ny, nx) bool: which of the grid's cell centers lie inside the curve.
 
-    An even-odd scanline test per grid row against the curve's 2048-point
-    winding polygon.  The grid box must hold the curve with a one-cell
-    margin, else ConstructionError.
+    centers is grid.centers(), built by the caller, which evaluates other
+    quantities on the same centers.  An even-odd scanline test per grid
+    row against the curve's 2048-point winding polygon.  The grid box
+    must hold the curve with a one-cell margin, else ConstructionError.
     """
-    return _inside(curve, grid, grid.centers())
-
-
-def _inside(curve, grid, centers):
-    """inside_mask on the grid's centers, built by the caller."""
     h = grid.h
     x0, x1, y0, y1 = curve.bbox
     if (x0 < grid.xmin + h or x1 > grid.xmin + grid.nx * h - h

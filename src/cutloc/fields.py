@@ -1,4 +1,4 @@
-"""Scalar fields on the plane: constants and |x|^2.
+"""Scalar fields on the plane: polynomials in x and y.
 
 Bulk integrands and source terms are restricted to bivariate polynomials,
 which keeps ray quadrature exact (fixed-order Gauss-Legendre suffices) and
@@ -12,7 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["ScalarField", "constant", "abs2"]
+__all__ = ["ScalarField", "constant"]
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,3 @@ class ScalarField:
 
 def constant(gamma) -> ScalarField:
     return ScalarField(terms=((0, 0, float(gamma)),))
-
-
-def abs2() -> ScalarField:
-    """|x|^2 = x^2 + y^2."""
-    return ScalarField(terms=((2, 0, 1.0), (0, 2, 1.0)))

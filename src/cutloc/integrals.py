@@ -1,8 +1,9 @@
 """Boundary and bulk integral identities.
 
 Area by adaptive quadrature, the curvature integral identity (smooth and
-cornered forms), the change of variables over inward normal rays, and the
-mean-value identity for the criterion function phi.  The boundary length
+cornered forms), the change of variables over inward normal rays against
+a sum over the inside cells of a grid, and the mean-value identity for
+the criterion function phi.  The boundary length
 is the curve's own, the total of its arclength table (BoundaryCurve.length).
 """
 
@@ -13,14 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import _BLOCK_NODES
-from .distfield import _inside, inside_mask
+from .distfield import inside_mask
 from .errors import FormulaOutOfScopeError, InapplicableError
 from .quadrature import ray_quadrature, simpson_doubling_vec
 
 __all__ = [
     "IntegralReport", "ROT_CCW", "area", "minkowski_residual",
     "minkowski_residual_corners", "corner_sum", "cov_integral",
-    "cov_residual", "mean_value_residual", "divergence_area_residual",
+    "cov_residual", "mean_value_residual",
 ]
 
 _EPS_REL = 1e-14
@@ -175,7 +176,7 @@ def cov_residual(dom, h, grid):
     """Ray-side integral of h against its grid quadrature over inside cells."""
     lhs = cov_integral(dom, h)
     centers = grid.centers()
-    inside = _inside(dom.curve, grid, centers)
+    inside = inside_mask(dom.curve, grid, centers)
     vals = np.asarray(h(centers)).reshape(inside.shape)
     rhs = float(np.sum(vals[inside]) * grid.h ** 2)
     return IntegralReport.from_pair(lhs, rhs, int(np.sum(inside)))
@@ -192,10 +193,3 @@ def mean_value_residual(dom):
     table = dom.midpoint_table
     lhs = float(np.average(table.phi, weights=dom.midpoint_weight))
     return IntegralReport.from_pair(lhs, dom.ratio, len(table))
-
-
-def divergence_area_residual(curve, grid):
-    """Quadrature area against the grid cell-count area."""
-    lhs = area(curve)
-    cells = int(np.sum(inside_mask(curve, grid)))
-    return IntegralReport.from_pair(lhs, float(cells) * grid.h ** 2, cells)

@@ -10,27 +10,26 @@ tau = lambda(pi(x)) - d, and v_f = 0 on the closure of the singular set.
 The cut locus is the closure of {y - lambda(y) nu(y)}, so on a grid the
 singular set is read off tau: the inside cells within _SIGMA_H cells of
 their cut value, plus those where the ray chart 1 - d kappa degenerates.
+v_f is evaluated on grid cells only (vf_field); its boundary trace,
+gamma phi for a constant source gamma, is spot-checked on the cut
+table's rows (mk_verdict).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .boundary import BoundaryPoint
-from .cutlocus import corner_zone, cut_value
 from .distfield import DistanceField
-from .errors import DegenerateRayError, HypothesisViolationError
+from .errors import HypothesisViolationError
 from .fields import constant
 from .quadrature import ray_quadrature
 from .symmetry import criterion_report
 
 __all__ = [
-    "VfValue", "MKSolution", "vf_at", "vf_boundary", "vf_field",
-    "residual_summary", "complementarity_max", "weak_form_check",
-    "eikonal_max_deviation", "singular_measure", "mk_verdict",
+    "MKSolution", "vf_field", "residual_summary", "complementarity_max",
+    "weak_form_check", "eikonal_max_deviation", "mk_verdict",
     "export_mk_csv",
 ]
 
@@ -43,11 +42,6 @@ _DEGEN = 1e-12
 _SIGMA_H = 3.0
 # depths eps of the tent test functions of weak_form_check
 _TENT_EPS = (0.2, 0.1, 0.05)
-
-
-class VfValue(NamedTuple):
-    value: float
-    singular: bool
 
 
 @dataclass(eq=False)
@@ -70,48 +64,6 @@ class MKSolution:
     @property
     def h(self):
         return self.grid.h
-
-
-def vf_at(dom, x, f=None):
-    """v_f at a single interior point; (0, True) on the singular set."""
-    if f is None:
-        f = constant(1.0)
-    curve, tol = dom.curve, dom.tol
-    x = np.asarray(x, dtype=float)
-    p = dom.projector.project(x[None, :])
-    d = float(p.dist[0])
-    kap = float(p.kappa[0])
-    lam = cut_value(curve, float(p.s[0]), projector=dom.projector, tol=tol)
-    tau = lam - d
-    if tau <= 5.0 * tol:
-        return VfValue(0.0, True)
-    if 1.0 - d * kap <= _DEGEN:
-        raise DegenerateRayError("normal chart degenerate at the query depth")
-    val = ray_quadrature(f, x[None, :], p.normal, p.dist, p.kappa,
-                         np.array([tau]))
-    return VfValue(float(val[0]), False)
-
-
-def vf_boundary(dom, y, f=None):
-    """Boundary restriction of v_f; for constant gamma equals gamma phi(y).
-
-    y is a BoundaryPoint or an arclength.  In the corner zone (corner_zone)
-    the returned value is the corner limit 0, flagged.
-    """
-    if f is None:
-        f = constant(1.0)
-    curve = dom.curve
-    if isinstance(y, BoundaryPoint):
-        geom = curve.geometry([y.arc_index], [y.param])
-    else:
-        geom = curve.geometry_at_s([float(y)])
-    if corner_zone(curve, geom.s, dom.tol)[0]:
-        return VfValue(0.0, True)
-    lam = cut_value(curve, float(geom.s[0]), projector=dom.projector,
-                    tol=dom.tol)
-    val = ray_quadrature(f, geom.position, geom.normal, np.zeros(1),
-                         geom.curvature, np.array([float(lam)]))
-    return VfValue(float(val[0]), False)
 
 
 def _erode4(mask):
@@ -251,11 +203,6 @@ def eikonal_max_deviation(sol):
         return 0.0
     mag = np.hypot(sol.gx, sol.gy)
     return float(np.max(np.abs(mag[elig] - 1.0)))
-
-
-def singular_measure(sol):
-    """Area of the singular cells: count * h^2."""
-    return float(np.sum(sol.singular) * sol.h ** 2)
 
 
 def weak_form_check(sol):

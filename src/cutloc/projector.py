@@ -16,9 +16,8 @@ import numpy as np
 
 from . import _kernels
 from .arcs import arc_runs
-from .boundary import cyclic_dist
 
-__all__ = ["Projection", "CurveProjector", "cyclic_dist"]
+__all__ = ["Projection", "CurveProjector"]
 
 # rows per foot search: timed at 4096 to 131 072 rows on the 256² ellipse
 # grid, 4096 and 8192 tie (0.062 s), and 32 768 rows take 10 % longer with

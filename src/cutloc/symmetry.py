@@ -1,16 +1,16 @@
 """Ball-characterization criterion for starshaped planar domains.
 
-Locates the maximal-curvature boundary point y0, tests the two hypotheses
-(curvature max attained at y0; phi(y0) >= |Omega|/|boundary|), verifies the
-pointwise inequality chain, and evaluates the auxiliary function f whose
-maximum over the admissible cone is 1/n.
+Locates the maximal-curvature boundary point y0 from at least _MIN_SMOOTH
+smooth samples, tests the two hypotheses (curvature max attained at y0;
+phi(y0) >= |Omega|/|boundary|) and reports the verdict.  The paper's
+auxiliary function f and the pointwise inequality chain behind the
+criterion are test references (tests/conftest.py, tests/test_symmetry.py).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -20,41 +20,13 @@ from .errors import ConfigurationError
 from .quadrature import golden_min_vec
 
 __all__ = [
-    "SymmetryReport", "ChainCheck", "f_value", "criterion_report",
-    "inequality_chain_check", "refine_max_curvature", "diameter",
+    "SymmetryReport", "criterion_report", "refine_max_curvature", "diameter",
 ]
 
 # relative phi spread at or below which the constant-phi route applies
 _CONSTANCY_TOL = 1e-3
-# relative slack of the pointwise inequality chain
-_CHAIN_TOL = 1e-9
-
-
-# ------------------------------------------------------- auxiliary function f
-
-def _f_rows(X):
-    """f over rows of X (m, k): (sum x / k) * int_0^1 prod (1 - s x_j) ds.
-
-    The product is expanded to ascending coefficients in s, so the inner
-    integral is exact: sum_i c_i / (i + 1).
-    """
-    X = np.asarray(X, dtype=float)
-    m, k = X.shape
-    c = np.ones((m, 1))
-    for j in range(k):
-        xj = X[:, j][:, None]
-        padded = np.concatenate([c, np.zeros((m, 1))], axis=1)
-        shifted = np.concatenate([np.zeros((m, 1)), c], axis=1)
-        c = padded - xj * shifted
-    weights = 1.0 / (np.arange(c.shape[1]) + 1.0)
-    inner = c @ weights
-    return (np.sum(X, axis=1) / k) * inner
-
-
-def f_value(x):
-    """f at a single point x in R^(n-1)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(_f_rows(x[None, :])[0])
+# fewest smooth samples that y0 is located from
+_MIN_SMOOTH = 64
 
 
 # ----------------------------------------------------------------- reporting
@@ -163,13 +135,15 @@ def refine_max_curvature(table):
     projector's site table (at least 8 sites per arc, so curved arcs
     shorter than the sample spacing are not missed) and searches two
     spacings of the seed's set either side, within the owning arc.
-    Returns (BoundaryPoint, kappa_max).
+    Returns (BoundaryPoint, kappa_max).  A table with fewer than
+    _MIN_SMOOTH smooth samples is a ConfigurationError: every reader of
+    y0 (report, mk, web) refuses it alike.
     """
     curve = table.curve
-    smooth = table.smooth()
-    if not np.any(smooth):
-        raise ConfigurationError("no smooth samples to maximize over")
-    idx = np.flatnonzero(smooth)
+    idx = np.flatnonzero(table.smooth())
+    if idx.size < _MIN_SMOOTH:
+        raise ConfigurationError(
+            f"only {idx.size} smooth samples; need at least {_MIN_SMOOTH}")
     i = idx[int(np.argmax(table.kappa[idx]))]
     a, t = int(table.arc_index[i]), float(table.param[i])
     (vel,) = curve.arc_table.evaluate([a], "velocity")(np.array([t]))
@@ -202,11 +176,6 @@ def criterion_report(dom):
     """
     table = dom.table
     smooth = table.smooth()
-    n_smooth = int(np.count_nonzero(smooth))
-    if n_smooth < 64:
-        raise ConfigurationError(
-            f"only {n_smooth} smooth samples; need at least 64")
-
     ratio = dom.ratio
     y0, H_max = dom.y0, dom.H_max
     lam0 = dom.lambda_y0
@@ -257,43 +226,3 @@ def criterion_report(dom):
         starshaped=bool(starshaped), verdict=verdict, note="; ".join(notes),
         phi_slack=dom.phi_slack,
         constancy_tol=_CONSTANCY_TOL, samples_used=len(table))
-
-
-@dataclass(frozen=True, eq=False)
-class ChainCheck:
-    s: np.ndarray
-    term_ratio_H: np.ndarray   # ratio * H(y) per smooth sample
-    ratio_H_y0: float          # ratio * H(y0)
-    phi_H_y0: float            # phi(y0) * H(y0)
-    bound: float               # 1/2
-    link1_ok: bool             # ratio H(y) <= ratio H(y0) at every sample
-    link2_ok: bool             # ratio H(y0) <= phi(y0) H(y0)
-    link3_ok: bool             # phi(y0) H(y0) <= 1/2 + tol
-    first_failure: Optional[str]
-    tol: float
-
-
-def inequality_chain_check(dom):
-    """Pointwise chain ratio H(y) <= ratio H(y0) <= phi(y0) H(y0) <= 1/2,
-    each link with relative slack _CHAIN_TOL."""
-    report = criterion_report(dom)
-    table = dom.table
-    smooth = table.smooth()
-    slack = _CHAIN_TOL * max(1.0, abs(report.H_max)) * max(1.0, report.ratio)
-    t1 = report.ratio * table.kappa[smooth]
-    t2 = report.ratio * report.H_max
-    t3 = report.phi_at_y0 * report.H_max
-    link1 = bool(np.all(t1 <= t2 + slack))
-    link2 = bool(t2 <= t3 + slack)
-    link3 = bool(t3 <= 0.5 + max(_CHAIN_TOL, report.phi_slack * report.H_max))
-    first = None
-    if not link1:
-        first = "curvature max exceeded at a sample"
-    elif not link2:
-        first = "phi(y0) below ratio"
-    elif not link3:
-        first = "basic bound exceeded at y0"
-    return ChainCheck(s=table.s[smooth], term_ratio_H=t1, ratio_H_y0=float(t2),
-                      phi_H_y0=float(t3), bound=0.5, link1_ok=link1,
-                      link2_ok=link2, link3_ok=link3, first_failure=first,
-                      tol=_CHAIN_TOL)

@@ -204,8 +204,7 @@ class PartialWebReport:
     s_y0: float
     kappa_y0: float
     lambda_y0: float
-    phi_y0: float
-    c_gamma: float             # -A(|h'(0)|) h'(0) = phi(y0)
+    phi_y0: float              # also the flux -A(|h'(0)|) h'(0) at y0
     ratio: float
     verdict: str
     note: str
@@ -293,5 +292,5 @@ def partial_web_report(dom, gamma_arc=None):
     return PartialWebReport(
         flag_i=flag_i, flag_ii_prime=flag_iip, collar=tuple(collar),
         s_y0=float(y0.s), kappa_y0=float(k0), lambda_y0=float(lam0),
-        phi_y0=phi0, c_gamma=phi0, ratio=float(ratio), verdict=verdict,
+        phi_y0=phi0, ratio=float(ratio), verdict=verdict,
         note="; ".join(notes), samples_used=len(table))

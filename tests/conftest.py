@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cutloc import Domain, build_distance_field, cut_table, from_spec
-from cutloc.distfield import GridSpec
-from cutloc.symmetry import _f_rows
+from cutloc import (BoundaryCurve, Domain, GridSpec, build_distance_field,
+                    cut_table, from_spec)
+from cutloc.arcs import TransformedArc
 
 SPECS = {
     "circle": {"type": "circle", "radius": 1.0},
@@ -40,6 +40,51 @@ def traced_peak_mb(fn, *args):
     finally:
         if started:
             tracemalloc.stop()
+
+
+def grid_with_h(curve, h):
+    """GridSpec over the curve's bbox plus a margin, at an exact cell size h."""
+    x0, x1, y0, y1 = curve.bbox
+    w, ht = x1 - x0, y1 - y0
+    margin = max(0.05 * max(w, ht), 3.0 * h)
+    nx = max(int(np.ceil((w + 2 * margin) / h)), 16)
+    ny = max(int(np.ceil((ht + 2 * margin) / h)), 16)
+    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    return GridSpec(xmin=cx - 0.5 * nx * h, ymin=cy - 0.5 * ny * h,
+                    nx=nx, ny=ny, h=h)
+
+
+def transformed(curve, scale=1.0, rotation=0.0):
+    """Dilated/rotated copy of a curve about the origin."""
+    return BoundaryCurve(
+        [TransformedArc(a, scale=scale, rotation=rotation) for a in curve.arcs])
+
+
+# ------------------------------------------------ the paper's lemma function f
+
+def _f_rows(X):
+    """f over rows of X (m, k): (sum x / k) * int_0^1 prod (1 - s x_j) ds.
+
+    The product is expanded to ascending coefficients in s, so the inner
+    integral is exact: sum_i c_i / (i + 1).
+    """
+    X = np.asarray(X, dtype=float)
+    m, k = X.shape
+    c = np.ones((m, 1))
+    for j in range(k):
+        xj = X[:, j][:, None]
+        padded = np.concatenate([c, np.zeros((m, 1))], axis=1)
+        shifted = np.concatenate([np.zeros((m, 1)), c], axis=1)
+        c = padded - xj * shifted
+    weights = 1.0 / (np.arange(c.shape[1]) + 1.0)
+    inner = c @ weights
+    return (np.sum(X, axis=1) / k) * inner
+
+
+def f_value(x):
+    """f at a single point x in R^(n-1)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return float(_f_rows(x[None, :])[0])
 
 
 def f_max_bruteforce(n):
@@ -105,7 +150,7 @@ def get_field(name, h):
     key = (name, h)
     if key not in _fields:
         _fields[key] = build_distance_field(
-            get_domain(name), GridSpec.with_h(get_curve(name), h))
+            get_domain(name), grid_with_h(get_curve(name), h))
     return _fields[key]
 
 

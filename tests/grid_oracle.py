@@ -11,7 +11,8 @@ tests compare the two within a multiple of the grid step.
 import numpy as np
 
 from cutloc.arcs import arc_runs
-from cutloc.projector import Projection, cyclic_dist
+from cutloc.boundary import cyclic_dist
+from cutloc.projector import Projection
 
 _MAX_BISECT = 64
 

@@ -10,20 +10,18 @@ import time
 import numpy as np
 import pytest
 
-from conftest import f_max_bruteforce
-from cutloc import (Domain, area, complementarity_max, constant,
+from conftest import f_max_bruteforce, grid_with_h, transformed
+from cutloc import (Domain, ScalarField, area, complementarity_max, constant,
                     criterion_report,
                     cut_table, flux_identity_residual,
                     laplace, max_lambda_kappa, mean_value_residual,
                     minkowski_residual, minkowski_residual_corners, mk_verdict,
-                    phi, plap, residual_summary, vf_boundary,
-                    vf_field, web_profile)
+                    phi, plap, residual_summary, vf_field, web_profile)
 from cutloc.cli import main as cli_main
-from cutloc.distfield import GridSpec
 from cutloc.integrals import corner_sum, cov_residual
-from cutloc.fields import abs2
 from cutloc.mk import MKSolution
 from grid_oracle import grid_cut_values
+from vf_reference import vf_boundary
 
 SMOOTH = ("circle", "ellipse", "superellipse", "fourier")
 NO_CONCAVE = ("circle", "circle_small", "circle_big", "ellipse",
@@ -134,11 +132,12 @@ def test_criterion_06_change_of_variables(curves, domains):
     ok = True
     parts = []
     for name in ("circle", "ellipse"):
-        for fname, f in (("1", constant(1.0)), ("|x|^2", abs2())):
+        for fname, f in (("1", constant(1.0)),
+                         ("|x|^2", ScalarField(((2, 0, 1.0), (0, 2, 1.0))))):
             r64 = cov_residual(domains(name), f,
-                               GridSpec.with_h(curves(name), 1 / 64))
+                               grid_with_h(curves(name), 1 / 64))
             r128 = cov_residual(domains(name), f,
-                                GridSpec.with_h(curves(name), 1 / 128))
+                                grid_with_h(curves(name), 1 / 128))
             ratio = r128.abs_residual / max(r64.abs_residual, 1e-300)
             # superconvergence on symmetry-aligned grids beats the nominal
             # first-order model; require at least the promised improvement
@@ -266,7 +265,7 @@ def test_criterion_10_projector_cross_validation(curves, fields):
 
 def test_criterion_11_property_suite(curves, capsys):
     base = curves("ellipse")
-    big = base.transformed(scale=2.0)
+    big = transformed(base, scale=2.0)
     t0 = cut_table(base, n=512)
     t1 = cut_table(big, n=512)
     rel = 0.0
@@ -278,10 +277,11 @@ def test_criterion_11_property_suite(curves, capsys):
     rep0 = criterion_report(Domain(t0))
     rep1 = criterion_report(Domain(t1))
     rep2 = criterion_report(
-        Domain(cut_table(base.transformed(rotation=0.7), n=512)))
+        Domain(cut_table(transformed(base, rotation=0.7), n=512)))
     ok &= rep0.verdict == rep1.verdict == rep2.verdict
     rep3 = criterion_report(
-        Domain(cut_table(curves("circle").transformed(rotation=1.1), n=512)))
+        Domain(cut_table(transformed(curves("circle"), rotation=1.1),
+                         n=512)))
     ok &= rep3.verdict == "ball"
     argv = ["report", "--shape", '{"type": "ellipse", "a": 2.0, "b": 1.0}',
             "--samples", "256"]

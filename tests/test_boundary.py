@@ -11,7 +11,7 @@ from cutloc.integrals import ROT_CCW
 from cutloc.projector import CurveProjector
 from cutloc.symmetry import diameter
 
-from conftest import SPECS, traced_peak_mb
+from conftest import SPECS, traced_peak_mb, transformed
 
 POLYGON = {"type": "rounded_polygon", "sides": 96, "side_length": 0.2,
            "corner_radius": 0.05}
@@ -158,7 +158,7 @@ def test_starshaped_flags(curves):
 
 def test_transformed_scales_geometry(curves):
     curve = curves("ellipse")
-    big = curve.transformed(scale=2.0)
+    big = transformed(curve, scale=2.0)
     assert np.isclose(big.length, 2.0 * curve.length, rtol=1e-9)
     g = curve.geometry_at_s([0.0])
     gb = big.geometry_at_s([0.0])
@@ -168,7 +168,7 @@ def test_transformed_scales_geometry(curves):
 
 def test_transformed_rotation_preserves_length(curves):
     curve = curves("ellipse")
-    rot = curve.transformed(rotation=0.7)
+    rot = transformed(curve, rotation=0.7)
     assert np.isclose(rot.length, curve.length, rtol=1e-9)
     g = rot.geometry_at_s([0.0])
     c, s = np.cos(0.7), np.sin(0.7)
@@ -325,7 +325,7 @@ def test_arc_grouping_matches_row_at_a_time(name):
     assert np.array_equal(curve.curvature(arc_index, param), g.curvature)
 
     empty = curve.geometry(np.zeros(0, dtype=int), np.zeros(0))
-    assert empty.n == 0 and empty.position.shape == (0, 2)
+    assert empty.s.size == 0 and empty.position.shape == (0, 2)
     assert curve.s_to_param(np.zeros(0))[1].size == 0
 
 

@@ -291,6 +291,24 @@ def test_exit_2_on_bad_config(capsys):
     assert _run(capsys, ["mk", "--shape", CIRCLE, "--gamma", "-1"])[0] == 2
 
 
+@pytest.mark.parametrize("command", ["report", "mk", "web"])
+@pytest.mark.parametrize("shape, samples, smooth", [
+    ('{"type": "ellipse", "a": 2.0, "b": 1.0}', "1", 1),
+    ('{"type": "ellipse", "a": 2.0, "b": 1.0}', "63", 63),
+    (SQUARE, "3", 2),
+])
+def test_every_reader_of_y0_refuses_few_smooth_samples(capsys, command, shape,
+                                                       samples, smooth):
+    # y0 needs 64 smooth samples, whichever subcommand locates it
+    code, out, err = _run(capsys, [command, "--shape", shape, "--samples",
+                                   samples, "--grid-nx", "32", "--grid-ny",
+                                   "32"])
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: only {smooth} smooth samples; "
+                   "need at least 64\n")
+
+
 def test_exit_2_on_bad_json_file(capsys, tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"type": "circle"')

@@ -6,7 +6,8 @@ import pytest
 from cutloc import (ConfigurationError, cut_table, cut_value, focal_check,
                     from_spec, max_lambda_kappa, phi)
 from cutloc.cutlocus import _ball_cut
-from cutloc.projector import CurveProjector, cyclic_dist
+from cutloc.boundary import cyclic_dist
+from cutloc.projector import CurveProjector
 from grid_oracle import grid_cut_values
 
 

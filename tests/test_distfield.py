@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import SPECS
+from conftest import SPECS, grid_with_h
 from cutloc import ConstructionError, _kernels, build_distance_field
 from cutloc.distfield import (GridSpec, _certified_feet, _ring, _seeds,
                               inside_mask)
@@ -41,12 +41,13 @@ def test_grid_must_contain_curve(domains):
 def test_inside_mask_is_the_field_inside_test(curves, fields):
     for name in SPECS:
         field = fields(name, 1 / 64)
-        got = inside_mask(curves(name), GridSpec.with_h(curves(name), 1 / 64))
+        grid = grid_with_h(curves(name), 1 / 64)
+        got = inside_mask(curves(name), grid, grid.centers())
         assert got.dtype == field.inside.dtype
         assert np.array_equal(got, field.inside), name
     grid = GridSpec(xmin=-0.2, ymin=-0.2, nx=16, ny=16, h=0.025)
     with pytest.raises(ConstructionError):
-        inside_mask(curves("circle"), grid)
+        inside_mask(curves("circle"), grid, grid.centers())
 
 
 def test_field_keeps_the_geometry_of_its_feet(curves, fields):
@@ -101,9 +102,9 @@ def test_certified_sites_are_the_scan_sites(curves, domains, h):
     # site for every certified cell, and most inside cells certified
     for name in SPECS:
         curve, dom = curves(name), domains(name)
-        grid = GridSpec.with_h(curve, h)
+        grid = grid_with_h(curve, h)
         centers = grid.centers()
-        inside = inside_mask(curve, grid)
+        inside = inside_mask(curve, grid, centers)
         cells = np.flatnonzero(inside.ravel())
         seed = _seeds(grid, centers, cells, dom.projector.sites.points)
         rows, idx, _, _, sure = _certified_feet(dom, centers[cells], seed)

@@ -4,12 +4,12 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from cutloc import (Domain, FormulaOutOfScopeError, InapplicableError, abs2,
-                    area, constant, corner_sum, cov_integral, cov_residual,
-                    cut_table, divergence_area_residual, from_spec,
+from conftest import grid_with_h
+from cutloc import (Domain, FormulaOutOfScopeError, InapplicableError,
+                    ScalarField, area, constant, corner_sum, cov_integral,
+                    cov_residual, cut_table, from_spec, inside_mask,
                     mean_value_residual, minkowski_residual,
                     minkowski_residual_corners)
-from cutloc.distfield import GridSpec
 from cutloc.quadrature import gauss_legendre, simpson_doubling_vec
 
 
@@ -69,7 +69,8 @@ def test_concave_corner_out_of_scope(curves):
 def test_cov_integral_disk(domains):
     dom = domains("circle")
     assert cov_integral(dom, constant(1.0)) == pytest.approx(np.pi, abs=1e-6)
-    assert cov_integral(dom, abs2()) == pytest.approx(np.pi / 2, abs=1e-6)
+    abs2 = ScalarField(((2, 0, 1.0), (0, 2, 1.0)))
+    assert cov_integral(dom, abs2) == pytest.approx(np.pi / 2, abs=1e-6)
 
 
 def test_cov_integral_ellipse(domains):
@@ -84,7 +85,7 @@ def test_cov_integral_square(domains):
 
 def test_cov_residual_grid(curves, domains):
     r = cov_residual(domains("circle"), constant(1.0),
-                     GridSpec.with_h(curves("circle"), 1 / 64))
+                     grid_with_h(curves("circle"), 1 / 64))
     assert r.rel_residual <= 2e-2
 
 
@@ -121,9 +122,11 @@ def test_mean_value_rejects_concave(domains):
 
 
 def test_divergence_area_consistency(curves):
-    grid = GridSpec.with_h(curves("ellipse"), 1 / 64)
-    r = divergence_area_residual(curves("ellipse"), grid)
-    assert r.abs_residual <= 3 * grid.h * curves("ellipse").length
+    # the quadrature area against the inside-cell count's
+    curve = curves("ellipse")
+    grid = grid_with_h(curve, 1 / 64)
+    cells = int(np.sum(inside_mask(curve, grid, grid.centers())))
+    assert abs(area(curve) - cells * grid.h ** 2) <= 3 * grid.h * curve.length
 
 
 def _per_arc_integral(curve, rowfun, tol):

@@ -3,13 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import grid_with_h
 from cutloc import (HypothesisViolationError, build_distance_field,
                     complementarity_max, constant, eikonal_max_deviation,
-                    mk_verdict, residual_summary, singular_measure, vf_at,
-                    vf_boundary, vf_field, weak_form_check)
+                    mk_verdict, residual_summary, vf_field, weak_form_check)
 from cutloc.boundary import BoundaryCurve
-from cutloc.distfield import GridSpec
 from cutloc.mk import _median, export_mk_csv
+from vf_reference import vf_at, vf_boundary
 
 
 def _solve(domains, fields, name, h):
@@ -221,10 +221,12 @@ def test_singular_measure_shrinks(curves, domains, fields):
     for name, lo, hi in (("circle", 0.2, 0.3), ("ellipse", 0.4, 0.6),
                          ("square", 0.4, 0.6)):
         curve = curves(name)
-        coarse = singular_measure(_solve(domains, fields, name, 1 / 128))
+        coarse_sol = _solve(domains, fields, name, 1 / 128)
+        coarse = np.sum(coarse_sol.singular) * coarse_sol.h ** 2
         fine_field = build_distance_field(
-            domains(name), GridSpec.with_h(curve, 1 / 256))
-        fine = singular_measure(vf_field(domains(name), fine_field))
+            domains(name), grid_with_h(curve, 1 / 256))
+        fine_sol = vf_field(domains(name), fine_field)
+        fine = np.sum(fine_sol.singular) * fine_sol.h ** 2
         assert lo <= fine / coarse <= hi, name
 
 
@@ -266,7 +268,8 @@ def test_mk_reads_no_cell_beyond_the_ring(tmp_path, domains, fields):
             outputs.append((path.read_bytes(), residual_summary(sol),
                             complementarity_max(sol),
                             eikonal_max_deviation(sol), weak_form_check(sol),
-                            singular_measure(sol), float(np.max(sol.v))))
+                            np.sum(sol.singular) * sol.h ** 2,
+                            float(np.max(sol.v))))
         assert outputs[1] == outputs[0], name
         assert outputs[2] == outputs[0], name
 

@@ -6,7 +6,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from cutloc import f_value, laplace, phi, plap
+from conftest import f_value, transformed
+from cutloc import laplace, phi, plap
 from cutloc.cli import render_json
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -125,7 +126,7 @@ def test_render_json_roundtrips(doc):
 def test_rotation_invariance_of_cut_values(angle):
     from cutloc import cut_table, from_spec
     base = from_spec({"type": "ellipse", "a": 2.0, "b": 1.0})
-    rot = base.transformed(rotation=angle)
+    rot = transformed(base, rotation=angle)
     t0 = cut_table(base, n=64)
     t1 = cut_table(rot, n=64)
     assert np.allclose(t0.lam, t1.lam, atol=1e-6)

@@ -1,11 +1,14 @@
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 import pytest
 
-from conftest import f_max_bruteforce
+from conftest import f_max_bruteforce, f_value
 from cutloc import (ConfigurationError, Domain, criterion_report, cut_table,
-                    cut_value, f_value, from_spec, partial_web_report)
+                    cut_value, from_spec, partial_web_report)
 from cutloc.projector import CurveProjector
-from cutloc.symmetry import diameter, inequality_chain_check
+from cutloc.symmetry import diameter
 
 
 def test_f_value_at_all_ones():
@@ -126,6 +129,52 @@ def test_diameter(curves):
     for curve in shapes:
         assert diameter(curve) == _diameter_all_pairs(curve)
         assert diameter(curve, n=256) == _diameter_all_pairs(curve, n=256)
+
+
+# ------------------------------------------- the paper's inequality chain
+
+# relative slack of the pointwise inequality chain
+_CHAIN_TOL = 1e-9
+
+
+@dataclass(frozen=True, eq=False)
+class ChainCheck:
+    s: np.ndarray
+    term_ratio_H: np.ndarray   # ratio * H(y) per smooth sample
+    ratio_H_y0: float          # ratio * H(y0)
+    phi_H_y0: float            # phi(y0) * H(y0)
+    bound: float               # 1/2
+    link1_ok: bool             # ratio H(y) <= ratio H(y0) at every sample
+    link2_ok: bool             # ratio H(y0) <= phi(y0) H(y0)
+    link3_ok: bool             # phi(y0) H(y0) <= 1/2 + tol
+    first_failure: Optional[str]
+    tol: float
+
+
+def inequality_chain_check(dom):
+    """Pointwise chain ratio H(y) <= ratio H(y0) <= phi(y0) H(y0) <= 1/2,
+    each link with relative slack _CHAIN_TOL."""
+    report = criterion_report(dom)
+    table = dom.table
+    smooth = table.smooth()
+    slack = _CHAIN_TOL * max(1.0, abs(report.H_max)) * max(1.0, report.ratio)
+    t1 = report.ratio * table.kappa[smooth]
+    t2 = report.ratio * report.H_max
+    t3 = report.phi_at_y0 * report.H_max
+    link1 = bool(np.all(t1 <= t2 + slack))
+    link2 = bool(t2 <= t3 + slack)
+    link3 = bool(t3 <= 0.5 + max(_CHAIN_TOL, report.phi_slack * report.H_max))
+    first = None
+    if not link1:
+        first = "curvature max exceeded at a sample"
+    elif not link2:
+        first = "phi(y0) below ratio"
+    elif not link3:
+        first = "basic bound exceeded at y0"
+    return ChainCheck(s=table.s[smooth], term_ratio_H=t1, ratio_H_y0=float(t2),
+                      phi_H_y0=float(t3), bound=0.5, link1_ok=link1,
+                      link2_ok=link2, link3_ok=link3, first_failure=first,
+                      tol=_CHAIN_TOL)
 
 
 def test_chain_on_circle(domains):

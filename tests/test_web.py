@@ -111,7 +111,7 @@ def test_partial_report_disk(domains):
     rep = partial_web_report(domains("circle"))
     assert rep.verdict == "ball"
     assert rep.flag_i and rep.flag_ii_prime
-    assert rep.c_gamma == pytest.approx(0.5, abs=1e-6)
+    assert rep.phi_y0 == pytest.approx(0.5, abs=1e-6)
     for _, defect in rep.collar:
         assert abs(defect) <= 1e-6
 
