@@ -38,6 +38,8 @@ _PAIR_BUDGET = 1 << 15
 # parameters per block of the per-arc samplings (_arc_blocks): evaluating
 # a block holds a few hundred bytes of temporaries per parameter
 _BLOCK_NODES = 8192
+# sites of BoundaryCurve.sites, split across the arcs by length
+_SITES = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,8 +48,6 @@ class BoundaryPoint:
     param: float
     s: float
     position: np.ndarray
-    tangent: np.ndarray
-    normal: np.ndarray
     curvature: float
 
 
@@ -58,7 +58,6 @@ class CornerInfo:
     position: np.ndarray
     nu_minus: np.ndarray
     nu_plus: np.ndarray
-    delta_nu: np.ndarray
     angle: float           # signed turning angle at the corner
     convex: bool
 
@@ -109,7 +108,6 @@ class _Geom:
         return BoundaryPoint(
             arc_index=int(self.arc_index[i]), param=float(self.param[i]),
             s=float(self.s[i]), position=self.position[i].copy(),
-            tangent=self.tangent[i].copy(), normal=self.normal[i].copy(),
             curvature=float(self.curvature[i]))
 
 
@@ -121,7 +119,6 @@ class BoundaryCurve:
             raise ConstructionError("need at least one arc")
         self.arcs = list(arcs)
         self.arc_table = ArcTable(self.arcs)
-        self._sites_cache = {}
 
         poll = self._sample(64, endpoint=False)
         lo = poll.min(axis=0)
@@ -388,18 +385,18 @@ class BoundaryCurve:
             nodes[self.corner_distance(nodes) < tol_hit] += 16 * tol_hit
         return self.geometry_at_s(nodes)
 
-    def dense_sites(self, m):
-        """Midpoint-offset per-arc sampling (~m sites) for projection kernels.
+    @cached_property
+    def sites(self):
+        """Midpoint-offset per-arc sampling of ~_SITES sites: the one site
+        table of the curve's cut values and projections.
 
-        Memoized per m: every projector of the curve shares one table, so
-        its arrays must not be written to.
+        Built once per curve and shared by every reader, so its arrays
+        must not be written to.
         """
-        key = int(m)
-        if key in self._sites_cache:
-            return self._sites_cache[key]
         cum = self._arclength.cum
         L = cum[-1]
-        counts = np.maximum(8, np.round(m * (np.diff(cum) / L)).astype(int))
+        counts = np.maximum(8, np.round(_SITES * (np.diff(cum) / L))
+                            .astype(int))
         blocks = list(self._arc_blocks(counts, endpoint=False, offset=0.5))
         arc_index = np.concatenate([which for which, _ in blocks])
         params = np.concatenate([t for _, t in blocks])
@@ -408,11 +405,9 @@ class BoundaryCurve:
         s = self.param_to_s(arc_index, params)
         # every arc holds at least 8 consecutive sites
         first = np.searchsorted(arc_index, np.arange(len(self.arcs)))
-        sites = DenseSites(points=points, params=params, arc_index=arc_index,
-                           s=s, spacing=L / s.size,
-                           dparam=params[first + 1] - params[first])
-        self._sites_cache[key] = sites
-        return sites
+        return DenseSites(points=points, params=params, arc_index=arc_index,
+                          s=s, spacing=L / s.size,
+                          dparam=params[first + 1] - params[first])
 
     def winding_polygon(self, m):
         """Per-arc sampling that keeps arc start points (corners included)."""
@@ -450,7 +445,6 @@ class BoundaryCurve:
                        position=jt.position[j].copy(),
                        nu_minus=jt.nu_minus[j].copy(),
                        nu_plus=jt.nu_plus[j].copy(),
-                       delta_nu=jt.nu_plus[j] - jt.nu_minus[j],
                        angle=float(jt.angle[j]), convex=bool(jt.convex[j]))
             for j in np.flatnonzero(np.abs(jt.angle) > DEFAULT_ANGLE_TOL))
 

@@ -19,8 +19,7 @@ from .cutlocus import (cut_table, export_cut_csv, focal_check,
 from .distfield import GridSpec, build_distance_field
 from .domain import Domain
 from .errors import (ConfigurationError, ConstructionError, CutlocError,
-                     FormulaOutOfScopeError, HypothesisViolationError,
-                     ShapeParseError)
+                     HypothesisViolationError, ShapeParseError)
 from .fields import constant
 from .integrals import (corner_sum, cov_residual, mean_value_residual,
                         minkowski_residual, minkowski_residual_corners)

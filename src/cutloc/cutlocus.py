@@ -2,7 +2,7 @@
 
 The cut value lambda(y) = sup{t >= 0 : the nearest boundary point of
 y - t nu(y) is y}.  A site z is nearer than y to y - t nu exactly when
-t > |y-z|^2 / (2 <y-z, nu>), so one pass over the projector's site table
+t > |y-z|^2 / (2 <y-z, nu>), so one pass over the curve's site table
 gives lambda(y) as the smallest such depth over the sites outside an
 arclength window around y (the shrinking-ball construction of Ma, Bae &
 Choi, The Visual Computer 2012).  Shrinking steps then move the winning
@@ -23,7 +23,7 @@ import numpy as np
 from .boundary import _PAIR_BUDGET, BoundaryPoint, cyclic_dist
 from .errors import (ConfigurationError, DegenerateRayError,
                      InapplicableError)
-from .projector import CurveProjector, refine_on_arcs
+from .projector import refine_on_arcs
 
 __all__ = [
     "CornerFan",
@@ -52,7 +52,6 @@ class CutTable:
     curve: object
     s: np.ndarray            # (n,) arclength
     position: np.ndarray     # (n, 2)
-    tangent: np.ndarray      # (n, 2) unit tangents
     normal: np.ndarray       # (n, 2) outward unit normals
     kappa: np.ndarray        # (n,)
     arc_index: np.ndarray    # (n,) int
@@ -64,7 +63,6 @@ class CutTable:
     focal_capped: np.ndarray  # (n,) bool, lambda = cap: nothing beats y sooner
     tol: float
     accept: float
-    projector: CurveProjector  # whose site table the cut values came from
 
     def __len__(self):
         return self.s.size
@@ -74,7 +72,6 @@ class CutTable:
         return BoundaryPoint(
             arc_index=int(self.arc_index[i]), param=float(self.param[i]),
             s=float(self.s[i]), position=self.position[i].copy(),
-            tangent=self.tangent[i].copy(), normal=self.normal[i].copy(),
             curvature=float(self.kappa[i]))
 
     def smooth(self):
@@ -159,7 +156,7 @@ def _ball_cut(sites, pos, nrm, s, accept, length):
     return best, arg
 
 
-def _shrink_ball(curve, projector, pos, nrm, s, depth, arg, accept):
+def _shrink_ball(curve, pos, nrm, s, depth, arg, accept):
     """Refine site-table depths off the sites, in place.
 
     Each step projects the ball centre y - depth nu onto the owning arc of
@@ -169,7 +166,7 @@ def _shrink_ball(curve, projector, pos, nrm, s, depth, arg, accept):
     site-spacing error (up to 7e-5 next to the square's corners at 4096
     sites) to rounding level.
     """
-    sites = projector.sites
+    sites = curve.sites
     rows = np.flatnonzero(np.isfinite(depth))
     arc_index = sites.arc_index[arg[rows]]
     param = sites.params[arg[rows]]
@@ -195,11 +192,11 @@ def corner_zone(curve, s, tol):
     return curve.corner_distance(np.ravel(s)) <= 10.0 * tol
 
 
-def _cut_values(curve, geom, projector, tol, accept, active):
+def _cut_values(curve, geom, tol, accept, active):
     """Cut values of a sampled geometry struct: (lam, focal_capped).
 
     lam = min(depth, cap) with cap = min(1/kappa+, extent), where depth is
-    the shrinking-ball depth against the projector's site table.  `active`
+    the shrinking-ball depth against the curve's site table.  `active`
     masks samples to solve; inactive rows come back 0.  An active sample
     whose depth is below tol raises ConfigurationError on a curve without
     corners (the absolute tolerance exceeds a cut value: the shape is too
@@ -218,9 +215,8 @@ def _cut_values(curve, geom, projector, tol, accept, active):
         cap = np.where(kplus > 0, 1.0 / np.maximum(kplus, 1e-300), np.inf)
     cap = np.minimum(cap, curve.extent)
 
-    depth, arg = _ball_cut(projector.sites, pos, nrm, s, accept,
-                           curve.length)
-    _shrink_ball(curve, projector, pos, nrm, s, depth, arg, accept)
+    depth, arg = _ball_cut(curve.sites, pos, nrm, s, accept, curve.length)
+    _shrink_ball(curve, pos, nrm, s, depth, arg, accept)
     bad = depth < tol
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -237,34 +233,29 @@ def _cut_values(curve, geom, projector, tol, accept, active):
     return lam, focal
 
 
-def cut_table(curve, n=2048, projector=None, tol=None, samples=None):
+def cut_table(curve, n=2048, tol=None, samples=None):
     """Cut values, phi, and kappa*lambda over a uniform boundary sampling.
 
     Samples in the corner zone (corner_zone: within arclength 10*tol of a
     corner, where lambda -> 0 at convex corners) are excluded from the ray
     computation; they carry lambda = phi = 0 and corner_zone = True.
     """
-    if projector is None:
-        projector = CurveProjector(curve)
     if tol is None:
         tol = 1e-6 * curve.extent
-    accept = max(5.0 * tol, 3.0 * projector.spacing)
+    accept = max(5.0 * tol, 3.0 * curve.sites.spacing)
     geom = samples if samples is not None else curve.resample_struct(n)
     zone = corner_zone(curve, geom.s, tol)
-    lam, focal = _cut_values(curve, geom, projector, tol, accept,
-                              active=~zone)
+    lam, focal = _cut_values(curve, geom, tol, accept, active=~zone)
     phival = np.where(zone, 0.0, phi(lam, geom.curvature))
     return CutTable(
         curve=curve, s=geom.s.copy(), position=geom.position.copy(),
-        tangent=geom.tangent.copy(),
         normal=geom.normal.copy(), kappa=geom.curvature.copy(),
         arc_index=geom.arc_index.copy(), param=geom.param.copy(),
         lam=lam, phi=phival, lambda_kappa=lam * geom.curvature,
-        corner_zone=zone, focal_capped=focal, tol=tol, accept=accept,
-        projector=projector)
+        corner_zone=zone, focal_capped=focal, tol=tol, accept=accept)
 
 
-def cut_value(curve, y, projector=None, tol=None):
+def cut_value(curve, y, tol=None):
     """Cut value of a single boundary point (BoundaryPoint or arclength).
 
     The value of a one-sample cut_table, corner-zone rule included.
@@ -273,7 +264,7 @@ def cut_value(curve, y, projector=None, tol=None):
         geom = curve.geometry([y.arc_index], [y.param])
     else:
         geom = curve.geometry_at_s([float(y)])
-    table = cut_table(curve, projector=projector, tol=tol, samples=geom)
+    table = cut_table(curve, tol=tol, samples=geom)
     return float(table.lam[0])
 
 
@@ -303,7 +294,7 @@ def corner_fans(table):
     corner as their foot, so their cut value is the depth along their own
     ray from the corner, not the table's value on either adjacent arc.
     Each fan holds the shrinking-ball depth of _FAN_RAYS evenly spaced
-    rays against the table's site table, with the table's window around
+    rays against the curve's site table, with the table's window around
     the corner, capped at the curve's extent.
     """
     curve = table.curve
@@ -316,7 +307,7 @@ def corner_fans(table):
         # nu_minus turned by each angle: the outward nu of the ray y - t nu
         nu = np.column_stack([cos * c.nu_minus[0] - sin * c.nu_minus[1],
                               sin * c.nu_minus[0] + cos * c.nu_minus[1]])
-        depth, _ = _ball_cut(table.projector.sites,
+        depth, _ = _ball_cut(curve.sites,
                              np.tile(c.position, (_FAN_RAYS, 1)), nu,
                              np.full(_FAN_RAYS, c.s), table.accept,
                              curve.length)

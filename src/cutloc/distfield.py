@@ -125,7 +125,6 @@ class DistanceField:
     nearest_normal: np.ndarray    # (ny, nx, 2) outward normal at the foot
     nearest_lambda: np.ndarray    # (ny, nx) cut value at the foot
     centers: np.ndarray           # (ny*nx, 2) grid.centers()
-    projector: CurveProjector
 
     def signed(self):
         """Signed distance: positive inside, negative outside, NaN beyond
@@ -136,10 +135,10 @@ class DistanceField:
 def build_distance_field(dom, grid):
     """Distance field of a Domain's curve on the kept cells of a grid.
 
-    The nearest site of a kept cell, among the sites of the domain's
-    projector, is the one an argmin over every site returns: squared
-    distances, ties to the lowest index.  Inside cells whose site a cut
-    value certifies take it from an argmin over the 2 _WINDOW + 1 sites
+    The nearest site of a kept cell, among the curve's sites
+    (BoundaryCurve.sites), is the one an argmin over every site returns:
+    squared distances, ties to the lowest index.  Inside cells whose site a
+    cut value certifies take it from an argmin over the 2 _WINDOW + 1 sites
     around a local foot (_certified_feet); every other kept cell takes
     the exact block-pruned scan (_kernels.nearest_site).  Each foot then
     lies on the owning arc within one site step of its site, in closed
@@ -195,7 +194,8 @@ def build_distance_field(dom, grid):
     window measures; r carries a slack of 1e-9 (1 + the largest site
     coordinate + the extent) for rounding.
     """
-    curve, proj = dom.curve, dom.projector
+    curve = dom.curve
+    proj = CurveProjector(curve)
     centers = grid.centers()
     inside = inside_mask(curve, grid, centers)
     n = centers.shape[0]
@@ -219,7 +219,7 @@ def build_distance_field(dom, grid):
         for a in range(0, cells.size, _CELL_ROWS):
             part = cells[a:a + _CELL_ROWS]
             rows, _, p, lam_p, sure = _certified_feet(
-                dom, centers[part], seed[a:a + _CELL_ROWS])
+                dom, proj, centers[part], seed[a:a + _CELL_ROWS])
             put(part[rows[sure]], p, lam_p, sure)
         del seed, part, rows, p, lam_p, sure  # before the scan's buffers
     rest = np.flatnonzero(_ring(inside).ravel() & (arc < 0))
@@ -232,7 +232,7 @@ def build_distance_field(dom, grid):
         nearest_arc=arc.reshape(shape), nearest_param=param.reshape(shape),
         nearest_s=s.reshape(shape), nearest_kappa=kappa.reshape(shape),
         nearest_normal=normal.reshape(shape + (2,)),
-        nearest_lambda=lam.reshape(shape), centers=centers, projector=proj)
+        nearest_lambda=lam.reshape(shape), centers=centers)
     for arr in (field.d, field.inside, field.nearest_arc,
                 field.nearest_param, field.nearest_s, field.nearest_kappa,
                 field.nearest_normal, field.nearest_lambda, field.centers):
@@ -261,9 +261,9 @@ def _d2(qx, qy, sx, sy, j):
     return dx
 
 
-def _certified_feet(dom, q, seed):
+def _certified_feet(dom, proj, q, seed):
     """Sites and feet of inside cell centers q, and which ones a cut value
-    certifies.
+    certifies; proj is the CurveProjector of dom's curve.
 
     From its start site in seed, a cell jumps along the chord through the
     site's neighbours to the site nearest its own tangential offset, and
@@ -275,8 +275,7 @@ def _certified_feet(dom, q, seed):
     when that site is certified.  Returns (rows, sites, Projection, lambda
     at the feet, certified mask) over the rows of q whose walk stopped.
     """
-    table, proj = dom.table, dom.projector
-    sites = proj.sites
+    table, sites = dom.table, proj.sites
     m = sites.s.size
     j = _walk(q, seed, sites.points)
     rows = np.flatnonzero(j >= 0)

@@ -7,8 +7,8 @@ corner, and |Omega| / |boundary|.  The corners themselves are the curve's
 (BoundaryCurve.corners, corner_status).  A Domain wraps the one cut
 table a run reads first, uniform or at composite-midpoint nodes, and
 computes each of the other quantities at most once, when it is first
-read.  Every cut value it computes uses the table's projector and its
-absolute tolerance.
+read.  Every cut value it computes uses the curve's site table and the
+table's absolute tolerance.
 """
 
 from functools import cached_property
@@ -17,7 +17,6 @@ import numpy as np
 
 from .cutlocus import corner_fans, cut_table, cut_value, phi
 from .integrals import area
-from .projector import CurveProjector
 from .symmetry import diameter, refine_max_curvature
 
 __all__ = ["Domain"]
@@ -39,9 +38,8 @@ class Domain:
     @classmethod
     def at_midpoints(cls, curve, n, tol):
         """A Domain whose one table is the midpoint table of max(n, 2048)
-        nodes, with a fresh projector and absolute tolerance tol."""
-        table, weight = _midpoint_table(curve, max(n, _MIDPOINT_MIN),
-                                        CurveProjector(curve), tol)
+        nodes, with absolute tolerance tol."""
+        table, weight = _midpoint_table(curve, max(n, _MIDPOINT_MIN), tol)
         dom = cls(table)
         dom._midpoint = table, weight
         return dom
@@ -54,10 +52,6 @@ class Domain:
     def tol(self):
         """Absolute cut-value tolerance."""
         return self.table.tol
-
-    @property
-    def projector(self):
-        return self.table.projector
 
     @property
     def midpoint_table(self):
@@ -78,7 +72,7 @@ class Domain:
     @cached_property
     def _midpoint(self):
         return _midpoint_table(self.curve, max(len(self.table), _MIDPOINT_MIN),
-                               self.projector, self.tol)
+                               self.tol)
 
     @cached_property
     def corner_fans(self):
@@ -104,8 +98,7 @@ class Domain:
 
     @cached_property
     def lambda_y0(self):
-        return cut_value(self.curve, self.y0, projector=self.projector,
-                         tol=self.tol)
+        return cut_value(self.curve, self.y0, tol=self.tol)
 
     @cached_property
     def phi_y0(self):
@@ -135,7 +128,7 @@ class Domain:
         return diameter(self.curve)
 
 
-def _midpoint_table(curve, n, projector, tol):
+def _midpoint_table(curve, n, tol):
     """(cut table, weights) at n composite-midpoint nodes on the arcs."""
     lengths = curve.arc_lengths
     share = n * lengths / np.sum(lengths)
@@ -148,6 +141,5 @@ def _midpoint_table(curve, n, projector, tol):
     start = np.cumsum(lengths) - lengths
     weight = (lengths / k)[arc]
     s = start[arc] + (j + 0.5) * weight
-    table = cut_table(curve, projector=projector, tol=tol,
-                      samples=curve.geometry_at_s(s))
+    table = cut_table(curve, tol=tol, samples=curve.geometry_at_s(s))
     return table, weight

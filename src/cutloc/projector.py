@@ -1,13 +1,14 @@
 """Nearest-point projection onto a boundary curve.
 
-CurveProjector runs the exact block-pruned nearest-site scan of a dense
-midpoint site table (_kernels.nearest_site), then finds the foot on the
+CurveProjector runs the exact block-pruned nearest-site scan of the
+curve's one site table (_kernels.nearest_site), then finds the foot on the
 owning arc within a bracket of one site step: in closed form on segments
 and circular arcs, by safeguarded Newton steps on every other class
 (Arc.batch_foot).  Rows are refined per arc kind, not per arc: one
 vectorized search runs over every row whose arc has the same kind
 (segments, circular arcs, ...), through the curve's ArcTable.  project()
-returns a Projection struct.
+returns a Projection struct.  Only the distance field projects points;
+cut values read the site table directly.
 """
 
 from dataclasses import dataclass
@@ -37,13 +38,11 @@ class Projection:
 
 
 class CurveProjector:
-    """Dense-sampling projector; spacing = mean arclength site spacing."""
+    """Projector onto a curve, seeded by the curve's site table."""
 
-    def __init__(self, curve, m=4096):
+    def __init__(self, curve):
         self.curve = curve
-        self.sites = curve.dense_sites(m)
-        self.length = curve.length
-        self.spacing = self.sites.spacing
+        self.sites = curve.sites
 
     def project(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))

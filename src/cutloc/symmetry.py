@@ -132,7 +132,7 @@ def refine_max_curvature(table):
     """Golden-section refinement of the sampled curvature argmax.
 
     Seeds from the best smooth point over the table samples and the
-    projector's site table (at least 8 sites per arc, so curved arcs
+    curve's site table (at least 8 sites per arc, so curved arcs
     shorter than the sample spacing are not missed) and searches two
     spacings of the seed's set either side, within the owning arc.
     Returns (BoundaryPoint, kappa_max).  A table with fewer than
@@ -149,7 +149,7 @@ def refine_max_curvature(table):
     (vel,) = curve.arc_table.evaluate([a], "velocity")(np.array([t]))
     speed = max(float(np.linalg.norm(vel[0])), 1e-30)
     dp = (curve.length / len(table)) / speed
-    sites = table.projector.sites
+    sites = curve.sites
     kappa = curve.curvature(sites.arc_index, sites.params)
     kappa[corner_zone(curve, sites.s, table.tol)] = -np.inf
     j = int(np.argmax(kappa))
@@ -172,7 +172,7 @@ def criterion_report(dom):
 
     The phi hypothesis allows the domain's phi_slack; the constant-phi
     route needs a relative phi spread of at most _CONSTANCY_TOL.  lambda(y0)
-    comes from the domain's projector and tolerance.
+    comes from the curve's site table and the domain's tolerance.
     """
     table = dom.table
     smooth = table.smooth()

@@ -254,7 +254,7 @@ def partial_web_report(dom, gamma_arc=None):
         i_tab = sm_idx[i_best]
         y0 = table.point(int(i_tab))
         k0 = float(table.kappa[i_tab])
-        lam0 = cut_value(curve, y0, projector=dom.projector, tol=dom.tol)
+        lam0 = cut_value(curve, y0, tol=dom.tol)
         notes.append("curvature argmax lies outside gamma; anchoring at the "
                      "gamma-restricted maximum")
     phi0 = float(phi_closed(lam0, k0))

@@ -12,7 +12,7 @@ import numpy as np
 
 from cutloc.arcs import arc_runs
 from cutloc.boundary import cyclic_dist
-from cutloc.projector import Projection
+from cutloc.projector import CurveProjector, Projection
 
 _MAX_BISECT = 64
 
@@ -54,7 +54,7 @@ class FieldProjector:
     def __init__(self, field):
         self.field = field
         self.curve = field.curve
-        self.length = field.curve.length
+        self.scan = CurveProjector(field.curve)
         self.spacing = field.grid.h
 
     def project(self, points):
@@ -65,13 +65,13 @@ class FieldProjector:
         iy = np.clip(((points[:, 1] - grid.ymin) / grid.h).astype(int), 0, grid.ny - 1)
         arc_index = field.nearest_arc[iy, ix].astype(int)
         seed = field.nearest_param[iy, ix].astype(float)
-        dparam = field.projector.sites.dparam
+        dparam = self.curve.sites.dparam
         depth = field.d[iy, ix].astype(float)
         # a cell beyond the field's ring holds no foot: project its center
-        # with the field's projector, the scan and arithmetic of every cell
+        # with the curve's projector, the scan and arithmetic of every cell
         far = arc_index < 0
         if np.any(far):
-            p = field.projector.project(
+            p = self.scan.project(
                 field.centers[iy[far] * grid.nx + ix[far]])
             arc_index[far], seed[far], depth[far] = p.arc_index, p.param, p.dist
         half = _grid_half_widths(self.curve, arc_index, seed, grid.h,

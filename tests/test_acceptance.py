@@ -8,18 +8,15 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from conftest import f_max_bruteforce, grid_with_h, transformed
-from cutloc import (Domain, ScalarField, area, complementarity_max, constant,
-                    criterion_report,
-                    cut_table, flux_identity_residual,
+from cutloc import (Domain, ScalarField, complementarity_max, constant,
+                    criterion_report, cut_table, flux_identity_residual,
                     laplace, max_lambda_kappa, mean_value_residual,
                     minkowski_residual, minkowski_residual_corners, mk_verdict,
-                    phi, plap, residual_summary, vf_field, web_profile)
+                    plap, residual_summary, vf_field, web_profile)
 from cutloc.cli import main as cli_main
 from cutloc.integrals import corner_sum, cov_residual
-from cutloc.mk import MKSolution
 from grid_oracle import grid_cut_values
 from vf_reference import vf_boundary
 

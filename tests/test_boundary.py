@@ -4,11 +4,11 @@ import pytest
 from cutloc import Domain, corner_sum, criterion_report, cut_table, from_spec
 from cutloc._kernels import inside_polygon
 from cutloc.arcs import Arc, ArcTable, CircleArc, SegmentArc
-from cutloc.boundary import (_BLOCK_NODES, DEFAULT_ANGLE_TOL, BoundaryCurve,
-                             _polyline_self_intersects, cyclic_dist)
+from cutloc.boundary import (_BLOCK_NODES, _SITES, DEFAULT_ANGLE_TOL,
+                             BoundaryCurve, _polyline_self_intersects,
+                             cyclic_dist)
 from cutloc.errors import ConstructionError
 from cutloc.integrals import ROT_CCW
-from cutloc.projector import CurveProjector
 from cutloc.symmetry import diameter
 
 from conftest import SPECS, traced_peak_mb, transformed
@@ -185,12 +185,9 @@ def test_winding_polygon_is_ccw(curves):
     assert np.isclose(0.5 * area2, 2.0 * np.pi, rtol=1e-3)
 
 
-def test_dense_sites_memoized_per_m(curves):
+def test_sites_built_once_per_curve(curves):
     curve = curves("stadium")
-    sites = curve.dense_sites(512)
-    assert curve.dense_sites(512) is sites
-    assert curve.dense_sites(1024) is not sites
-    assert CurveProjector(curve, m=512).sites is sites
+    assert curve.sites is curve.sites
 
 
 def _all_pairs_self_intersects(poly):
@@ -372,7 +369,6 @@ def test_junction_table_matches_per_junction(curves, name):
         assert np.array_equal(c.position, pos)
         assert np.array_equal(c.nu_minus, nu_m)
         assert np.array_equal(c.nu_plus, nu_p)
-        assert np.array_equal(c.delta_nu, nu_p - nu_m)
     if name in ("polygon", "rotated_7gon"):
         assert corner_sum(curve) == pytest.approx(ref_sum, rel=0, abs=1e-15)
     else:
@@ -489,8 +485,8 @@ def _per_arc_reference(curve, m):
     np.cumsum lay it out per arc.
 
     Returns (polled points, parameter and arclength tables, cumulative
-    arc lengths, dense sites' points, params and arc indices, winding
-    polygon).
+    arc lengths, the _SITES sites' points, params and arc indices, winding
+    polygon of m points).
     """
     arcs = curve.arcs
     poll = np.vstack([arc.point(np.linspace(arc.t0, arc.t1, 64,
@@ -518,7 +514,7 @@ def _per_arc_reference(curve, m):
     cum = np.concatenate([[0.0], np.cumsum([s[-1] for s in s_tabs])])
     sites = []
     for a, arc in enumerate(arcs):
-        ma = max(8, int(round(m * ((cum[a + 1] - cum[a]) / cum[-1]))))
+        ma = max(8, int(round(_SITES * ((cum[a + 1] - cum[a]) / cum[-1]))))
         t = arc.t0 + (np.arange(ma) + 0.5) * ((arc.t1 - arc.t0) / ma)
         sites.append((arc.point(t), t, np.full(ma, a)))
     span = sum(arc.t1 - arc.t0 for arc in arcs)
@@ -556,7 +552,7 @@ def test_per_class_evaluation_matches_per_arc_reference(curves, name):
     for got, want in zip(got_p + got_s, p_tabs + s_tabs):
         assert np.array_equal(got, want)
     assert np.array_equal(curve._arclength.cum, cum)
-    got = curve.dense_sites(m)
+    got = curve.sites
     for field, want in zip(("points", "params", "arc_index"), sites):
         assert np.array_equal(getattr(got, field), want)
     assert np.array_equal(curve.winding_polygon(m), poly)

@@ -7,7 +7,6 @@ from cutloc import (ConfigurationError, cut_table, cut_value, focal_check,
                     from_spec, max_lambda_kappa, phi)
 from cutloc.cutlocus import _ball_cut
 from cutloc.boundary import cyclic_dist
-from cutloc.projector import CurveProjector
 from grid_oracle import grid_cut_values
 
 
@@ -106,7 +105,7 @@ def _wrapping_samples(curve, sites):
 @pytest.mark.parametrize("name", ["ellipse", "square", "union", "polygon"])
 def test_ball_cut_reuses_work_arrays_exactly(curves, name):
     curve = from_spec(POLYGON) if name == "polygon" else curves(name)
-    sites = CurveProjector(curve).sites
+    sites = curve.sites
     accept = 3.0 * sites.spacing
     # 1, a partial chunk and several chunks with a short last one; the
     # reference cuts other chunks, so the rows do not depend on the cut
@@ -192,8 +191,7 @@ def test_cut_value_follows_corner_zone_rule(curves):
         table = cut_table(curve, samples=curve.geometry_at_s(s))
         assert table.corner_zone.any() and not table.corner_zone.all()
         for i in range(len(table)):
-            lam = cut_value(curve, table.point(i), projector=table.projector,
-                            tol=table.tol)
+            lam = cut_value(curve, table.point(i), tol=table.tol)
             assert lam == table.lam[i]
 
 

@@ -5,6 +5,7 @@ from conftest import SPECS, grid_with_h
 from cutloc import ConstructionError, _kernels, build_distance_field
 from cutloc.distfield import (GridSpec, _certified_feet, _ring, _seeds,
                               inside_mask)
+from cutloc.projector import CurveProjector
 from grid_oracle import FieldProjector
 
 
@@ -106,10 +107,11 @@ def test_certified_sites_are_the_scan_sites(curves, domains, h):
         centers = grid.centers()
         inside = inside_mask(curve, grid, centers)
         cells = np.flatnonzero(inside.ravel())
-        seed = _seeds(grid, centers, cells, dom.projector.sites.points)
-        rows, idx, _, _, sure = _certified_feet(dom, centers[cells], seed)
+        seed = _seeds(grid, centers, cells, curve.sites.points)
+        rows, idx, _, _, sure = _certified_feet(dom, CurveProjector(curve),
+                                                centers[cells], seed)
         full, _ = _kernels.nearest_site(centers[cells[rows]],
-                                        dom.projector.sites.points)
+                                        curve.sites.points)
         assert np.array_equal(idx[sure], full[sure]), name
         assert np.count_nonzero(sure) >= 0.5 * np.count_nonzero(inside), name
 
@@ -121,7 +123,7 @@ def test_kept_cells_hold_the_full_scan_feet(domains, fields):
         dom, field = domains(name), fields(name, 1 / 64)
         kept = field.nearest_arc.ravel() >= 0
         assert np.array_equal(kept, _ring(field.inside).ravel()), name
-        p = dom.projector.project(field.centers[kept])
+        p = CurveProjector(dom.curve).project(field.centers[kept])
         assert np.array_equal(field.nearest_arc.ravel()[kept],
                               p.arc_index), name
         for got, want in ((field.d, p.dist), (field.nearest_param, p.param),

@@ -89,7 +89,7 @@ def test_nearest_site_matches_dense_argmin_at_grid_ties(curves):
     # two sites (ties go to the lowest index); the union's sites meet at
     # concave corners
     for name in ("square", "union"):
-        proj = CurveProjector(curves(name), m=4096)
+        proj = CurveProjector(curves(name))
         queries = GridSpec.from_curve(curves(name), nx=64).centers()
         _, ties = _assert_matches_dense(queries, proj.sites.points)
         if name == "square":
@@ -98,13 +98,13 @@ def test_nearest_site_matches_dense_argmin_at_grid_ties(curves):
 
 def test_nearest_site_matches_dense_argmin_at_circle_centre(curves):
     # at the centre every site is equally far: no block can be pruned
-    proj = CurveProjector(curves("circle"), m=4096)
+    proj = CurveProjector(curves("circle"))
     queries = np.array([[0.0, 0.0], [1e-3, -2e-3], [0.3, 0.1]])
     _assert_matches_dense(queries, proj.sites.points)
 
 
 def _grid_args(curve, nx):
-    proj = CurveProjector(curve, m=4096)
+    proj = CurveProjector(curve)
     grid = GridSpec.from_curve(curve, nx=nx)
     return grid.centers(), proj.sites.points
 
@@ -130,15 +130,15 @@ def test_nearest_site_memory_is_bounded_by_the_pair_budget(curves):
 
 def test_ball_pass_memory_is_bounded_by_the_pair_budget(curves):
     curve = curves("stadium")
-    proj = CurveProjector(curve, m=4096)
+    proj = CurveProjector(curve)
     g = curve.resample_struct(2048)
     peak = traced_peak_mb(_ball_cut, proj.sites, g.position, g.normal, g.s,
-                          3.0 * proj.spacing, curve.length)
+                          3.0 * proj.sites.spacing, curve.length)
     assert peak <= 4.0
 
 
 def test_projection_memory_is_bounded_by_the_pair_budget(curves):
-    proj = CurveProjector(curves("ellipse"), m=4096)
+    proj = CurveProjector(curves("ellipse"))
     points = np.random.default_rng(3).uniform(-2.5, 2.5, size=(10_000, 2))
     assert traced_peak_mb(proj.project, points) <= 20.0
 

@@ -9,6 +9,7 @@ from cutloc import (HypothesisViolationError, build_distance_field,
                     mk_verdict, residual_summary, vf_field, weak_form_check)
 from cutloc.boundary import BoundaryCurve
 from cutloc.mk import _median, export_mk_csv
+from cutloc.projector import CurveProjector
 from vf_reference import vf_at, vf_boundary
 
 
@@ -232,7 +233,7 @@ def test_singular_measure_shrinks(curves, domains, fields):
 
 def _every_cell_field(dom, field):
     """The field with a foot in every cell, from the projector's full scan."""
-    p = dom.projector.project(field.centers)
+    p = CurveProjector(dom.curve).project(field.centers)
     shape = field.d.shape
     return dataclasses.replace(
         field, d=p.dist.reshape(shape), nearest_arc=p.arc_index.reshape(shape),

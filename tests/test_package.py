@@ -137,6 +137,37 @@ def test_private_names_cross_modules_only_on_the_allowlist():
     assert found == PRIVATE_IMPORTS
 
 
+def _unused_imports(path):
+    """Names the module at path imports and never reads; a name in its
+    __all__ counts as read, and `from __future__` imports are exempt."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0]
+                         for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and not isinstance(node.ctx, ast.Store)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            read |= {e.value for e in node.value.elts
+                     if isinstance(e, ast.Constant)}
+    return imported - read
+
+
+def test_every_imported_name_is_read():
+    paths = (glob.glob(os.path.join(SRC, "cutloc", "*.py"))
+             + glob.glob(os.path.join(ROOT, "tests", "*.py")))
+    unused = {os.path.relpath(path, ROOT): sorted(_unused_imports(path))
+              for path in sorted(paths)}
+    assert {path: names for path, names in unused.items() if names} == {}
+
+
 def test_cli_loads_every_layer_the_benchmark_tracer_wraps():
     missing = _child(
         "import importlib.util, json, sys\n"
@@ -210,3 +241,31 @@ def test_cli_run_imports_neither_numpy_polynomial_nor_numpy_ma(command):
         "loaded = [m for m in heavy if m in sys.modules]\n"
         "print(json.dumps({'code': code, 'loaded': loaded}))\n")
     assert doc == {"code": 0, "loaded": []}
+
+
+def test_only_the_distance_field_builds_a_projector():
+    # cut values read the curve's site table; the distance field is the
+    # one reader that projects points, so mk alone builds a CurveProjector
+    shape = '{"type": "ellipse", "a": 2.0, "b": 1.0}'
+    runs = {command: [command, "--shape", shape, "--samples", "256",
+                      "--grid-nx", "32", "--grid-ny", "32"]
+            for command in ("report", "web", "verify", "mk")}
+    doc = _child(
+        "import contextlib, io, json\n"
+        "import cutloc.cli\n"
+        "from cutloc.projector import CurveProjector\n"
+        "init = CurveProjector.__init__\n"
+        "built = []\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "CurveProjector.__init__ = counted\n"
+        "out = {}\n"
+        f"for command, argv in {runs!r}.items():\n"
+        "    before = len(built)\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cutloc.cli.main(argv)\n"
+        "    out[command] = [code, len(built) - before]\n"
+        "print(json.dumps(out))\n")
+    assert doc == {"report": [0, 0], "web": [0, 0], "verify": [0, 0],
+                   "mk": [0, 1]}

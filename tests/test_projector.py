@@ -5,7 +5,7 @@ from conftest import traced_peak_mb
 from cutloc import _kernels, from_spec
 from cutloc.arcs import ArcTable, CircleArc, SegmentArc, TransformedArc
 from cutloc.distfield import GridSpec
-from cutloc.projector import CurveProjector, refine_on_arcs
+from cutloc.projector import refine_on_arcs
 from cutloc.quadrature import golden_min_vec
 from grid_oracle import refine_in_brackets
 
@@ -109,8 +109,7 @@ def test_refine_by_arc_class_matches_per_arc_search(name):
     # site-step brackets of refine_on_arcs and the wider per-row brackets
     # of the grid oracle's search
     curve = from_spec(CASES[name])
-    projector = CurveProjector(curve, m=2048)
-    sites = projector.sites
+    sites = curve.sites
     rng = np.random.default_rng(7)
     xmin, xmax, ymin, ymax = curve.bbox
     points = np.stack([rng.uniform(xmin, xmax, 3000),
@@ -122,7 +121,7 @@ def test_refine_by_arc_class_matches_per_arc_search(name):
     idx, _ = _kernels.nearest_site(points, sites.points)
     arc_index = sites.arc_index[idx]
     seed = sites.params[idx]
-    dparam = projector.sites.dparam
+    dparam = sites.dparam
     slack = 4.0 * np.spacing(curve.extent)
     half = rng.uniform(0.5, 6.0, seed.size) * dparam[arc_index]
 
@@ -152,7 +151,7 @@ def test_foot_memory_is_bounded():
     # 65 536 grid cells: the searches run on bounded row blocks, so their
     # temporaries do not grow with the number of queries
     curve = from_spec(CASES["ellipse"])
-    sites = CurveProjector(curve).sites
+    sites = curve.sites
     points = GridSpec.from_curve(curve, nx=256).centers()
     idx, _ = _kernels.nearest_site(points, sites.points)
     peak = traced_peak_mb(refine_on_arcs, curve, points, sites.arc_index[idx],

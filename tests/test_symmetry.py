@@ -6,8 +6,7 @@ import pytest
 
 from conftest import f_max_bruteforce, f_value
 from cutloc import (ConfigurationError, Domain, criterion_report, cut_table,
-                    cut_value, from_spec, partial_web_report)
-from cutloc.projector import CurveProjector
+                    from_spec, partial_web_report)
 from cutloc.symmetry import diameter
 
 
@@ -79,20 +78,6 @@ def test_union_verdict_counterexample(domains):
     assert rep.corner_status == "concave-present"
     assert rep.phi_constancy <= 1e-3
     assert "constant" in rep.note
-
-
-def test_report_cut_value_uses_passed_projector(curves):
-    # the square's y0 sits on a side next to a corner, where lambda is not
-    # the focal cap; a 64-site table's acceptance window (three site
-    # spacings) hides the adjacent side there, so lambda(y0) differs from
-    # the default 4096-site projector's
-    curve = curves("square")
-    proj = CurveProjector(curve, m=64)
-    tol = 1e-6 * curve.extent
-    rep = criterion_report(Domain(cut_table(curve, n=256, projector=proj)))
-    assert rep.lambda_at_y0 == cut_value(curve, rep.y0, projector=proj,
-                                         tol=tol)
-    assert rep.lambda_at_y0 != cut_value(curve, rep.y0, tol=tol)
 
 
 def test_displaced_circle_not_starshaped():

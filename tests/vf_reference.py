@@ -15,6 +15,7 @@ from cutloc.cutlocus import corner_zone, cut_value
 from cutloc.errors import DegenerateRayError
 from cutloc.fields import constant
 from cutloc.mk import _DEGEN
+from cutloc.projector import CurveProjector
 from cutloc.quadrature import ray_quadrature
 
 
@@ -29,10 +30,10 @@ def vf_at(dom, x, f=None):
         f = constant(1.0)
     curve, tol = dom.curve, dom.tol
     x = np.asarray(x, dtype=float)
-    p = dom.projector.project(x[None, :])
+    p = CurveProjector(curve).project(x[None, :])
     d = float(p.dist[0])
     kap = float(p.kappa[0])
-    lam = cut_value(curve, float(p.s[0]), projector=dom.projector, tol=tol)
+    lam = cut_value(curve, float(p.s[0]), tol=tol)
     tau = lam - d
     if tau <= 5.0 * tol:
         return VfValue(0.0, True)
@@ -58,8 +59,7 @@ def vf_boundary(dom, y, f=None):
         geom = curve.geometry_at_s([float(y)])
     if corner_zone(curve, geom.s, dom.tol)[0]:
         return VfValue(0.0, True)
-    lam = cut_value(curve, float(geom.s[0]), projector=dom.projector,
-                    tol=dom.tol)
+    lam = cut_value(curve, float(geom.s[0]), tol=dom.tol)
     val = ray_quadrature(f, geom.position, geom.normal, np.zeros(1),
                          geom.curvature, np.array([float(lam)]))
     return VfValue(float(val[0]), False)
